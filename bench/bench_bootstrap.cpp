@@ -191,13 +191,17 @@ BM_BootstrapBaselineSim(benchmark::State &state)
     b.ctx->setNttSchedule(NttSchedule::Flat);
     b.ctx->setModMulKind(ModMulKind::Naive);
     u32 outLevel = 0;
-    b.ctx->devices().resetCounters();
+    DeviceSet &devs = b.ctx->devices();
+    devs.resetCounters();
     for (auto _ : state) {
         auto fresh = s.boot->bootstrap(s.ct);
         outLevel = fresh.level();
         benchmark::DoNotOptimize(fresh.c0.limb(0).data());
+        // Join like runPlanned does, so the row times completion, not
+        // enqueue, and compares with its Seg/PerOp siblings.
+        devs.synchronize();
     }
-    reportPlatformModel(state, state.iterations(), b.ctx->devices());
+    reportPlatformModel(state, state.iterations(), devs);
     Parameters p = bootParams();
     b.ctx->setFusion(p.fusion);
     b.ctx->setLimbBatch(p.limbBatch);

@@ -37,6 +37,7 @@ convertTargets(const Context &ctx, const ConvTables &tables,
     const std::size_t nt = tables.targetIdx.size();
 
     std::vector<u64> scaled(ns * kConvBlock);
+    std::vector<u128> acc(kConvBlock);
     for (std::size_t base = 0; base < n; base += kConvBlock) {
         const std::size_t cnt = std::min(kConvBlock, n - base);
         for (std::size_t i = 0; i < ns; ++i) {
@@ -49,19 +50,25 @@ convertTargets(const Context &ctx, const ConvTables &tables,
                 o[j] = mulModShoup(s[j], w, ws, p);
         }
         for (u32 t : targetSel) {
+            // Sources outer, coefficients inner, into a 128-bit tile:
+            // every multiply-add is independent instead of one serial
+            // chain per coefficient. Reduced once per coefficient; the
+            // sum of ns <= 64 products of residues below 2^61 fits
+            // (Parameters::validate bounds the digit size).
+            const u64 *sv = scaled.data();
+            const u64 w0 = tables.sHatModT[t];
+            for (std::size_t j = 0; j < cnt; ++j)
+                acc[j] = static_cast<u128>(sv[j]) * w0;
+            for (std::size_t i = 1; i < ns; ++i) {
+                const u64 *si = sv + i * kConvBlock;
+                const u64 w = tables.sHatModT[i * nt + t];
+                for (std::size_t j = 0; j < cnt; ++j)
+                    acc[j] += static_cast<u128>(si[j]) * w;
+            }
             const Modulus &m = ctx.prime(tables.targetIdx[t]).mod;
             u64 *o = dst[t] + base;
-            for (std::size_t j = 0; j < cnt; ++j) {
-                // Accumulate the dot product in 128 bits and reduce
-                // once (sum of <=8 products of 61-bit values fits).
-                u128 acc = 0;
-                for (std::size_t i = 0; i < ns; ++i) {
-                    acc += static_cast<u128>(
-                               scaled[i * kConvBlock + j]) *
-                           tables.sHatModT[i * nt + t];
-                }
-                o[j] = barrettReduce128(acc, m);
-            }
+            for (std::size_t j = 0; j < cnt; ++j)
+                o[j] = barrettReduce128(acc[j], m);
         }
     }
 }
@@ -299,35 +306,23 @@ convert(const Context &ctx, const std::vector<const u64 *> &src,
 }
 
 RNSPoly
-modUpDigit(const RNSPoly &coeffPoly, u32 digit)
+modUpDigit(const RNSPoly &evalPoly, const RNSPoly &coeffPoly, u32 digit)
 {
     check::ScopedLabel lbl("modUpDigit");
     const Context &ctx = coeffPoly.context();
+    FIDES_ASSERT(evalPoly.format() == Format::Eval);
     FIDES_ASSERT(coeffPoly.format() == Format::Coeff);
+    FIDES_ASSERT(evalPoly.level() == coeffPoly.level());
+    FIDES_ASSERT(evalPoly.numSpecial() == 0 &&
+                 coeffPoly.numSpecial() == 0);
     const u32 level = coeffPoly.level();
     const ConvTables &tables = ctx.modUpTables(level, digit);
     const std::size_t n = ctx.degree();
 
-    RNSPoly out(ctx, level, Format::Coeff, ctx.numSpecial());
+    RNSPoly out(ctx, level, Format::Eval, ctx.numSpecial());
     LimbPartition &op = out.partition();
     const LimbPartition &sp = coeffPoly.partition();
-
-    // Source limbs pass through unchanged (their residues are kept).
-    // The digit's source primes are a contiguous q-limb block, so the
-    // copy is an ordinary positional kernel.
-    const std::size_t ns = tables.sourceIdx.size();
-    const std::size_t srcLo = tables.sourceIdx.front();
-    FIDES_ASSERT(tables.sourceIdx.back() == srcLo + ns - 1);
-    kernels::forBatches(ctx, ns, n * kWord, n * kWord, 0,
-                        [&op, &sp, n, srcLo](std::size_t lo,
-                                             std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-            std::memcpy(op[srcLo + i].write(), sp[srcLo + i].read(),
-                        n * sizeof(u64));
-        }
-    }, [&sp, srcLo](std::size_t i) {
-        return sp[srcLo + i].primeIdx();
-    }, {kernels::rd(coeffPoly, srcLo), kernels::wr(out, srcLo)});
+    const LimbPartition &ep = evalPoly.partition();
 
     // Conv sources read the coefficient poly directly; targets land
     // in `out` at the position of each global prime.
@@ -357,7 +352,35 @@ modUpDigit(const RNSPoly &coeffPoly, u32 digit)
             sp[gi].noteRead(l.ev);
     }
 
-    kernels::toEval(out); // waits the copy + Conv events stream-side
+    // One kernel finishes every limb (it waits on the Conv events
+    // through the limbs Conv wrote). The digit's own limbs -- a
+    // contiguous q-limb block whose residues ModUp keeps -- are
+    // copied from the eval-form input; only the Conv targets take a
+    // forward NTT. Copied limbs are billed as copies.
+    const std::size_t srcLo = tables.sourceIdx.front();
+    const std::size_t srcHi = srcLo + tables.sourceIdx.size();
+    FIDES_ASSERT(tables.sourceIdx.back() + 1 == srcHi);
+    const NttChoice c = ctx.nttChoiceFor(tables.targetIdx.size());
+    const kernels::LimbCost nttCost = kernels::nttLimbCost(ctx, c.fwd);
+    const kernels::LimbCost copyCost{n * kWord, n * kWord, 0};
+    kernels::forBatches(ctx, out.numLimbs(),
+                        [&](std::size_t i) {
+        return i >= srcLo && i < srcHi ? copyCost : nttCost;
+    }, [&ctx, &op, &ep, c, srcLo, srcHi, n](std::size_t lo,
+                                            std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i) {
+            if (i >= srcLo && i < srcHi) {
+                std::memcpy(op[i].write(), ep[i].read(),
+                            n * sizeof(u64));
+            } else {
+                nttForwardVariant(op[i].write(),
+                                  *ctx.prime(op[i].primeIdx()).ntt,
+                                  c.fwd, c.fwdColBlock);
+            }
+        }
+    }, [&op](std::size_t i) { return op[i].primeIdx(); },
+       {kernels::wr(out),
+        kernels::rdSpan(evalPoly, srcLo, srcHi - srcLo)});
     return out;
 }
 

@@ -5,7 +5,8 @@
  *  - convert(): the fast base conversion of Equation (1), a limb-wise
  *    scaling by (S/s_i)^{-1} followed by a modular matrix-matrix
  *    product accumulated in 128 bits and reduced once per output.
- *  - modUpDigit(): digit decomposition + base extension to Q_l * P.
+ *  - modUpDigit(): digit decomposition + base extension to Q_l * P,
+ *    forward-NTTing only the limbs Conv produced.
  *  - modDown(): divide by P after the key-switch inner product, with
  *    the paper's ModDown NTT fusion.
  *  - rescale(): drop the top limb and scale by q_l^{-1}, with the
@@ -31,12 +32,21 @@ void convert(const Context &ctx, const std::vector<const u64 *> &src,
              const ConvTables &tables, const std::vector<u64 *> &dst);
 
 /**
- * ModUp of one key-switching digit: extracts the digit's limbs from
- * the coefficient-format polynomial @p coeffPoly (level l), base-
- * extends them to the full Q_l * P basis, and returns the result in
- * evaluation form.
+ * ModUp of one key-switching digit of a level-l polynomial, given in
+ * both forms: @p evalPoly and its inverse NTT @p coeffPoly. Base-
+ * extends the digit's limbs (Conv over @p coeffPoly) to the full
+ * Q_l * P basis and returns the result in evaluation form. The
+ * digit's own limbs keep their residues, so they are copied from
+ * @p evalPoly; only the Conv targets (the other q-limbs and the K
+ * special limbs) take a forward NTT, in the same kernel as the copy.
+ * A key switch at level l with d digits therefore runs
+ * d (l + 1 + K) - (l + 1) forward NTTs in ModUp plus 2 (l + 1) in
+ * its two ModDowns: 71 at paper14's top level (l + 1 = 14, K = 5,
+ * d = 3). Conv accumulates up to alpha = digitSize() products per
+ * coefficient in 128 bits, which Parameters::validate bounds at 64.
  */
-RNSPoly modUpDigit(const RNSPoly &coeffPoly, u32 digit);
+RNSPoly modUpDigit(const RNSPoly &evalPoly, const RNSPoly &coeffPoly,
+                   u32 digit);
 
 /**
  * ModDown in place: divides the raised polynomial (eval format with

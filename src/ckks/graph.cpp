@@ -41,37 +41,6 @@ struct DispatchTimer
     }
 };
 
-/** The limb range of @p d that batch [lo, hi) touches -- the same
- *  mapping the live hazard tracking in kernels.cpp uses. */
-inline std::pair<std::size_t, std::size_t>
-depLimbRange(const Dep &d, std::size_t lo, std::size_t hi)
-{
-    if (d.whole)
-        return {0, d.poly->numLimbs()};
-    if (d.fixed)
-        return {d.offset, d.offset + 1};
-    return {d.offset + lo, d.offset + hi};
-}
-
-/** The declared limb accesses of one replayed batch, resolved against
- *  the freshly bound operands -- the validator's declcheck input, and
- *  the replay audit: a replayed launch is held to the same declared
- *  set as the live launch it was captured from. */
-std::vector<check::DeclaredAccess>
-declaredAccesses(const std::vector<Dep> &deps, std::size_t lo,
-                 std::size_t hi)
-{
-    std::vector<check::DeclaredAccess> out;
-    for (const Dep &d : deps) {
-        const auto [b, e] = depLimbRange(d, lo, hi);
-        const LimbPartition &p = d.poly->partition();
-        for (std::size_t i = b; i < e; ++i)
-            out.push_back({p[i].data(), p[i].primeIdx(),
-                           d.mode == Access::Write});
-    }
-    return out;
-}
-
 /**
  * Pins @p multiplier x a plan's per-device scratch histograms in the
  * device pools -- the arena reservation shared by plan storage and
@@ -93,6 +62,21 @@ reserveScaledScratch(DeviceSet &devs,
 }
 
 } // namespace
+
+std::vector<check::DeclaredAccess>
+declaredAccesses(const std::vector<Dep> &deps, std::size_t lo,
+                 std::size_t hi)
+{
+    std::vector<check::DeclaredAccess> out;
+    for (const Dep &d : deps) {
+        const auto [b, e] = depLimbRange(d, lo, hi);
+        const LimbPartition &p = d.poly->partition();
+        for (std::size_t i = b; i < e; ++i)
+            out.push_back({p[i].data(), p[i].primeIdx(),
+                           d.mode == Access::Write});
+    }
+    return out;
+}
 
 // --- PlanCache --------------------------------------------------------
 
@@ -632,8 +616,7 @@ GraphReplay::submitWaits(Stream &st, std::vector<Event> &waits)
 
 void
 GraphReplay::replayCall(
-    std::size_t numLimbs, u64 bytesReadPerLimb, u64 bytesWrittenPerLimb,
-    u64 intOpsPerLimb,
+    std::size_t numLimbs,
     const std::function<void(std::size_t, std::size_t)> &fn,
     const std::vector<Dep> &deps, std::vector<Event> *recorded)
 {
@@ -670,9 +653,9 @@ GraphReplay::replayCall(
             nr.hi = node.hi;
             KernelCounters &c = sink_->perDevice[st.device().id()];
             c.launches += 1;
-            c.bytesRead += (node.hi - node.lo) * bytesReadPerLimb;
-            c.bytesWritten += (node.hi - node.lo) * bytesWrittenPerLimb;
-            c.intOps += (node.hi - node.lo) * intOpsPerLimb;
+            c.bytesRead += node.bytesRead;
+            c.bytesWritten += node.bytesWritten;
+            c.intOps += node.intOps;
             gatherWaits(st, node, nr.waits);
             if (check::enabled())
                 nr.declared = declaredAccesses(deps, node.lo, node.hi);
@@ -695,9 +678,8 @@ GraphReplay::replayCall(
             const GraphNode &node = graph_->nodes[nodeCursor_++];
             lease.remap(node.streamId)
                 .device()
-                .launchReplayed((node.hi - node.lo) * bytesReadPerLimb,
-                                (node.hi - node.lo) * bytesWrittenPerLimb,
-                                (node.hi - node.lo) * intOpsPerLimb);
+                .launchReplayed(node.bytesRead, node.bytesWritten,
+                                node.intOps);
             if (check::enabled()) {
                 check::BodyScope scope(check::beginLaunch(
                     nullptr, declaredAccesses(deps, node.lo, node.hi)));
@@ -753,10 +735,8 @@ GraphReplay::replayCall(
         // (same device, slot modulo the lease width): a plan captured
         // by one serving submitter replays on another's streams.
         Stream &st = lease.remap(node.streamId);
-        st.device().launchReplayed(
-            (node.hi - node.lo) * bytesReadPerLimb,
-            (node.hi - node.lo) * bytesWrittenPerLimb,
-            (node.hi - node.lo) * intOpsPerLimb);
+        st.device().launchReplayed(node.bytesRead, node.bytesWritten,
+                                   node.intOps);
         submitWaits(st, waitScratch_[k]);
         const std::size_t lo = node.lo, hi = node.hi;
         if (check::enabled()) {

@@ -305,6 +305,13 @@ struct DeferredProgram
     bool complete = false;
 };
 
+/** The validator's view of one batch's Dep list: the limb buffers
+ *  batch [lo, hi) resolves to (depLimbRange). Live launches and
+ *  replays are held to the same declared set. */
+std::vector<check::DeclaredAccess>
+declaredAccesses(const std::vector<Dep> &deps, std::size_t lo,
+                 std::size_t hi);
+
 /**
  * Records the launch topology of one op while it executes live.
  * forBatches (and the base-conversion dispatcher) feed it one call /
@@ -420,9 +427,9 @@ class GraphReplay
     bool deferred() const { return sink_ != nullptr; }
 
     /** forBatches hook: replays every recorded batch of the next
-     *  call. @p recorded mirrors the live out-parameter. */
-    void replayCall(std::size_t numLimbs, u64 bytesReadPerLimb,
-                    u64 bytesWrittenPerLimb, u64 intOpsPerLimb,
+     *  call, billing each launch the counters recorded at capture.
+     *  @p recorded mirrors the live out-parameter. */
+    void replayCall(std::size_t numLimbs,
                     const std::function<void(std::size_t, std::size_t)> &fn,
                     const std::vector<Dep> &deps,
                     std::vector<Event> *recorded);

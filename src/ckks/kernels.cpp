@@ -40,35 +40,36 @@ mulAddSpan(const Context &ctx, u64 *acc, const u64 *a, const u64 *b,
     }
 }
 
-/** The limb range of @p d that batch [lo, hi) touches. */
-inline std::pair<std::size_t, std::size_t>
-depRange(const Dep &d, std::size_t lo, std::size_t hi)
+/**
+ * One limb of the key-switch inner product: x0/x1[c] = (sum over the
+ * d digits of s[j][perm[c]] * k0/k1[j][c]) mod p, accumulated in 128
+ * bits and reduced once -- the exact residue, like any per-digit
+ * mod-mul + add chain. d <= 64 products of residues below 2^61 sum
+ * below 2^128.
+ */
+template <bool Barrett>
+void
+innerProductLimb(u64 *x0, u64 *x1, const u64 *const *s,
+                 const u64 *const *k0, const u64 *const *k1,
+                 std::size_t d, const u32 *perm, std::size_t n,
+                 const Modulus &m)
 {
-    if (d.whole)
-        return {0, d.poly->numLimbs()};
-    if (d.fixed)
-        return {d.offset, d.offset + 1};
-    return {d.offset + lo, d.offset + hi};
-}
-
-/** The validator's view of one batch's declared Dep list: the actual
- *  limb buffers [lo, hi) resolves to. Only built when validation is
- *  on. */
-std::vector<check::DeclaredAccess>
-declaredAccesses(const std::vector<Dep> &deps, std::size_t lo,
-                 std::size_t hi)
-{
-    std::vector<check::DeclaredAccess> out;
-    for (const Dep &d : deps) {
-        const LimbPartition &p = d.poly->partition();
-        auto [b, e] = depRange(d, lo, hi);
-        for (std::size_t i = b; i < e; ++i) {
-            const Limb &l = p[i];
-            out.push_back({l.data(), l.primeIdx(),
-                           d.mode == Access::Write});
+    for (std::size_t c = 0; c < n; ++c) {
+        const std::size_t at = perm ? perm[c] : c;
+        u128 acc0 = 0, acc1 = 0;
+        for (std::size_t j = 0; j < d; ++j) {
+            const u64 v = s[j][at];
+            acc0 += static_cast<u128>(v) * k0[j][c];
+            acc1 += static_cast<u128>(v) * k1[j][c];
+        }
+        if constexpr (Barrett) {
+            x0[c] = barrettReduce128(acc0, m);
+            x1[c] = barrettReduce128(acc1, m);
+        } else {
+            x0[c] = static_cast<u64>(acc0 % m.value);
+            x1[c] = static_cast<u64>(acc1 % m.value);
         }
     }
-    return out;
 }
 
 /**
@@ -94,7 +95,7 @@ waitHazards(Stream &st, const std::vector<Dep> &deps,
     };
     for (const Dep &d : deps) {
         const LimbPartition &p = d.poly->partition();
-        auto [b, e] = depRange(d, lo, hi);
+        auto [b, e] = depLimbRange(d, lo, hi);
         for (std::size_t i = b; i < e; ++i) {
             consider(p[i].lastWrite());
             if (d.mode == Access::Write)
@@ -121,7 +122,7 @@ noteBatch(const std::vector<Dep> &deps, std::size_t lo,
         if (d.mode != Access::Write)
             continue;
         const LimbPartition &p = d.poly->partition();
-        auto [b, e] = depRange(d, lo, hi);
+        auto [b, e] = depLimbRange(d, lo, hi);
         for (std::size_t i = b; i < e; ++i)
             p[i].noteWrite(ev);
     }
@@ -129,7 +130,7 @@ noteBatch(const std::vector<Dep> &deps, std::size_t lo,
         if (d.mode != Access::Read)
             continue;
         const LimbPartition &p = d.poly->partition();
-        auto [b, e] = depRange(d, lo, hi);
+        auto [b, e] = depLimbRange(d, lo, hi);
         for (std::size_t i = b; i < e; ++i)
             p[i].noteRead(ev);
     }
@@ -147,6 +148,24 @@ forBatches(const Context &ctx, std::size_t numLimbs,
            const std::vector<Event> &extraWaits,
            std::vector<Event> *recorded)
 {
+    // costAt is only consulted during the call: capturing by
+    // reference keeps the std::function allocation-free.
+    const LimbCost perLimb{bytesReadPerLimb, bytesWrittenPerLimb,
+                           intOpsPerLimb};
+    forBatches(ctx, numLimbs,
+               [&perLimb](std::size_t) { return perLimb; }, fn, primeAt,
+               deps, extraWaits, recorded);
+}
+
+void
+forBatches(const Context &ctx, std::size_t numLimbs,
+           const std::function<LimbCost(std::size_t)> &costAt,
+           const std::function<void(std::size_t, std::size_t)> &fn,
+           const std::function<u32(std::size_t)> &primeAt,
+           const std::vector<Dep> &deps,
+           const std::vector<Event> &extraWaits,
+           std::vector<Event> *recorded)
+{
     if (numLimbs == 0)
         return;
     std::size_t batch = ctx.limbBatch() == 0 ? numLimbs : ctx.limbBatch();
@@ -157,15 +176,24 @@ forBatches(const Context &ctx, std::size_t numLimbs,
     devs.noteLogicalKernel();
 
     // Replay mode: a captured plan supplies the batch split, stream
-    // assignment and hazard edges; only the body is rebuilt (it
-    // closes over THIS call's polynomials). No hazard derivation, no
-    // stream picking, no per-launch dispatch overhead.
+    // assignment, launch counters and hazard edges; only the body is
+    // rebuilt (it closes over THIS call's polynomials). No hazard
+    // derivation, no stream picking, no per-launch dispatch overhead.
     if (GraphReplay *replay = ctx.replaySession()) {
-        replay->replayCall(numLimbs, bytesReadPerLimb,
-                           bytesWrittenPerLimb, intOpsPerLimb, fn,
-                           deps, recorded);
+        replay->replayCall(numLimbs, fn, deps, recorded);
         return;
     }
+    // The modelled cost of batch [lo, hi): the sum of its limbs.
+    auto costOf = [&costAt](std::size_t lo, std::size_t hi) {
+        LimbCost c;
+        for (std::size_t i = lo; i < hi; ++i) {
+            const LimbCost l = costAt(i);
+            c.bytesRead += l.bytesRead;
+            c.bytesWritten += l.bytesWritten;
+            c.intOps += l.intOps;
+        }
+        return c;
+    };
     // Capture mode: execute live below, additionally recording every
     // launch (stream, batch range, counters) and deriving the hazard
     // structure symbolically from the Dep list.
@@ -183,15 +211,12 @@ forBatches(const Context &ctx, std::size_t numLimbs,
             e.synchronize();
         for (std::size_t lo = 0; lo < numLimbs; lo += batch) {
             const std::size_t hi = std::min(numLimbs, lo + batch);
-            devs.stream(0).device().launch(
-                (hi - lo) * bytesReadPerLimb,
-                (hi - lo) * bytesWrittenPerLimb,
-                (hi - lo) * intOpsPerLimb);
+            const LimbCost c = costOf(lo, hi);
+            devs.stream(0).device().launch(c.bytesRead, c.bytesWritten,
+                                           c.intOps);
             if (capture) {
-                capture->recordNode(0, lo, hi,
-                                    (hi - lo) * bytesReadPerLimb,
-                                    (hi - lo) * bytesWrittenPerLimb,
-                                    (hi - lo) * intOpsPerLimb, deps,
+                capture->recordNode(0, lo, hi, c.bytesRead,
+                                    c.bytesWritten, c.intOps, deps,
                                     extraWaits, Event());
             }
             if (check::enabled()) {
@@ -223,9 +248,8 @@ forBatches(const Context &ctx, std::size_t numLimbs,
     // OTHER kernels on the same operands is enforced stream-side by
     // the recorded events -- the host never joins here.
     auto launchOn = [&](Stream &st, std::size_t lo, std::size_t hi) {
-        st.device().launch((hi - lo) * bytesReadPerLimb,
-                           (hi - lo) * bytesWrittenPerLimb,
-                           (hi - lo) * intOpsPerLimb);
+        const LimbCost c = costOf(lo, hi);
+        st.device().launch(c.bytesRead, c.bytesWritten, c.intOps);
         waitHazards(st, deps, extraWaits, lo, hi);
         if (check::enabled()) {
             // Registered after the hazard waits so the launch clock
@@ -244,10 +268,8 @@ forBatches(const Context &ctx, std::size_t numLimbs,
         Event ev = st.record();
         noteBatch(deps, lo, hi, ev);
         if (capture) {
-            capture->recordNode(st.id(), lo, hi,
-                                (hi - lo) * bytesReadPerLimb,
-                                (hi - lo) * bytesWrittenPerLimb,
-                                (hi - lo) * intOpsPerLimb, deps,
+            capture->recordNode(st.id(), lo, hi, c.bytesRead,
+                                c.bytesWritten, c.intOps, deps,
                                 extraWaits, ev);
         }
         if (recorded)
@@ -429,6 +451,73 @@ mulAddInto(RNSPoly &acc, const RNSPoly &a, const RNSPoly &b)
 }
 
 void
+keySwitchInnerProduct(RNSPoly &out0, RNSPoly &out1,
+                      const std::vector<RNSPoly> &digits,
+                      const std::vector<RNSPoly> &key0,
+                      const std::vector<RNSPoly> &key1,
+                      const std::vector<u32> *perm)
+{
+    check::ScopedLabel lbl("ksInnerProduct");
+    const std::size_t d = digits.size();
+    FIDES_ASSERT(d > 0 && d <= 64);
+    FIDES_ASSERT(d <= key0.size() && d <= key1.size());
+    const auto &ctx = out0.context();
+    const std::size_t n = ctx.degree();
+    const std::size_t limbs = out0.numLimbs();
+    FIDES_ASSERT(out1.numLimbs() == limbs);
+    out0.setFormat(Format::Eval);
+    out1.setFormat(Format::Eval);
+
+    // The body reads heap-stable partitions only (kept alive by the
+    // Dep keep-alives). Limb i of an output pairs with limb i of each
+    // digit and with the key limb of the same global prime: q-limb gi
+    // sits at position gi of the full-basis key, special limb k at
+    // L+1+k -- both equal the global index.
+    std::vector<Dep> deps = {wr(out0), wr(out1)};
+    std::vector<const LimbPartition *> sp, k0p, k1p;
+    for (std::size_t j = 0; j < d; ++j) {
+        FIDES_ASSERT(digits[j].format() == Format::Eval);
+        FIDES_ASSERT(digits[j].numLimbs() == limbs);
+        sp.push_back(&digits[j].partition());
+        k0p.push_back(&key0[j].partition());
+        k1p.push_back(&key1[j].partition());
+        deps.push_back(rd(digits[j]));
+        deps.push_back(rdWhole(key0[j]));
+        deps.push_back(rdWhole(key1[j]));
+    }
+    LimbPartition &o0 = out0.partition();
+    LimbPartition &o1 = out1.partition();
+    const u32 *pm = perm ? perm->data() : nullptr;
+    const bool barrett = ctx.modMulKind() == ModMulKind::Barrett;
+    // Per output coefficient: d wide multiplies, d - 1 wide adds and
+    // one reduction (the 4 ops beyond the multiply of a Barrett
+    // mod-mul), for each of the two outputs.
+    const u64 intOps = 2 * (2 * d + 3) * n;
+    forBatches(ctx, limbs, 3 * d * n * kWord, 2 * n * kWord, intOps,
+               [&ctx, &o0, &o1, sp, k0p, k1p, pm, barrett, d, n](
+                   std::size_t lo, std::size_t hi) {
+        std::vector<const u64 *> s(d), k0(d), k1(d);
+        for (std::size_t i = lo; i < hi; ++i) {
+            const u32 gi = o0[i].primeIdx();
+            for (std::size_t j = 0; j < d; ++j) {
+                s[j] = (*sp[j])[i].read();
+                k0[j] = (*k0p[j])[gi].read();
+                k1[j] = (*k1p[j])[gi].read();
+            }
+            const Modulus &m = ctx.prime(gi).mod;
+            u64 *x0 = o0[i].write();
+            u64 *x1 = o1[i].write();
+            if (barrett)
+                innerProductLimb<true>(x0, x1, s.data(), k0.data(),
+                                       k1.data(), d, pm, n, m);
+            else
+                innerProductLimb<false>(x0, x1, s.data(), k0.data(),
+                                        k1.data(), d, pm, n, m);
+        }
+    }, [&o0](std::size_t i) { return o0[i].primeIdx(); }, deps);
+}
+
+void
 scalarMulInto(RNSPoly &a, const std::vector<u64> &scalar)
 {
     check::ScopedLabel lbl("scalarMulInto");
@@ -532,21 +621,27 @@ nttPassesPerLimb(const Context &ctx, NttVariant v)
     return std::max<u64>(2, ctx.logDegree() / 2);
 }
 
+LimbCost
+nttLimbCost(const Context &ctx, NttVariant v)
+{
+    const u64 n = ctx.degree();
+    const u64 bytes = nttPassesPerLimb(ctx, v) * n * kWord;
+    return {bytes, bytes, 5 * n * ctx.logDegree()};
+}
+
 void
 toEval(RNSPoly &a)
 {
     check::ScopedLabel lbl("toEval");
     FIDES_ASSERT(a.format() == Format::Coeff);
     const auto &ctx = a.context();
-    const std::size_t n = ctx.degree();
-    const u64 logN = ctx.logDegree();
     const std::size_t limbs = a.numLimbs();
     // Resolve the tuned schedule once per op, not once per limb.
     const NttChoice c = ctx.nttChoiceFor(limbs);
-    const u64 passes = nttPassesPerLimb(ctx, c.fwd);
+    const LimbCost cost = nttLimbCost(ctx, c.fwd);
     LimbPartition &ap = a.partition();
-    forBatches(ctx, limbs, passes * n * kWord,
-               passes * n * kWord, 5 * n * logN,
+    forBatches(ctx, limbs, cost.bytesRead, cost.bytesWritten,
+               cost.intOps,
                [&ctx, &ap, c](std::size_t lo, std::size_t hi) {
         for (std::size_t i = lo; i < hi; ++i)
             nttForwardVariant(ap[i].write(),
@@ -562,14 +657,12 @@ toCoeff(RNSPoly &a)
     check::ScopedLabel lbl("toCoeff");
     FIDES_ASSERT(a.format() == Format::Eval);
     const auto &ctx = a.context();
-    const std::size_t n = ctx.degree();
-    const u64 logN = ctx.logDegree();
     const std::size_t limbs = a.numLimbs();
     const NttChoice c = ctx.nttChoiceFor(limbs);
-    const u64 passes = nttPassesPerLimb(ctx, c.inv);
+    const LimbCost cost = nttLimbCost(ctx, c.inv);
     LimbPartition &ap = a.partition();
-    forBatches(ctx, limbs, passes * n * kWord,
-               passes * n * kWord, 5 * n * logN,
+    forBatches(ctx, limbs, cost.bytesRead, cost.bytesWritten,
+               cost.intOps,
                [&ctx, &ap, c](std::size_t lo, std::size_t hi) {
         for (std::size_t i = lo; i < hi; ++i)
             nttInverseVariant(ap[i].write(),
@@ -683,7 +776,6 @@ struct FusedChain::Op
         Sub,
         ScalarMul,
         Gather,
-        GatherMulAcc,
         SwitchModulusExt,
         NttExt,
         SubScalarMulExt,
@@ -692,10 +784,9 @@ struct FusedChain::Op
     explicit Op(Kind k) : kind(k) {}
 
     Kind kind;
-    bool accumulate = false;           //!< GatherMulAcc
     RNSPoly *outPoly = nullptr;        //!< written polynomial
     const RNSPoly *aPoly = nullptr;    //!< first input
-    const RNSPoly *bPoly = nullptr;    //!< second input / key
+    const RNSPoly *bPoly = nullptr;    //!< second input
     LimbPartition *out = nullptr;
     const LimbPartition *a = nullptr;
     const LimbPartition *b = nullptr;
@@ -713,8 +804,6 @@ struct FusedChain::Op
         case Kind::Sub:
         case Kind::ScalarMul:
             return true;
-        case Kind::GatherMulAcc:
-            return accumulate;
         default:
             return false;
         }
@@ -731,7 +820,6 @@ struct FusedChain::Op
         case Kind::Sub: return n;
         case Kind::ScalarMul: return 3 * n;
         case Kind::Gather: return 0;
-        case Kind::GatherMulAcc: return accumulate ? 6 * n : 5 * n;
         case Kind::SwitchModulusExt: return 2 * n;
         case Kind::NttExt: return 5 * n * logN;
         case Kind::SubScalarMulExt: return 4 * n;
@@ -805,25 +893,6 @@ runOpOnLimb(const Context &ctx, const FusedChain::Op &op,
             dst[j] = src[op.perm[j]];
         break;
     }
-    case Kind::GatherMulAcc: {
-        // Limb of global prime gi in the full-basis key: q-limb gi
-        // sits at position gi, special limb k at L+1+k -- both equal
-        // the global index, so the key is indexed by gi directly.
-        const u32 gi = (*op.out)[i].primeIdx();
-        const Modulus &m = ctx.prime(gi).mod;
-        const u64 *kp = (*op.b)[gi].read();
-        const u64 *s = (*op.a)[i].read();
-        u64 *x = (*op.out)[i].write();
-        const bool barrett = ctx.modMulKind() == ModMulKind::Barrett;
-        const u32 *pm = op.perm;
-        for (std::size_t j = 0; j < n; ++j) {
-            const u64 sj = pm ? s[pm[j]] : s[j];
-            const u64 prod = barrett ? mulModBarrett(sj, kp[j], m)
-                                     : mulModNaive(sj, kp[j], m.value);
-            x[j] = op.accumulate ? addMod(x[j], prod, m.value) : prod;
-        }
-        break;
-    }
     case Kind::SwitchModulusExt:
         switchModulusLimb(ctx, op.fixed->data(), op.srcPrime,
                           (*op.ext)[i].data(), shape[i].primeIdx());
@@ -859,8 +928,6 @@ unfusedTraffic(const FusedChain::Op &op)
     case Kind::Sub: return {2, 1};
     case Kind::ScalarMul: return {1, 1};
     case Kind::Gather: return {1, 1};
-    case Kind::GatherMulAcc:
-        return {op.accumulate ? 3u : 2u, 1};
     case Kind::SwitchModulusExt: return {1, 1};
     case Kind::NttExt: return {2, 2};
     case Kind::SubScalarMulExt: return {2, 1};
@@ -945,23 +1012,6 @@ FusedChain::gather(RNSPoly &out, const RNSPoly &in,
     op.outPoly = &out;
     op.aPoly = &in;
     op.perm = perm.data(); // Context's automorphism cache, node-stable
-    ops_.push_back(std::move(op));
-    return *this;
-}
-
-FusedChain &
-FusedChain::gatherMulAcc(RNSPoly &acc, const RNSPoly &src,
-                         const RNSPoly &key,
-                         const std::vector<u32> *perm, bool accumulate)
-{
-    FIDES_ASSERT(src.format() == Format::Eval);
-    FIDES_ASSERT(acc.numLimbs() <= src.numLimbs());
-    Op op{Op::Kind::GatherMulAcc};
-    op.accumulate = accumulate;
-    op.outPoly = &acc;
-    op.aPoly = &src;
-    op.bPoly = &key;
-    op.perm = perm ? perm->data() : nullptr;
     ops_.push_back(std::move(op));
     return *this;
 }
@@ -1069,12 +1119,8 @@ FusedChain::run(const std::vector<Event> &extraWaits)
                 deps.push_back(wr(*op.outPoly));
             if (op.aPoly)
                 deps.push_back(rd(*op.aPoly));
-            if (op.bPoly) {
-                if (op.kind == Op::Kind::GatherMulAcc)
-                    deps.push_back(rdWhole(*op.bPoly));
-                else
-                    deps.push_back(rd(*op.bPoly));
-            }
+            if (op.bPoly)
+                deps.push_back(rd(*op.bPoly));
             const bool touchesExt = op.ext || op.fixed;
             std::vector<Event> recorded;
             forBatches(ctx, numLimbs, r * n * kWord, w * n * kWord,
@@ -1138,7 +1184,7 @@ FusedChain::run(const std::vector<Event> &extraWaits)
 
     // One Dep per distinct polynomial: Write wherever the chain
     // writes it (Write hazards cover read-modify-write), Read
-    // otherwise; key material is a whole-poly read.
+    // otherwise.
     std::vector<Dep> deps;
     auto depFor = [&deps](const RNSPoly *p) -> Dep * {
         for (Dep &d : deps)
@@ -1155,12 +1201,8 @@ FusedChain::run(const std::vector<Event> &extraWaits)
         }
         if (op.aPoly && !depFor(op.aPoly))
             deps.push_back(rd(*op.aPoly));
-        if (op.bPoly && !depFor(op.bPoly)) {
-            if (op.kind == Op::Kind::GatherMulAcc)
-                deps.push_back(rdWhole(*op.bPoly));
-            else
-                deps.push_back(rd(*op.bPoly));
-        }
+        if (op.bPoly && !depFor(op.bPoly))
+            deps.push_back(rd(*op.bPoly));
     }
 
     auto ops =

@@ -27,8 +27,10 @@
 
 #pragma once
 
+#include <algorithm>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "ckks/rnspoly.hpp"
@@ -44,14 +46,17 @@ enum class Access : unsigned char { Read, Write };
 /**
  * One operand of a logical kernel, for hazard tracking. By default
  * kernel position i maps to limb (offset + i) of the polynomial --
- * every kernel iterates aligned limb ranges. Two variants cover the
+ * every kernel iterates aligned limb ranges. Three variants cover the
  * rest:
  *
  *  - fixed: the dependency is on the single limb [offset] for every
  *    batch (modRaise reads limb 0 while writing limbs 1..L);
  *  - whole: the dependency covers every limb of the polynomial
  *    regardless of batch (key material in the key-switch inner
- *    product, whose limb mapping is not positional).
+ *    product, whose limb mapping is not positional);
+ *  - span: positional, but only batch positions in [spanLo, spanHi)
+ *    touch the operand (ModUp copies a digit's own limbs out of a
+ *    polynomial narrower than the kernel).
  */
 struct Dep
 {
@@ -60,31 +65,64 @@ struct Dep
     Access mode = Access::Read;
     bool fixed = false;
     bool whole = false;
+    std::size_t spanLo = 0;
+    std::size_t spanHi = static_cast<std::size_t>(-1);
 };
 
 inline Dep
 rd(const RNSPoly &p, std::size_t offset = 0)
 {
-    return {&p, offset, Access::Read, false, false};
+    return {.poly = &p, .offset = offset};
 }
 
 inline Dep
 wr(RNSPoly &p, std::size_t offset = 0)
 {
-    return {&p, offset, Access::Write, false, false};
+    return {.poly = &p, .offset = offset, .mode = Access::Write};
 }
 
 inline Dep
 rdFixed(const RNSPoly &p, std::size_t limb)
 {
-    return {&p, limb, Access::Read, true, false};
+    return {.poly = &p, .offset = limb, .fixed = true};
 }
 
 inline Dep
 rdWhole(const RNSPoly &p)
 {
-    return {&p, 0, Access::Read, false, true};
+    return {.poly = &p, .whole = true};
 }
+
+/** Positional read of limbs [first, first + count) only: batch
+ *  position i reads limb i inside that window and nothing outside. */
+inline Dep
+rdSpan(const RNSPoly &p, std::size_t first, std::size_t count)
+{
+    return {.poly = &p, .spanLo = first, .spanHi = first + count};
+}
+
+/** The limb range of @p d that batch [lo, hi) touches (empty when a
+ *  span dependency lies outside the batch). Live hazard tracking,
+ *  plan capture and the validator's declared sets all use it. */
+inline std::pair<std::size_t, std::size_t>
+depLimbRange(const Dep &d, std::size_t lo, std::size_t hi)
+{
+    if (d.whole)
+        return {0, d.poly->numLimbs()};
+    if (d.fixed)
+        return {d.offset, d.offset + 1};
+    const std::size_t b = std::max(lo, d.spanLo);
+    const std::size_t e = std::max(b, std::min(hi, d.spanHi));
+    return {d.offset + b, d.offset + e};
+}
+
+/** Modelled roofline cost of one limb of a kernel. */
+struct LimbCost
+{
+    u64 bytesRead = 0;
+    u64 bytesWritten = 0;
+    u64 intOps = 0;
+};
 
 /**
  * Runs @p fn(limbLo, limbHi) over [0, numLimbs) in batches of the
@@ -129,6 +167,22 @@ void forBatches(const Context &ctx, std::size_t numLimbs,
                 std::vector<Event> *recorded = nullptr);
 
 /**
+ * forBatches for kernels whose limbs do not all cost the same:
+ * @p costAt gives the modelled cost of limb position i, and each
+ * launch is accounted the sum over its batch (ModUp's copy-or-NTT
+ * kernel bills copied limbs as copies, not transforms). @p costAt is
+ * only called before this returns; replays bill the counters
+ * recorded at capture. Otherwise identical to the uniform form above.
+ */
+void forBatches(const Context &ctx, std::size_t numLimbs,
+                const std::function<LimbCost(std::size_t)> &costAt,
+                const std::function<void(std::size_t, std::size_t)> &fn,
+                const std::function<u32(std::size_t)> &primeAt = {},
+                const std::vector<Dep> &deps = {},
+                const std::vector<Event> &extraWaits = {},
+                std::vector<Event> *recorded = nullptr);
+
+/**
  * Kernel-fusion builder (paper Sections III-F1/III-F5): records a
  * chain of element-wise limb operations over a shared operand set and
  * submits them as ONE logical kernel -- one launch per limb batch, one
@@ -141,15 +195,13 @@ void forBatches(const Context &ctx, std::size_t numLimbs,
  * identical either way, so fused and unfused runs are bit-identical.
  *
  * All polynomial operands are positional (limb i of each poly pairs
- * with limb i of the others) except key-switching key material, which
- * is indexed by global prime and declared as a whole-poly dependency.
- * The chain's limb count and prime layout come from the first written
- * polynomial. Operand polynomials must stay alive until run()
- * returns; after that the usual keep-alive machinery covers them.
- * Permutations passed to gather()/gatherMulAcc() are captured by
- * pointer and are NOT kept alive: like kernels::automorph, they must
- * outlive the submitted kernels themselves -- pass the Context's
- * automorphism cache (node-stable), never a local vector.
+ * with limb i of the others). The chain's limb count and prime layout
+ * come from the first written polynomial. Operand polynomials must
+ * stay alive until run() returns; after that the usual keep-alive
+ * machinery covers them. Permutations passed to gather() are
+ * captured by pointer and are NOT kept alive: like kernels::automorph,
+ * they must outlive the submitted kernels themselves -- pass the
+ * Context's automorphism cache (node-stable), never a local vector.
  *
  * External host scratch (the Rescale/ModDown intermediates produced
  * by base conversion) participates through shared_ptr-held buffers:
@@ -184,20 +236,6 @@ class FusedChain
      *  must outlive the kernel (the Context's cache does). */
     FusedChain &gather(RNSPoly &out, const RNSPoly &in,
                        const std::vector<u32> &perm);
-
-    /**
-     * Key-switch inner-product step: acc (+)= gather(src, perm) * key,
-     * where limb i of acc reads the full-basis key limb of the same
-     * global prime. @p perm may be null (no automorphism);
-     * @p accumulate false overwrites acc (the first digit), true
-     * accumulates. The gather is applied on the fly -- no permuted
-     * digit is ever materialized. @p perm must outlive the kernel
-     * (the Context's cache does).
-     */
-    FusedChain &gatherMulAcc(RNSPoly &acc, const RNSPoly &src,
-                             const RNSPoly &key,
-                             const std::vector<u32> *perm,
-                             bool accumulate);
 
     /** ext[i] = SwitchModulus(fixedSrc mod srcPrime -> chain prime i). */
     FusedChain &switchModulusExt(ExtScratch dst, ExtFixed src,
@@ -250,6 +288,29 @@ void scalarAddInto(RNSPoly &a, const std::vector<u64> &scalar);
 /** a[limb i] = scalar[i] - a[limb i] (negate then add). */
 void scalarSubFrom(RNSPoly &a, const std::vector<u64> &scalar);
 
+/**
+ * Key-switch inner product (paper Sections III-F3/F5) as ONE logical
+ * kernel: out0 = sum_j gather(digits[j], perm) * key0[j] and out1 the
+ * same with key1, over the extended basis Q_l * P. Each digit limb is
+ * read once and multiplied into both outputs while it is hot; the
+ * automorphism gather is applied on the fly (no permuted digit is
+ * ever materialized), and limb i of an output reads the full-basis
+ * key limb of the same global prime (a whole-poly dependency: special
+ * limbs are not positional). Products accumulate lazily in 128 bits
+ * and reduce once per coefficient (Barrett, or `%` under
+ * ModMulKind::Naive) -- bit-identical to a per-digit multiply-add
+ * chain, since both yield the exact residue. Sums of up to 64
+ * products of residues below 2^61 fit (Parameters::validate bounds
+ * dnum). Runs as one kernel with fusion on or off. @p perm may be
+ * null and must otherwise outlive the kernel (the Context's
+ * automorphism cache does).
+ */
+void keySwitchInnerProduct(RNSPoly &out0, RNSPoly &out1,
+                           const std::vector<RNSPoly> &digits,
+                           const std::vector<RNSPoly> &key0,
+                           const std::vector<RNSPoly> &key1,
+                           const std::vector<u32> *perm);
+
 // --- transforms -------------------------------------------------------
 
 /** Coeff -> Eval: forward NTT on every limb. */
@@ -264,6 +325,9 @@ void nttLimb(const Context &ctx, u64 *data, u32 primeIdx,
 /** Inverse NTT on a single raw limb buffer (see nttLimb). */
 void inttLimb(const Context &ctx, u64 *data, u32 primeIdx,
               std::size_t shapeLimbs = 1);
+/** Modelled cost of transforming one limb with NTT variant @p v, in
+ *  either direction (what toEval/toCoeff bill per limb). */
+LimbCost nttLimbCost(const Context &ctx, NttVariant v);
 
 /**
  * Galois automorphism in the evaluation domain: out[j] = in[perm[j]]

@@ -21,6 +21,8 @@ decomposeAndModUp(const RNSPoly &dEval)
     // graph instead (nested scopes are inert).
     kernels::PlanScope plan(ctx, kernels::PlanOp::KSDecompose, level);
 
+    // Conv needs coefficient form; each digit's own limbs are copied
+    // straight from the eval-form input instead.
     RNSPoly coeff = dEval.clone();
     kernels::toCoeff(coeff);
 
@@ -29,7 +31,7 @@ decomposeAndModUp(const RNSPoly &dEval)
     const u32 digits = ctx.numDigits(level);
     out.digits.reserve(digits);
     for (u32 j = 0; j < digits; ++j)
-        out.digits.push_back(modUpDigit(coeff, j));
+        out.digits.push_back(modUpDigit(dEval, coeff, j));
     return out;
 }
 
@@ -46,20 +48,12 @@ keySwitchAccumulate(const RaisedDigits &raised, const EvalKey &key,
     RNSPoly acc1(ctx, level, Format::Eval, ctx.numSpecial());
 
     // The whole inner product -- every digit, both components, with
-    // the automorphism gather applied on the fly -- is one fused
-    // kernel: each digit limb is read once and multiplied into both
-    // accumulators while it is hot (Sections III-F3/F5). The first
-    // digit overwrites, so the accumulators need no zero pass. The
-    // key's limb mapping is not positional (special limbs sit at
-    // L+1+k in the full basis), so keys are whole-poly dependencies.
-    kernels::FusedChain chain(ctx);
-    for (std::size_t j = 0; j < raised.digits.size(); ++j) {
-        chain.gatherMulAcc(acc0, raised.digits[j], key.b[j], perm,
-                           /*accumulate=*/j > 0);
-        chain.gatherMulAcc(acc1, raised.digits[j], key.a[j], perm,
-                           /*accumulate=*/j > 0);
-    }
-    chain.run();
+    // the automorphism gather applied on the fly -- is one kernel:
+    // each digit limb is read once and multiplied into both
+    // accumulators while it is hot (Sections III-F3/F5), with one
+    // lazy reduction per coefficient.
+    kernels::keySwitchInnerProduct(acc0, acc1, raised.digits, key.b,
+                                   key.a, perm);
 
     modDown(acc0);
     modDown(acc1);

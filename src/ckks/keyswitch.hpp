@@ -27,14 +27,22 @@ struct RaisedDigits
     u32 level;
 };
 
-/** Digit-decomposes and base-extends an eval-form polynomial. */
+/**
+ * Digit-decomposes and base-extends an eval-form polynomial: one
+ * inverse NTT of its l + 1 limbs, then per digit a Conv plus one
+ * kernel that copies the digit's own limbs from @p dEval and
+ * forward-NTTs only the Conv targets (modUpDigit) -- d (l + 1 + K) -
+ * (l + 1) forward NTTs in all.
+ */
 RaisedDigits decomposeAndModUp(const RNSPoly &dEval);
 
 /**
  * Key-switch inner product: accumulates sum_j perm(digit_j) * ksk_j
  * over the extended basis and ModDowns the two accumulators.
  * @p perm, if non-null, is the automorphism gather applied on the fly
- * to each digit (the hoisted-rotation path).
+ * to each digit (the hoisted-rotation path). The product is one
+ * kernel that sums the d <= 64 digit products of each coefficient in
+ * 128 bits and reduces once (kernels::keySwitchInnerProduct).
  * Returns (u0, u1) at the digits' level with no special limbs.
  */
 std::pair<RNSPoly, RNSPoly>

@@ -54,9 +54,12 @@ NttAutotuner::Options::fromEnv()
 std::vector<NttCandidate>
 NttAutotuner::candidates(std::size_t n)
 {
+    // Hierarchical stays out: it won no (shape, direction) pick in
+    // BENCH_ntt.json and ran 1.3-2.3x slower than the winner at every
+    // shape. It remains pinnable and in bench_ntt's sweep as the
+    // paper's Figure 3/4 reference.
     std::vector<NttCandidate> cands = {
         {NttVariant::Flat, 0},
-        {NttVariant::Hierarchical, 0},
         {NttVariant::Radix4, 0},
         {NttVariant::FusedLast, 0},
         {NttVariant::BlockedHier, 0}, // L1-sized default block

@@ -86,9 +86,11 @@ class NttAutotuner
     NttAutotuner() = default;
     explicit NttAutotuner(Options opt) : opt_(opt) {}
 
-    /** The candidate set raced for ring degree @p n: every variant,
-     *  with BlockedHier at the L1-sized default block and (when the
-     *  column count allows a distinct one) a 4x larger L2-ish block. */
+    /** The candidate set raced for ring degree @p n: every variant
+     *  but Hierarchical (never a winner; BlockedHier is its tuned
+     *  form), with BlockedHier at the L1-sized default block and
+     *  (when the column count allows a distinct one) a 4x larger
+     *  L2-ish block. */
     static std::vector<NttCandidate> candidates(std::size_t n);
 
     /**

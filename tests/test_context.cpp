@@ -206,5 +206,22 @@ TEST(Context, PaperParameterSetsConstruct)
     }
 }
 
+TEST(ContextDeathTest, MoreThan64AccumulatedTermsRejected)
+{
+    // Conv sums digitSize() products of residues below 2^61 in one
+    // 128-bit accumulator and the key-switch inner product sums dnum
+    // of them; past 64 terms the sum can overflow silently.
+    Parameters p = Parameters::testSmall();
+    p.multDepth = 63;
+    p.dnum = 1;
+    EXPECT_EQ(p.digitSize(), 64u);
+    p.validate(); // exactly 64 terms: accepted
+
+    p.multDepth = 70; // digit size 71
+    EXPECT_DEATH(p.validate(), "digit size 71");
+    p.dnum = 65; // digit size 2, but 65 digits
+    EXPECT_DEATH(p.validate(), "dnum=65 exceeds 64");
+}
+
 } // namespace
 } // namespace fideslib::ckks

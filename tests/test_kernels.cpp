@@ -318,8 +318,8 @@ TEST(FusedGather, HoistedRotationsNegativeAndBeyondSlotCount)
 {
     // Hoisted rotations whose indices wrap: negative, and >= the slot
     // count (they reduce modulo N/2 inside rotationGaloisElt). The
-    // gather is applied in flight inside the fused key-switch inner
-    // product -- no permuted digit is ever materialized -- and the
+    // gather is applied in flight inside the key-switch inner-product
+    // kernel -- no permuted digit is ever materialized -- and the
     // fused/unfused paths must agree bit-exactly.
     Parameters base = Parameters::testSmall();
     const i64 slots = static_cast<i64>(base.ringDegree() / 2);

@@ -117,7 +117,9 @@ TEST_F(RnsTest, ModUpPreservesSourceResidues)
 {
     const u32 level = ctx->maxLevel();
     auto poly = smallPoly(*ctx, level, 7, 1ULL << 30);
-    auto raised = modUpDigit(poly, 0);
+    auto polyEval = poly.clone();
+    kernels::toEval(polyEval);
+    auto raised = modUpDigit(polyEval, poly, 0);
     EXPECT_EQ(raised.level(), level);
     EXPECT_EQ(raised.numSpecial(), ctx->numSpecial());
     EXPECT_EQ(raised.format(), Format::Eval);

@@ -63,7 +63,10 @@ the structural A/B: each BM_BootstrapSeg row must exercise at least
 BOOT_SEG_FACTOR x fewer plan-cache entries per bootstrap than its
 BM_BootstrapPerOp sibling IN THE SAME FILE -- the headline property
 of composite segment plans (DESIGN.md §1.10), machine-independent by
-construction.
+construction. Rows of the fresh file with the same slot count must
+also report the same syncs_per_op: a row that never joins the host
+inside its timed loop measures enqueue time, not completion time, and
+cannot be compared with its siblings.
 
 With --cluster BENCH_cluster.json, the cluster gate also runs: every
 row must report plan_cache_hits >= 1 (every shard serves from its
@@ -337,6 +340,21 @@ def check_boot(base_path, fresh_path, failures, time_gate):
               f"(baseline {want:.0f}, band {TIME_TOLERANCE}x)")
         if verdict == "FAIL":
             failures.append((name, "plan_keys", got, limit))
+    # Rows compared at one slot count must join the host equally
+    # often, or their times measure different things.
+    by_slots = {}
+    for name, row in sorted(fresh.items()):
+        if "slots" in row and "syncs_per_op" in row:
+            by_slots.setdefault(row["slots"], []).append(
+                (name, row["syncs_per_op"]))
+    for slots, rows in sorted(by_slots.items()):
+        syncs = sorted({s for _, s in rows})
+        listed = ", ".join(f"{n} {s:g}" for n, s in rows)
+        verdict = "OK  " if len(syncs) == 1 else "FAIL"
+        print(f"{verdict} {slots:g}-slot rows syncs_per_op: {listed}")
+        if verdict == "FAIL":
+            failures.append((f"{slots:g} slots", "syncs_per_op A/B",
+                             syncs, "equal"))
     # Segment A/B within the fresh file: composite plans must collapse
     # the per-bootstrap plan-entry count, whatever the machine.
     for name, seg in sorted(steady.items()):
