@@ -193,6 +193,9 @@ BM_BootstrapBaselineSim(benchmark::State &state)
     u32 outLevel = 0;
     DeviceSet &devs = b.ctx->devices();
     devs.resetCounters();
+    // The same simulated launch overhead as runPlanned, so the rows
+    // differ only in the optimizations the baseline turns off.
+    devs.setLaunchOverheadNs(2000);
     for (auto _ : state) {
         auto fresh = s.boot->bootstrap(s.ct);
         outLevel = fresh.level();
@@ -202,6 +205,7 @@ BM_BootstrapBaselineSim(benchmark::State &state)
         devs.synchronize();
     }
     reportPlatformModel(state, state.iterations(), devs);
+    devs.setLaunchOverheadNs(0);
     Parameters p = bootParams();
     b.ctx->setFusion(p.fusion);
     b.ctx->setLimbBatch(p.limbBatch);

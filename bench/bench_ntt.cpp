@@ -11,10 +11,11 @@
  * that from one global pick to a per-(degree, limb-count) choice.
  *
  * Besides the console output, every run (over)writes the autotuner
- * table (per shape: the winning variant per direction plus every
- * candidate's ns/limb) to --json_out, defaulting to BENCH_ntt.json in
- * the CWD; CI passes the repo-root path and uploads it as a
- * per-commit artifact so schedule-pick flips stay attributable.
+ * table (per shape: the kernel behind the flat schedule, the winning
+ * variant per direction plus every candidate's ns/limb) to
+ * --json_out, defaulting to BENCH_ntt.json in the CWD; CI passes the
+ * repo-root path and uploads it as a per-commit artifact so
+ * schedule-pick flips stay attributable.
  */
 
 #include <benchmark/benchmark.h>
@@ -173,6 +174,9 @@ writeAutotunerTable(const char *path)
     const std::size_t degrees[] = {1 << 12, 1 << 13, 1 << 14};
     const u32 limbCounts[] = {1, 8, 32, 128};
     NttAutotuner tuner(NttAutotuner::Options::fromEnv());
+    // Which kernel the "flat" candidate ran, so a pick flip between
+    // hosts can be told apart from a kernel change.
+    const char *flatKernel = nttAvx512Supported() ? "avx512" : "scalar";
 
     std::fprintf(f, "[\n");
     bool first = true;
@@ -190,12 +194,12 @@ writeAutotunerTable(const char *path)
             first = false;
             std::fprintf(
                 f,
-                "  {\"logN\": %u, \"limbs\": %u,"
+                "  {\"logN\": %u, \"limbs\": %u, \"flat_kernel\": \"%s\","
                 " \"fwd_winner\": \"%s\", \"fwd_col_block\": %u,"
                 " \"fwd_ns_per_limb\": %.1f,"
                 " \"inv_winner\": \"%s\", \"inv_col_block\": %u,"
                 " \"inv_ns_per_limb\": %.1f, \"candidates\": [",
-                s.logN, s.limbs, nttVariantName(s.choice.fwd),
+                s.logN, s.limbs, flatKernel, nttVariantName(s.choice.fwd),
                 s.choice.fwdColBlock, s.fwdNsPerLimb,
                 nttVariantName(s.choice.inv), s.choice.invColBlock,
                 s.invNsPerLimb);

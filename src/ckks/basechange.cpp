@@ -113,10 +113,8 @@ noteConvAccesses(const std::shared_ptr<check::LaunchRecord> &rec,
  * Participates in plan capture/replay (graph.hpp) through symbolic
  * operand bindings: @p srcPoly / @p srcPos name the partition
  * positions behind the raw @p src pointers, @p dstPoly / @p dstPos
- * those behind @p dst (dstPoly null when the targets are host
- * scratch, which the plan tracks only through the returned events).
- * Replays take stream choice and hazards from the captured plan and
- * skip per-launch dispatch.
+ * those behind @p dst. Replays take stream choice and hazards from
+ * the captured plan and skip per-launch dispatch.
  */
 std::vector<ConvLaunch>
 dispatchConvert(const Context &ctx, const ConvTables &tables,
@@ -124,7 +122,7 @@ dispatchConvert(const Context &ctx, const ConvTables &tables,
                 const std::vector<Event> &srcWaits,
                 std::vector<std::shared_ptr<const void>> keep,
                 const RNSPoly &srcPoly, const std::vector<u32> &srcPos,
-                const RNSPoly *dstPoly, const std::vector<u32> &dstPos)
+                const RNSPoly &dstPoly, const std::vector<u32> &dstPos)
 {
     DeviceSet &devs = ctx.devices();
     const std::size_t n = ctx.degree();
@@ -140,15 +138,14 @@ dispatchConvert(const Context &ctx, const ConvTables &tables,
     kernels::GraphReplay *replay = ctx.replaySession();
     kernels::GraphCapture *capture = ctx.captureSession();
     if (replay)
-        replay->beginCustomCall(&srcPoly, dstPoly);
+        replay->beginCustomCall(srcPoly, dstPoly);
     else if (capture)
-        capture->beginCustomCall(&srcPoly, dstPoly);
+        capture->beginCustomCall(srcPoly, dstPoly);
 
     // Validator wiring: convertTargets works on raw pointers, so each
     // launch reports its exact access set explicitly (body-time, via
     // noteAccess) instead of instrumenting the body. Source limbs are
-    // shared by every launch; the written target limbs are per-launch
-    // (empty when the targets are host scratch).
+    // shared by every launch; the written target limbs are per-launch.
     check::ScopedLabel lbl("conv");
     auto convReads = std::make_shared<std::vector<ConvAccess>>();
     if (check::enabled()) {
@@ -158,8 +155,8 @@ dispatchConvert(const Context &ctx, const ConvTables &tables,
     }
     auto writeAccesses = [&](const std::vector<u32> &sel) {
         auto w = std::make_shared<std::vector<ConvAccess>>();
-        if (check::enabled() && dstPoly && !dstPos.empty()) {
-            const LimbPartition &p = dstPoly->partition();
+        if (check::enabled()) {
+            const LimbPartition &p = dstPoly.partition();
             for (u32 t : sel) {
                 const Limb &l = p[dstPos[t]];
                 w->push_back({l.data(), l.primeIdx()});
@@ -169,14 +166,12 @@ dispatchConvert(const Context &ctx, const ConvTables &tables,
     };
 
     // The write positions of one launch: the dstPos entries its
-    // target selection covers (empty for host-scratch targets).
+    // target selection covers.
     auto writePositions = [&dstPos](const std::vector<u32> &sel) {
         std::vector<u32> writes;
-        if (!dstPos.empty()) {
-            writes.reserve(sel.size());
-            for (u32 t : sel)
-                writes.push_back(dstPos[t]);
-        }
+        writes.reserve(sel.size());
+        for (u32 t : sel)
+            writes.push_back(dstPos[t]);
         return writes;
     };
 
@@ -344,7 +339,7 @@ modUpDigit(const RNSPoly &evalPoly, const RNSPoly &coeffPoly, u32 digit)
         writeEventsOf(sp, tables.sourceIdx),
         {coeffPoly.partShared(), out.partShared()},
         // Symbolic bindings: q-limb position == global prime index.
-        coeffPoly, tables.sourceIdx, &out, dstPos);
+        coeffPoly, tables.sourceIdx, out, dstPos);
     for (const ConvLaunch &l : launches) {
         for (u32 t : l.targets)
             op[dstPos[t]].noteWrite(l.ev);
@@ -410,52 +405,54 @@ modDown(RNSPoly &a)
         return ap[level + 1 + k].primeIdx();
     }, {kernels::wr(a, level + 1)});
 
-    // Convert [x]_P into the Q_l basis (coeff form), into host
-    // scratch shared with the downstream kernels.
+    // The result is a FRESH level-l polynomial. Building a new
+    // polynomial instead of dropping the special limbs in place keeps
+    // the hot path free of host joins: the old partition (and its
+    // still-pending special limbs) is retired through the keep-alive /
+    // deferred-free machinery.
+    RNSPoly out(ctx, level, Format::Coeff);
+    LimbPartition &op = out.partition();
+
+    // Convert [x]_P into the Q_l basis (coeff form), straight into the
+    // output limbs.
     std::vector<const u64 *> src;
     std::vector<u32> srcPos;
     for (u32 k = 0; k < K; ++k) {
         src.push_back(ap[level + 1 + k].data());
         srcPos.push_back(level + 1 + k);
     }
-    auto tmp = std::make_shared<std::vector<std::vector<u64>>>(
-        level + 1, std::vector<u64>(n));
     std::vector<u64 *> dst;
-    for (u32 i = 0; i <= level; ++i)
-        dst.push_back((*tmp)[i].data());
-
+    std::vector<u32> dstPos;
+    for (u32 i = 0; i <= level; ++i) {
+        dst.push_back(op[i].data());
+        dstPos.push_back(i);
+    }
     auto launches = dispatchConvert(ctx, tables, std::move(src),
                                     std::move(dst),
                                     writeEventsOf(ap, srcPos),
-                                    {a.partShared(), tmp},
-                                    // Targets are host scratch: the
-                                    // plan tracks them via events only.
-                                    a, srcPos, nullptr, {});
-    std::vector<Event> convDone;
+                                    {a.partShared(), out.partShared()},
+                                    a, srcPos, out, dstPos);
     for (const ConvLaunch &l : launches) {
+        for (u32 t : l.targets)
+            op[t].noteWrite(l.ev);
         for (u32 pos : srcPos)
             ap[pos].noteRead(l.ev);
-        convDone.push_back(l.ev);
     }
 
-    // Epilogue into a FRESH level-l polynomial (paper III-F5, ModDown
-    // fusion: per q-limb, NTT(tmp) then out = P^{-1} (x - tmp) in the
-    // same kernel). Building a new polynomial instead of dropping the
-    // special limbs in place keeps the hot path free of host joins:
-    // the old partition (and its still-pending special limbs) is
-    // retired through the keep-alive / deferred-free machinery. The
+    // Epilogue in place (paper III-F5, ModDown fusion: per q-limb,
+    // NTT(out) then out = P^{-1} (x - out) in the same kernel; it
+    // waits on the Conv events through the limbs Conv wrote). The
     // chain submits one fused launch per batch with fusion on, or the
     // two-kernel pipeline of the no-fusion backend otherwise.
-    RNSPoly out(ctx, level, Format::Eval);
     std::vector<u64> w(level + 1), ws(level + 1);
     for (u32 i = 0; i <= level; ++i) {
         w[i] = ctx.pInvModQ(i);
         ws[i] = ctx.pInvModQShoup(i);
     }
     kernels::FusedChain chain(ctx);
-    chain.nttExt(tmp);
-    chain.subScalarMulExt(out, a, tmp, std::move(w), std::move(ws));
-    chain.run(convDone);
+    chain.ntt(out);
+    chain.rsubScalarMul(out, a, std::move(w), std::move(ws));
+    chain.run();
 
     a = std::move(out);
 }
@@ -486,23 +483,22 @@ rescale(RNSPoly &a)
     }, [&ap, l](std::size_t) { return ap[l].primeIdx(); },
        {kernels::rdFixed(a, l)}, {}, &lastDone);
 
-    // Rescale epilogue (paper Rescale fusion): SwitchModulus prologue
-    // + NTT + the combined q_l^{-1} (x - NTT(...)) epilogue, writing
-    // a FRESH level-(l-1) polynomial (same join-free rationale as
-    // modDown). One fused launch per batch with fusion on; the
-    // three-kernel pipeline of the no-fusion backend otherwise.
-    RNSPoly out(ctx, l - 1, Format::Eval);
-    auto tmp = std::make_shared<std::vector<std::vector<u64>>>(
-        l, std::vector<u64>(n));
+    // Rescale epilogue (paper Rescale fusion), in place on a FRESH
+    // level-(l-1) polynomial (same join-free rationale as modDown):
+    // the SwitchModulus prologue writes it, then NTT and the combined
+    // q_l^{-1} (x - out) epilogue. One fused launch per batch with
+    // fusion on; the three-kernel pipeline of the no-fusion backend
+    // otherwise.
+    RNSPoly out(ctx, l - 1, Format::Coeff);
     std::vector<u64> w(l), ws(l);
     for (u32 i = 0; i < l; ++i) {
         w[i] = ctx.qlInvModQ(l, i);
         ws[i] = ctx.qlInvModQShoup(l, i);
     }
     kernels::FusedChain chain(ctx);
-    chain.switchModulusExt(tmp, last, ql);
-    chain.nttExt(tmp);
-    chain.subScalarMulExt(out, a, tmp, std::move(w), std::move(ws));
+    chain.switchModulus(out, last, ql);
+    chain.ntt(out);
+    chain.rsubScalarMul(out, a, std::move(w), std::move(ws));
     chain.run(lastDone);
 
     a = std::move(out);

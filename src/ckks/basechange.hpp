@@ -50,13 +50,17 @@ RNSPoly modUpDigit(const RNSPoly &evalPoly, const RNSPoly &coeffPoly,
 
 /**
  * ModDown in place: divides the raised polynomial (eval format with
- * special limbs) by P and drops the special limbs.
+ * special limbs) by P and drops the special limbs. Conv writes the
+ * fresh result's limbs, which one fused kernel then NTTs and finishes
+ * in place.
  */
 void modDown(RNSPoly &a);
 
 /**
  * Rescale in place: drops the top limb l and scales the remaining
- * limbs by q_l^{-1} (eval format).
+ * limbs by q_l^{-1} (eval format). SwitchModulus of the dropped limb
+ * writes the fresh result, which the same fused kernel NTTs and
+ * finishes in place.
  */
 void rescale(RNSPoly &a);
 

@@ -406,17 +406,16 @@ GraphCapture::recordNode(u32 streamId, std::size_t lo, std::size_t hi,
 }
 
 void
-GraphCapture::beginCustomCall(const RNSPoly *srcPoly,
-                              const RNSPoly *dstPoly)
+GraphCapture::beginCustomCall(const RNSPoly &srcPoly,
+                              const RNSPoly &dstPoly)
 {
     if (!valid_)
         return;
     GraphCall call;
     call.firstNode = static_cast<u32>(graph_->nodes.size());
     call.custom = true;
-    call.depSlots.push_back(slotOf(*srcPoly));
-    call.depSlots.push_back(dstPoly ? slotOf(*dstPoly)
-                                    : GraphNode::kNone);
+    call.depSlots.push_back(slotOf(srcPoly));
+    call.depSlots.push_back(slotOf(dstPoly));
     graph_->calls.push_back(std::move(call));
 }
 
@@ -438,16 +437,12 @@ GraphCapture::recordCustomNode(u32 streamId, u64 bytesRead,
     const GraphCall &call = graph_->calls.back();
     for (u32 p : srcPos)
         hazards(node, call.depSlots[0], p, p + 1, false);
-    if (call.depSlots[1] != GraphNode::kNone) {
-        for (u32 p : dstPos)
-            hazards(node, call.depSlots[1], p, p + 1, true);
-    }
+    for (u32 p : dstPos)
+        hazards(node, call.depSlots[1], p, p + 1, true);
 
     const u32 idx = static_cast<u32>(graph_->nodes.size());
-    if (call.depSlots[1] != GraphNode::kNone) {
-        for (u32 p : dstPos)
-            commit(idx, streamId, call.depSlots[1], p, p + 1, true);
-    }
+    for (u32 p : dstPos)
+        commit(idx, streamId, call.depSlots[1], p, p + 1, true);
     for (u32 p : srcPos)
         commit(idx, streamId, call.depSlots[0], p, p + 1, false);
     finishNode(std::move(node), ev);
@@ -759,15 +754,12 @@ GraphReplay::replayCall(
 }
 
 void
-GraphReplay::beginCustomCall(const RNSPoly *srcPoly,
-                             const RNSPoly *dstPoly)
+GraphReplay::beginCustomCall(const RNSPoly &srcPoly,
+                             const RNSPoly &dstPoly)
 {
     const GraphCall &call = nextCall(/*custom=*/true);
-    bindSlot(call.depSlots[0], *srcPoly);
-    if (dstPoly)
-        bindSlot(call.depSlots[1], *dstPoly);
-    else
-        FIDES_ASSERT(call.depSlots[1] == GraphNode::kNone);
+    bindSlot(call.depSlots[0], srcPoly);
+    bindSlot(call.depSlots[1], dstPoly);
 }
 
 Event

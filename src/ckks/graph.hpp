@@ -337,11 +337,9 @@ class GraphCapture
                     const Event &ev);
 
     // Base-conversion hooks (per-device custom launches). -------------
-    /** @p dstPoly may be null: targets in host scratch are untracked
-     *  (consumers chain through the returned events -> edges). */
-    void beginCustomCall(const RNSPoly *srcPoly, const RNSPoly *dstPoly);
+    void beginCustomCall(const RNSPoly &srcPoly, const RNSPoly &dstPoly);
     /** One per-device Conv launch reading @p srcPos of the source and
-     *  writing @p dstPos of the destination (empty for scratch). */
+     *  writing @p dstPos of the destination. */
     void recordCustomNode(u32 streamId, u64 bytesRead, u64 bytesWritten,
                           u64 intOps, const std::vector<u32> &srcPos,
                           const std::vector<u32> &dstPos,
@@ -435,7 +433,7 @@ class GraphReplay
                     std::vector<Event> *recorded);
 
     // Base-conversion hooks. ------------------------------------------
-    void beginCustomCall(const RNSPoly *srcPoly, const RNSPoly *dstPoly);
+    void beginCustomCall(const RNSPoly &srcPoly, const RNSPoly &dstPoly);
     /** Accounts the next custom node and enqueues its waits. Returns
      *  the recorded stream, or null when execution is inline (single
      *  stream): the caller then runs the body itself. */

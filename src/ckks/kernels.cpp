@@ -776,9 +776,9 @@ struct FusedChain::Op
         Sub,
         ScalarMul,
         Gather,
-        SwitchModulusExt,
-        NttExt,
-        SubScalarMulExt,
+        SwitchModulus,
+        Ntt,
+        RsubScalarMul,
     };
 
     explicit Op(Kind k) : kind(k) {}
@@ -792,9 +792,8 @@ struct FusedChain::Op
     const LimbPartition *b = nullptr;
     const u32 *perm = nullptr;         //!< automorphism gather
     std::vector<u64> s0, s1;           //!< per-limb scalar constants
-    ExtScratch ext;                    //!< per-limb host scratch
     ExtFixed fixed;                    //!< shared fixed source
-    u64 srcPrime = 0;                  //!< SwitchModulusExt
+    u64 srcPrime = 0;                  //!< SwitchModulus
 
     bool readsOut() const
     {
@@ -803,6 +802,8 @@ struct FusedChain::Op
         case Kind::Add:
         case Kind::Sub:
         case Kind::ScalarMul:
+        case Kind::Ntt:
+        case Kind::RsubScalarMul:
             return true;
         default:
             return false;
@@ -820,9 +821,9 @@ struct FusedChain::Op
         case Kind::Sub: return n;
         case Kind::ScalarMul: return 3 * n;
         case Kind::Gather: return 0;
-        case Kind::SwitchModulusExt: return 2 * n;
-        case Kind::NttExt: return 5 * n * logN;
-        case Kind::SubScalarMulExt: return 4 * n;
+        case Kind::SwitchModulus: return 2 * n;
+        case Kind::Ntt: return 5 * n * logN;
+        case Kind::RsubScalarMul: return 4 * n;
         }
         return 0;
     }
@@ -841,11 +842,10 @@ FusedChain::~FusedChain()
 namespace
 {
 
-/** Executes one recorded op on limb @p i. @p shape supplies the
- *  chain's position -> prime mapping for the external-scratch ops. */
+/** Executes one recorded op on limb @p i. */
 inline void
-runOpOnLimb(const Context &ctx, const FusedChain::Op &op,
-            const LimbPartition &shape, std::size_t i, std::size_t n)
+runOpOnLimb(const Context &ctx, const FusedChain::Op &op, std::size_t i,
+            std::size_t n)
 {
     using Kind = FusedChain::Op::Kind;
     switch (op.kind) {
@@ -893,23 +893,22 @@ runOpOnLimb(const Context &ctx, const FusedChain::Op &op,
             dst[j] = src[op.perm[j]];
         break;
     }
-    case Kind::SwitchModulusExt:
+    case Kind::SwitchModulus:
         switchModulusLimb(ctx, op.fixed->data(), op.srcPrime,
-                          (*op.ext)[i].data(), shape[i].primeIdx());
+                          (*op.out)[i].write(), (*op.out)[i].primeIdx());
         break;
-    case Kind::NttExt:
-        nttLimb(ctx, (*op.ext)[i].data(), shape[i].primeIdx(),
-                shape.size());
+    case Kind::Ntt:
+        nttLimb(ctx, (*op.out)[i].write(), (*op.out)[i].primeIdx(),
+                op.out->size());
         break;
-    case Kind::SubScalarMulExt: {
+    case Kind::RsubScalarMul: {
         const u64 p = ctx.prime((*op.out)[i].primeIdx()).value();
         const u64 w = op.s0[i];
         const u64 ws = op.s1[i];
         const u64 *x = (*op.a)[i].read();
-        const u64 *t = (*op.ext)[i].data();
         u64 *o = (*op.out)[i].write();
         for (std::size_t j = 0; j < n; ++j)
-            o[j] = mulModShoup(subMod(x[j], t[j], p), w, ws, p);
+            o[j] = mulModShoup(subMod(x[j], o[j], p), w, ws, p);
         break;
     }
     }
@@ -928,9 +927,9 @@ unfusedTraffic(const FusedChain::Op &op)
     case Kind::Sub: return {2, 1};
     case Kind::ScalarMul: return {1, 1};
     case Kind::Gather: return {1, 1};
-    case Kind::SwitchModulusExt: return {1, 1};
-    case Kind::NttExt: return {2, 2};
-    case Kind::SubScalarMulExt: return {2, 1};
+    case Kind::SwitchModulus: return {1, 1};
+    case Kind::Ntt: return {2, 2};
+    case Kind::RsubScalarMul: return {2, 1};
     }
     return {0, 0};
 }
@@ -1017,11 +1016,11 @@ FusedChain::gather(RNSPoly &out, const RNSPoly &in,
 }
 
 FusedChain &
-FusedChain::switchModulusExt(ExtScratch dst, ExtFixed src,
-                             u64 srcPrime)
+FusedChain::switchModulus(RNSPoly &out, ExtFixed src, u64 srcPrime)
 {
-    Op op{Op::Kind::SwitchModulusExt};
-    op.ext = std::move(dst);
+    out.setFormat(Format::Coeff);
+    Op op{Op::Kind::SwitchModulus};
+    op.outPoly = &out;
     op.fixed = std::move(src);
     op.srcPrime = srcPrime;
     ops_.push_back(std::move(op));
@@ -1029,24 +1028,26 @@ FusedChain::switchModulusExt(ExtScratch dst, ExtFixed src,
 }
 
 FusedChain &
-FusedChain::nttExt(ExtScratch buf)
+FusedChain::ntt(RNSPoly &a)
 {
-    Op op{Op::Kind::NttExt};
-    op.ext = std::move(buf);
+    FIDES_ASSERT(a.format() == Format::Coeff);
+    a.setFormat(Format::Eval);
+    Op op{Op::Kind::Ntt};
+    op.outPoly = &a;
     ops_.push_back(std::move(op));
     return *this;
 }
 
 FusedChain &
-FusedChain::subScalarMulExt(RNSPoly &out, const RNSPoly &x,
-                            ExtScratch t, std::vector<u64> w,
-                            std::vector<u64> wShoup)
+FusedChain::rsubScalarMul(RNSPoly &out, const RNSPoly &x,
+                          std::vector<u64> w, std::vector<u64> wShoup)
 {
+    FIDES_ASSERT(out.format() == Format::Eval &&
+                 x.format() == Format::Eval);
     FIDES_ASSERT(out.numLimbs() <= x.numLimbs());
-    Op op{Op::Kind::SubScalarMulExt};
+    Op op{Op::Kind::RsubScalarMul};
     op.outPoly = &out;
     op.aPoly = &x;
-    op.ext = std::move(t);
     op.s0 = std::move(w);
     op.s1 = std::move(wShoup);
     ops_.push_back(std::move(op));
@@ -1094,25 +1095,15 @@ FusedChain::run(const std::vector<Event> &extraWaits)
     auto primeAt = [shape](std::size_t i) {
         return (*shape)[i].primeIdx();
     };
-    // Ext-only ops carry no Dep on the shape polynomial, so their
-    // queued bodies hold this keep-alive to pin the prime mapping.
-    auto keepShape = shapePoly->partShared();
 
     if (!ctx.fusionEnabled()) {
         // Unfused backend: one logical kernel per recorded op, with
-        // the per-op traffic of the standalone kernels. Polynomial
-        // hazards chain through the Dep events as usual; external
-        // scratch has no Dep tracking, so ops touching it are chained
-        // serially through their recorded events (the structure of
-        // the pre-fusion Rescale/ModDown pipelines).
-        std::vector<Event> pending = extraWaits;
-        for (std::size_t k = 0; k < ops_.size(); ++k) {
-            // ops_ outlives the queued bodies: run() is called once
-            // and the chain may not be reused, so moving the op list
-            // into a shared_ptr keeps it alive for the last batch.
-            auto ops = std::make_shared<const std::vector<Op>>(
-                std::vector<Op>(1, ops_[k]));
-            const Op &op = ops_[k];
+        // the per-op traffic of the standalone kernels, chained
+        // through the Dep events as usual.
+        for (const Op &op : ops_) {
+            // The queued bodies outlive ops_, so each holds its own
+            // copy of the op.
+            auto one = std::make_shared<const Op>(op);
             auto [r, w] = unfusedTraffic(op);
             std::vector<Dep> deps;
             if (op.outPoly)
@@ -1121,18 +1112,12 @@ FusedChain::run(const std::vector<Event> &extraWaits)
                 deps.push_back(rd(*op.aPoly));
             if (op.bPoly)
                 deps.push_back(rd(*op.bPoly));
-            const bool touchesExt = op.ext || op.fixed;
-            std::vector<Event> recorded;
             forBatches(ctx, numLimbs, r * n * kWord, w * n * kWord,
                        op.intOpsPerLimb(n, logN),
-                       [&ctx, ops, shape, keepShape, n](std::size_t lo,
-                                                        std::size_t hi) {
+                       [&ctx, one, n](std::size_t lo, std::size_t hi) {
                 for (std::size_t i = lo; i < hi; ++i)
-                    runOpOnLimb(ctx, (*ops)[0], *shape, i, n);
-            }, primeAt, deps, touchesExt ? pending : extraWaits,
-               touchesExt ? &recorded : nullptr);
-            if (touchesExt && !recorded.empty())
-                pending = std::move(recorded);
+                    runOpOnLimb(ctx, *one, i, n);
+            }, primeAt, deps, extraWaits);
         }
         ops_.clear();
         return;
@@ -1159,11 +1144,10 @@ FusedChain::run(const std::vector<Event> &extraWaits)
             ++readsPerLimb;
         }
     };
-    auto countWrite = [&](const void *slot, bool isScratch) {
+    auto countWrite = [&](const void *slot) {
         if (slot && !seen(written, slot)) {
             written.push_back(slot);
-            if (!isScratch)
-                ++writesPerLimb;
+            ++writesPerLimb;
         }
     };
     for (const Op &op : ops_) {
@@ -1171,15 +1155,9 @@ FusedChain::run(const std::vector<Event> &extraWaits)
         countRead(op.a);
         countRead(op.b);
         countRead(op.fixed.get());
-        if (op.kind == Op::Kind::NttExt ||
-            op.kind == Op::Kind::SubScalarMulExt)
-            countRead(op.ext.get());
         if (op.readsOut())
             countRead(op.out);
-        if (op.out)
-            countWrite(op.out, false);
-        if (op.ext && op.kind != Op::Kind::SubScalarMulExt)
-            countWrite(op.ext.get(), true);
+        countWrite(op.out);
     }
 
     // One Dep per distinct polynomial: Write wherever the chain
@@ -1209,11 +1187,10 @@ FusedChain::run(const std::vector<Event> &extraWaits)
         std::make_shared<const std::vector<Op>>(std::move(ops_));
     forBatches(ctx, numLimbs, readsPerLimb * n * kWord,
                writesPerLimb * n * kWord, intOps,
-               [&ctx, ops, shape, keepShape, n](std::size_t lo,
-                                                std::size_t hi) {
+               [&ctx, ops, n](std::size_t lo, std::size_t hi) {
         for (std::size_t i = lo; i < hi; ++i)
             for (const Op &op : *ops)
-                runOpOnLimb(ctx, op, *shape, i, n);
+                runOpOnLimb(ctx, op, i, n);
     }, primeAt, deps, extraWaits);
     ops_.clear();
 }

@@ -203,16 +203,17 @@ void forBatches(const Context &ctx, std::size_t numLimbs,
  * they must outlive the submitted kernels themselves -- pass the
  * Context's automorphism cache (node-stable), never a local vector.
  *
- * External host scratch (the Rescale/ModDown intermediates produced
- * by base conversion) participates through shared_ptr-held buffers:
- * per-limb (`ExtScratch`, one buffer per chain position) or fixed
- * (`ExtFixed`, one buffer read by every limb). Producer events of
- * external inputs are passed to run() and waited stream-side.
+ * The Rescale/ModDown epilogues run in place on their output
+ * polynomial: base conversion (ModDown) or switchModulus (Rescale)
+ * fills it in coefficient form, ntt() transforms it, and
+ * rsubScalarMul() finishes it. The one host input is a fixed buffer
+ * read by every limb (`ExtFixed`: Rescale's inverse-NTTed dropped
+ * limb), held by shared_ptr; its producer events are passed to run()
+ * and waited stream-side.
  */
 class FusedChain
 {
   public:
-    using ExtScratch = std::shared_ptr<std::vector<std::vector<u64>>>;
     using ExtFixed = std::shared_ptr<std::vector<u64>>;
 
     explicit FusedChain(const Context &ctx);
@@ -237,22 +238,21 @@ class FusedChain
     FusedChain &gather(RNSPoly &out, const RNSPoly &in,
                        const std::vector<u32> &perm);
 
-    /** ext[i] = SwitchModulus(fixedSrc mod srcPrime -> chain prime i). */
-    FusedChain &switchModulusExt(ExtScratch dst, ExtFixed src,
-                                 u64 srcPrime);
-    /** In-place forward NTT of ext[i] under the chain's prime i. */
-    FusedChain &nttExt(ExtScratch buf);
-    /** out = (x - ext[i]) * w[i], Shoup-precomputed constants (the
-     *  fused Rescale/ModDown epilogue). */
-    FusedChain &subScalarMulExt(RNSPoly &out, const RNSPoly &x,
-                                ExtScratch t, std::vector<u64> w,
-                                std::vector<u64> wShoup);
+    /** out[limb i] = SwitchModulus(src mod srcPrime -> limb i's
+     *  prime), coefficient form. */
+    FusedChain &switchModulus(RNSPoly &out, ExtFixed src, u64 srcPrime);
+    /** In-place forward NTT of every limb (Coeff -> Eval). */
+    FusedChain &ntt(RNSPoly &a);
+    /** out = (x - out) * w[i], Shoup-precomputed constants (the fused
+     *  Rescale/ModDown epilogue). */
+    FusedChain &rsubScalarMul(RNSPoly &out, const RNSPoly &x,
+                              std::vector<u64> w, std::vector<u64> wShoup);
 
     /**
      * Submits the chain: one logical kernel when fusion is enabled,
      * one per recorded op otherwise. @p extraWaits are producer events
-     * of external scratch inputs (base-conversion launches). The chain
-     * is consumed; reuse requires a fresh builder.
+     * of the ExtFixed input. The chain is consumed; reuse requires a
+     * fresh builder.
      */
     void run(const std::vector<Event> &extraWaits = {});
 

@@ -15,7 +15,15 @@
  * A zoo of execution schedules is provided over identical arithmetic
  * (every variant is bit-exact against every other and against the
  * reference NTT -- only the loop order and pass structure differ):
- *  - nttForward/nttInverse: the textbook single-pass loop nest;
+ *  - nttForward/nttInverse: the textbook single-pass loop nest (the
+ *    Flat schedule every Context runs by default). It has two kernels,
+ *    picked once per process from CPUID: an 8-lane AVX-512 (F + DQ)
+ *    one that runs the scalar butterflies lane for lane -- stage
+ *    pairs in registers as Radix4 runs them, and the last three
+ *    forward stages (first three inverse ones) per 16-element block
+ *    -- and the portable scalar loop, used on every other CPU and
+ *    below degree 16. Both return fully reduced residues, so the pick
+ *    never changes a result;
  *  - nttForwardHierarchical/nttInverseHierarchical: the paper's
  *    hierarchical ("2D") schedule that splits the transform into
  *    sqrt(N)-sized column and row passes so each element is touched
@@ -111,6 +119,17 @@ void nttForward(u64 *a, const NttTables &t);
 
 /** In-place inverse NTT, bit-reversed in, natural order out. */
 void nttInverse(u64 *a, const NttTables &t);
+
+/** True when the CPU runs the AVX-512 kernel (avx512f + avx512dq). */
+bool nttAvx512Supported();
+
+/** The two kernels behind nttForward/nttInverse, callable directly so
+ *  tests can hold one against the other. The AVX-512 pair requires
+ *  nttAvx512Supported() and runs the scalar loop below degree 16. */
+void nttForwardScalar(u64 *a, const NttTables &t);
+void nttInverseScalar(u64 *a, const NttTables &t);
+void nttForwardAvx512(u64 *a, const NttTables &t);
+void nttInverseAvx512(u64 *a, const NttTables &t);
 
 /** Hierarchical (2D) schedule of the forward NTT; same output. */
 void nttForwardHierarchical(u64 *a, const NttTables &t);

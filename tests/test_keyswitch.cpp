@@ -11,12 +11,17 @@
  *  - keySwitchInnerProduct (lazy 128-bit accumulation, one reduction
  *    per coefficient) against a per-digit mulModBarrett + addMod
  *    loop, with and without an automorphism gather, under both
- *    modular-reduction strategies, with fusion on and off.
+ *    modular-reduction strategies, with fusion on and off;
+ *  - modDown and rescale, whose epilogues finish in their output
+ *    limbs: device counters pinned per (topology, fusion, level) and
+ *    outputs identical across all four configurations.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -241,6 +246,105 @@ TEST(KeySwitchKernels, InnerProductMatchesPerDigitMulAddLoop)
                 }
             }
         }
+    }
+}
+
+/** Device counters of one modDown or rescale call. */
+struct OpCounters
+{
+    u64 launches, kernels, bytesRead, bytesWritten, intOps;
+
+    bool operator==(const OpCounters &) const = default;
+};
+
+std::ostream &
+operator<<(std::ostream &os, const OpCounters &c)
+{
+    return os << "{launches " << c.launches << ", kernels " << c.kernels
+              << ", read " << c.bytesRead << ", written "
+              << c.bytesWritten << ", intOps " << c.intOps << "}";
+}
+
+TEST(KeySwitchKernels, ModDownAndRescaleCountersArePinned)
+{
+    // testSmall (logN 10, levels 0..4, K = 3) on 1x1 / limbBatch 2 and
+    // 2x2 / limbBatch 3. Each epilogue limb reads `a` plus one
+    // converted limb and writes the result; a change to these numbers
+    // moves the modelled time of every key switch and rescale.
+    struct Row
+    {
+        u32 topology;
+        bool fusion;
+        u32 level;
+        OpCounters modDown, rescale;
+    };
+    const Row rows[] = {
+        {0, true, 4, {6, 2, 155648, 131072, 471040},
+         {3, 2, 81920, 49152, 280576}},
+        {0, true, 1, {4, 2, 106496, 81920, 280576},
+         {2, 2, 32768, 24576, 108544}},
+        {0, false, 4, {9, 3, 237568, 212992, 471040},
+         {7, 4, 180224, 147456, 280576}},
+        {0, false, 1, {5, 3, 139264, 114688, 280576},
+         {4, 4, 57344, 49152, 108544}},
+        {1, true, 4, {6, 2, 180224, 131072, 471040},
+         {3, 2, 81920, 49152, 280576}},
+        {1, true, 1, {3, 2, 106496, 81920, 280576},
+         {2, 2, 32768, 24576, 108544}},
+        {1, false, 4, {9, 3, 262144, 212992, 471040},
+         {7, 4, 180224, 147456, 280576}},
+        {1, false, 1, {4, 3, 139264, 114688, 280576},
+         {4, 4, 57344, 49152, 108544}},
+    };
+    const Parameters base = Parameters::testSmall();
+    const Parameters topologies[] = {
+        withTopology(base, 1, 1, base.limbBatch),
+        withTopology(base, 2, 2, 3)};
+    // Host copy of the first result per (op, level); every other
+    // configuration must reproduce it bit for bit.
+    std::map<std::string, std::vector<std::vector<u64>>> firsts;
+    auto expectSameAsFirst = [&firsts](const std::string &key,
+                                       const RNSPoly &got,
+                                       const std::string &what) {
+        got.syncHost();
+        const std::size_t n = got.context().degree();
+        std::vector<std::vector<u64>> limbs;
+        for (std::size_t i = 0; i < got.numLimbs(); ++i)
+            limbs.emplace_back(got.limb(i).data(),
+                               got.limb(i).data() + n);
+        auto [it, inserted] = firsts.try_emplace(key, limbs);
+        if (!inserted)
+            EXPECT_EQ(limbs, it->second) << what;
+    };
+    for (const Row &r : rows) {
+        Context ctx(topologies[r.topology]);
+        ctx.setFusion(r.fusion);
+        DeviceSet &devs = ctx.devices();
+        const std::string what =
+            "topology " + std::to_string(r.topology) +
+            (r.fusion ? " fused" : " unfused") + " level " +
+            std::to_string(r.level);
+        auto measure = [&devs](auto op) {
+            devs.synchronize();
+            devs.resetCounters();
+            op();
+            devs.synchronize();
+            const KernelCounters c = devs.aggregateCounters();
+            return OpCounters{c.launches, devs.logicalKernels(),
+                              c.bytesRead, c.bytesWritten, c.intOps};
+        };
+        RNSPoly raised = randomPoly(ctx, r.level, ctx.numSpecial(),
+                                    Format::Eval, 40 + r.level);
+        EXPECT_EQ(measure([&] { modDown(raised); }), r.modDown)
+            << what << " modDown";
+        expectSameAsFirst("modDown" + std::to_string(r.level), raised,
+                          what + " modDown");
+        RNSPoly plain =
+            randomPoly(ctx, r.level, 0, Format::Eval, 50 + r.level);
+        EXPECT_EQ(measure([&] { rescale(plain); }), r.rescale)
+            << what << " rescale";
+        expectSameAsFirst("rescale" + std::to_string(r.level), plain,
+                          what + " rescale");
     }
 }
 

@@ -2,8 +2,9 @@
  * @file
  * Tests for the negacyclic NTT: round trips, agreement with the naive
  * O(n^2) evaluation, the hierarchical schedule's bit-exact equivalence
- * to the flat schedule, and the convolution property that CKKS relies
- * on (pointwise product in evaluation domain == negacyclic convolution
+ * to the flat schedule, the flat schedule's AVX-512 kernel against its
+ * scalar loop, and the convolution property that CKKS relies on
+ * (pointwise product in evaluation domain == negacyclic convolution
  * in coefficient domain).
  */
 
@@ -58,8 +59,6 @@ TEST_P(NttParam, ForwardInverseRoundTrip)
 TEST_P(NttParam, ForwardMatchesNaiveEvaluation)
 {
     std::size_t n = GetParam();
-    if (n > 256)
-        GTEST_SKIP() << "naive check restricted to small sizes";
     NttSetup s(n, 49, 2);
     Prng prng(n + 1);
     auto a = randomPoly(prng, n, s.mod.value);
@@ -124,6 +123,87 @@ TEST_P(NttParam, OutputsAreFullyReduced)
 INSTANTIATE_TEST_SUITE_P(Degrees, NttParam,
                          ::testing::Values(4u, 8u, 16u, 64u, 128u, 256u,
                                            1024u, 4096u, 8192u));
+
+/**
+ * The Flat schedule's two kernels: the AVX-512 one must reproduce the
+ * scalar loop bit for bit, forward and inverse, at every degree from
+ * its 16-element minimum up to 2^17 and at prime widths from 30 to 61
+ * bits, on random limbs and on the edge limbs all 0, all p - 1 and
+ * alternating 0 / p - 1.
+ */
+class NttKernelParam : public ::testing::TestWithParam<std::size_t>
+{
+  protected:
+    void SetUp() override
+    {
+        if (!nttAvx512Supported())
+            GTEST_SKIP() << "CPU lacks avx512f + avx512dq";
+    }
+
+    /** Random, all-zero, all-(p-1) and alternating 0 / p-1 limbs. */
+    static std::vector<std::vector<u64>>
+    limbs(std::size_t n, u64 p, u64 seed)
+    {
+        Prng prng(seed);
+        std::vector<std::vector<u64>> out = {randomPoly(prng, n, p),
+                                             std::vector<u64>(n, 0),
+                                             std::vector<u64>(n, p - 1),
+                                             std::vector<u64>(n, 0)};
+        for (std::size_t j = 1; j < n; j += 2)
+            out[3][j] = p - 1;
+        return out;
+    }
+
+    static constexpr u32 kBits[] = {30, 36, 49, 55, 60, 61};
+};
+
+TEST_P(NttKernelParam, Avx512ForwardMatchesScalar)
+{
+    const std::size_t n = GetParam();
+    for (u32 bits : kBits) {
+        NttSetup s(n, bits, 20);
+        for (const auto &a : limbs(n, s.mod.value, n + bits)) {
+            auto want = a;
+            nttForwardScalar(want.data(), s.tables);
+            auto got = a;
+            nttForwardAvx512(got.data(), s.tables);
+            ASSERT_EQ(want, got) << "n=" << n << " bits=" << bits;
+        }
+    }
+}
+
+TEST_P(NttKernelParam, Avx512InverseMatchesScalar)
+{
+    const std::size_t n = GetParam();
+    for (u32 bits : kBits) {
+        NttSetup s(n, bits, 21);
+        for (const auto &a : limbs(n, s.mod.value, 2 * n + bits)) {
+            auto want = a;
+            nttInverseScalar(want.data(), s.tables);
+            auto got = a;
+            nttInverseAvx512(got.data(), s.tables);
+            ASSERT_EQ(want, got) << "n=" << n << " bits=" << bits;
+        }
+    }
+}
+
+TEST_P(NttKernelParam, Avx512RoundTripIsIdentity)
+{
+    const std::size_t n = GetParam();
+    for (u32 bits : kBits) {
+        NttSetup s(n, bits, 22);
+        for (const auto &a : limbs(n, s.mod.value, 3 * n + bits)) {
+            auto b = a;
+            nttForwardAvx512(b.data(), s.tables);
+            nttInverseAvx512(b.data(), s.tables);
+            ASSERT_EQ(a, b) << "n=" << n << " bits=" << bits;
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Degrees, NttKernelParam,
+                         ::testing::Values(16u, 32u, 1024u, 1u << 14,
+                                           1u << 16, 1u << 17));
 
 /**
  * Schedule-zoo equivalence: every NttVariant must be bit-exact
