@@ -1,23 +1,19 @@
 /**
  * @file
- * Table VI reproduction plus the composite-segment A/B: bootstrapping
- * time and amortized time (us / (slot * remaining level)) across slot
- * counts, FIDESlib (all optimizations) vs the Baseline-sim
- * configuration (naive `%` arithmetic, no fusion, no limb batching,
- * flat NTT -- the shape of an unoptimized CPU implementation on the
- * same substrate).
+ * Table VI reproduction: bootstrapping time and amortized time
+ * (us / (slot * remaining level)) across slot counts, FIDESlib (all
+ * optimizations) vs the Baseline-sim configuration (naive `%`
+ * arithmetic, no fusion, no limb batching, flat NTT -- the shape of
+ * an unoptimized CPU implementation on the same substrate).
  *
- * The FIDESlib configuration is measured twice on the same binary:
- * BM_BootstrapSeg with composite segment plans (a whole CoeffToSlot /
- * EvalMod / SlotToCoeff ladder replays as ONE captured graph each,
- * DESIGN.md §1.10) and BM_BootstrapPerOp with segments gated off, so
- * the per-bootstrap host dispatch cost and the number of plan-cache
- * entries exercised are directly comparable. Both run in the plan-
- * cache steady state: a warmup bootstrap captures, the timed
- * iteration replays. CI gates plan_entries_per_boot(seg) at >= 3x
- * fewer than per-op, and plan_keys / host_dispatch_us against the
- * committed BENCH_bootstrap.json baseline
- * (tools/check_launch_regression.py).
+ * BM_BootstrapPerOp runs the FIDESlib configuration in the plan-cache
+ * steady state: a warmup bootstrap captures the per-op plans, the
+ * timed iteration replays them (DESIGN.md §1.10). It reports the host
+ * dispatch cost per bootstrap and the plan-cache entries, keys and
+ * arena it exercises. BM_BootstrapBaselineSim warms the same way
+ * after its knob changes, so both rows time a replay. CI gates
+ * plan_keys / host_dispatch_us against the committed
+ * BENCH_bootstrap.json baseline (tools/check_launch_regression.py).
  *
  * Default: bootstrappable test set at logN=12 with slots
  * {64, 256, 1024}; FIDES_PAPER_SCALE=1 selects the paper's
@@ -48,9 +44,9 @@ bootParams()
 {
     // 2 devices x 2 streams: kernel bodies run on stream workers, so
     // the submitting thread's CPU time (host_dispatch_us) is pure
-    // dispatch -- the quantity composite segments collapse. On the
-    // 1x1 default the kernels would execute inline on the submitter
-    // and drown the signal.
+    // dispatch -- the quantity plan replay shrinks. On the 1x1
+    // default the kernels would execute inline on the submitter and
+    // drown the signal.
     Parameters p =
         paperScale() ? Parameters::paper16() : Parameters::testBoot();
     p.numDevices = 2;
@@ -105,16 +101,14 @@ setup(u32 slots)
 /** The steady-state bootstrap loop: warm capture outside the timer,
  *  replays inside, host dispatch in thread CPU time. */
 void
-runPlanned(benchmark::State &state, bool segments)
+BM_BootstrapPerOp(benchmark::State &state)
 {
     const u32 slots = static_cast<u32>(state.range(0));
     auto &b = cachedContext("boot", bootParams(), {}, true);
     auto &s = setup(slots);
 
-    // Fresh cache per mode so plan_keys / plan_arena_mb describe THIS
-    // configuration alone (segment and per-op keys would otherwise
-    // accumulate across rows).
-    b.ctx->setSegmentPlansEnabled(segments);
+    // Fresh cache per row so plan_keys / plan_arena_mb describe THIS
+    // slot count alone (keys would otherwise accumulate across rows).
     b.ctx->invalidatePlans();
     b.ctx->devices().setLaunchOverheadNs(2000);
     {
@@ -140,8 +134,7 @@ runPlanned(benchmark::State &state, bool segments)
     const double iters =
         static_cast<double>(std::max<u64>(1, state.iterations()));
     // Plan-cache entries exercised per bootstrap (replays + captures
-    // since the warm run): THE segment metric -- composite plans
-    // collapse hundreds of per-op graph launches into a handful.
+    // since the warm run).
     state.counters["plan_entries_per_boot"] =
         static_cast<double>(devs.planReplays() + devs.planCaptures()
                             - entries0) /
@@ -153,30 +146,12 @@ runPlanned(benchmark::State &state, bool segments)
     state.counters["plan_hits"] = static_cast<double>(ps.hits);
     state.counters["plan_arena_mb"] =
         static_cast<double>(ps.reservedBytes) / 1e6;
-    state.counters["segment_keys"] =
-        static_cast<double>(ps.segmentKeys);
-    state.counters["segment_hits"] =
-        static_cast<double>(ps.segmentHits);
     state.counters["host_dispatch_us"] = dispatchNs / 1e3 / iters;
     state.counters["slots"] = slots;
     state.counters["levels_remaining"] = outLevel;
-    state.counters["segments_on"] = segments ? 1 : 0;
 
     devs.setLaunchOverheadNs(0);
-    b.ctx->setSegmentPlansEnabled(true);
-    state.SetLabel(segments ? "FIDESlib-seg" : "FIDESlib-perop");
-}
-
-void
-BM_BootstrapSeg(benchmark::State &state)
-{
-    runPlanned(state, true);
-}
-
-void
-BM_BootstrapPerOp(benchmark::State &state)
-{
-    runPlanned(state, false);
+    state.SetLabel("FIDESlib-perop");
 }
 
 void
@@ -192,16 +167,24 @@ BM_BootstrapBaselineSim(benchmark::State &state)
     b.ctx->setModMulKind(ModMulKind::Naive);
     u32 outLevel = 0;
     DeviceSet &devs = b.ctx->devices();
-    devs.resetCounters();
-    // The same simulated launch overhead as runPlanned, so the rows
-    // differ only in the optimizations the baseline turns off.
+    // The same simulated launch overhead as BM_BootstrapPerOp, so the
+    // rows differ only in the optimizations the baseline turns off.
     devs.setLaunchOverheadNs(2000);
+    // The knob changes above dropped every plan: recapture outside
+    // the timer, so the timed iteration replays like its PerOp
+    // sibling instead of timing a capture pass.
+    {
+        auto warm = s.boot->bootstrap(s.ct);
+        benchmark::DoNotOptimize(warm.c0.limb(0).data());
+        devs.synchronize();
+    }
+    devs.resetCounters();
     for (auto _ : state) {
         auto fresh = s.boot->bootstrap(s.ct);
         outLevel = fresh.level();
         benchmark::DoNotOptimize(fresh.c0.limb(0).data());
-        // Join like runPlanned does, so the row times completion, not
-        // enqueue, and compares with its Seg/PerOp siblings.
+        // Join like BM_BootstrapPerOp does, so the row times
+        // completion, not enqueue, and compares with its sibling.
         devs.synchronize();
     }
     reportPlatformModel(state, state.iterations(), devs);
@@ -250,11 +233,6 @@ main(int argc, char **argv)
     parseJsonOutFlag(argc, argv);
     Parameters p = bootParams();
     for (u32 slots : slotSweep(p)) {
-        ::benchmark::RegisterBenchmark("BM_BootstrapSeg",
-                                       BM_BootstrapSeg)
-            ->Arg(slots)
-            ->Unit(::benchmark::kMillisecond)
-            ->Iterations(1);
         ::benchmark::RegisterBenchmark("BM_BootstrapPerOp",
                                        BM_BootstrapPerOp)
             ->Arg(slots)

@@ -18,10 +18,9 @@
  * A final "serve_bootstrap" row exercises the long-program path: a
  * refresh chain (input -> bootstrap -> square -> rescale) served
  * through a Server configured with a Bootstrapper, over its own
- * bootstrappable context. Each bootstrap replays the three composite
- * segment plans (DESIGN.md §1.10), so the row records the serving
- * cost of a ~40-op program that dispatches as a handful of graph
- * replays.
+ * bootstrappable context. Each bootstrap replays the per-op plans of
+ * its ops (DESIGN.md §1.10), so the row records the serving cost of a
+ * ~40-op program that dispatches as a few hundred graph replays.
  *
  * Writes a machine-readable summary to --json_out (default
  * BENCH_serve.json in the CWD). CI gates multi-submitter scaling
@@ -246,8 +245,8 @@ writeBootstrapRow(std::FILE *f, u32 cores)
     opt.submitters = kBootSubmitters;
     opt.bootstrapper = &boot;
 
-    // Warm: the first bootstrap captures the three composite segment
-    // plans; the measured requests replay them.
+    // Warm: the first bootstrap captures the per-op plans; the
+    // measured requests replay them.
     {
         Server warm(ctx, keys, opt);
         warm.submit(refreshProgram()).get();
@@ -289,9 +288,8 @@ writeBootstrapRow(std::FILE *f, u32 cores)
     const kernels::PlanCacheStats ps = ctx.planStats();
 
     std::printf("  bootstrap (%u submitters)  %6.2f req/s  "
-                "p50 %7.1f ms  p99 %7.1f ms  segment_hits %llu\n",
-                kBootSubmitters, reqPerSec, pct(0.50), pct(0.99),
-                static_cast<unsigned long long>(ps.segmentHits));
+                "p50 %7.1f ms  p99 %7.1f ms\n",
+                kBootSubmitters, reqPerSec, pct(0.50), pct(0.99));
     std::fprintf(
         f,
         "  {\"name\": \"serve_bootstrap\", \"submitters\": %u, "

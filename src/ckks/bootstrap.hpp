@@ -73,16 +73,6 @@ class Bootstrapper
   private:
     const EncodedDiagMatrix &encodedStage(bool s2c, u32 idx,
                                           u32 level) const;
-    /**
-     * Encodes every stage of one ladder ahead of its segment scope:
-     * stage s consumes the ciphertext at (entry level - s), so the
-     * whole level chain is known up front. Pre-warming matters
-     * because encoding LAUNCHES KERNELS (Encoder::encode) -- lazily
-     * encoding inside a captured segment would bake one-time work
-     * into the plan (and a replay would skip the live encode it
-     * still needs), so the cache must be hot before the scope opens.
-     */
-    void prewarmStages(bool s2c, u32 entryLevel) const;
     Ciphertext approxMod(const Ciphertext &y) const;
 
     const Evaluator &eval_;
@@ -91,10 +81,6 @@ class Bootstrapper
     double keff_;        //!< effective |t|/q0 range
     u32 doubleAngles_;
     u32 chebDegree_;
-    //! Segment-plan aux tag: hash of everything the pipeline's call
-    //! sequence depends on (slots, budgets, degree, double angles),
-    //! so two Bootstrapper configs never share a composite plan.
-    u32 planTag_ = 0;
     std::vector<double> chebCoeffs_;
     std::vector<DiagMatrix> c2s_, s2c_;
     //! cache key: (s2c flag, stage index, level). Mutex-guarded:

@@ -1,10 +1,8 @@
 #include "ckks/chebyshev.hpp"
 
 #include <cmath>
-#include <cstring>
 #include <numbers>
 
-#include "ckks/graph.hpp"
 #include "core/logging.hpp"
 
 namespace fideslib::ckks
@@ -211,19 +209,6 @@ evalChebyshevSeries(const Evaluator &eval, const Ciphertext &y,
     FIDES_ASSERT(!coeffs.empty());
     FIDES_ASSERT(eval.isCanonical(y));
     const std::size_t d = chebDegree(coeffs);
-
-    // One segment plan per (level, coefficient set): the BSGS walk
-    // and every zero-skip branch are pure functions of the bit
-    // patterns, so hashing them keys the exact call sequence. Inert
-    // inside an enclosing segment (bootstrap's EvalMod scope).
-    u32 tag = kernels::kPlanAuxSeed;
-    for (double cv : coeffs) {
-        u64 bits;
-        std::memcpy(&bits, &cv, sizeof(bits));
-        tag = kernels::planAuxMix(tag, bits);
-    }
-    kernels::PlanScope seg(eval.context(), kernels::PlanOp::ChebSeg,
-                           y.level(), tag);
 
     PsContext ps{eval, {}, {}, 1};
     // Baby-step count: power of two near sqrt(d+1).

@@ -281,18 +281,6 @@ class Context
      *  then runs the uncached dispatch path. */
     bool graphEnabled() const { return graphEnabled_; }
     void setGraphEnabled(bool e) { graphEnabled_ = e; }
-    /**
-     * Gates the composite segment plans (graph.hpp isSegmentOp kinds:
-     * whole bootstrap ladders captured as single graphs). False when
-     * FIDES_NO_SEGMENT_PLANS is set or setSegmentPlansEnabled(false)
-     * was called: segment scopes are then inert and every inner op
-     * falls back to its per-op plan, bit-identically. Toggling does
-     * NOT invalidate the cache -- segment and per-op plans key
-     * disjoint PlanOp ranges and coexist, which is what lets one
-     * binary A/B the two regimes (bench_bootstrap).
-     */
-    bool segmentPlansEnabled() const { return segmentPlans_; }
-    void setSegmentPlansEnabled(bool e) { segmentPlans_ = e; }
     /** The per-context store of captured execution plans (thread-safe
      *  with single-flight capture; see PlanCache). */
     kernels::PlanCache &plans() const { return *plans_; }
@@ -350,16 +338,6 @@ class Context
      *  what a batch flush saves and restores around its aggregated
      *  submission. */
     const StreamLease *installedThreadLease() const;
-    /**
-     * Gates cross-request continuous batching (serve::Server's batch
-     * former). False when FIDES_NO_BATCH is set or
-     * setBatchingEnabled(false) was called: the Server then executes
-     * every request solo, bit-identically -- the escape hatch
-     * mirroring FIDES_NO_GRAPH. Toggling does not touch the plan
-     * cache (batched and solo replays walk the same plans).
-     */
-    bool batchingEnabled() const { return batching_; }
-    void setBatchingEnabled(bool e) { batching_ = e; }
 
     // Per-shard key-bundle registry (serve::Router placement). --------
     /**
@@ -451,8 +429,6 @@ class Context
     bool nttTuned_ = false;
 
     bool graphEnabled_;
-    bool segmentPlans_;
-    bool batching_;
     std::unique_ptr<kernels::PlanCache> plans_;
     mutable std::atomic<u32> planArenaMultiplier_{1};
     std::unique_ptr<StreamLease> defaultLease_;

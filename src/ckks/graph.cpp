@@ -197,12 +197,6 @@ PlanCache::stats() const
         out.keys.push_back({key, hits, misses});
         out.hits += hits;
         out.misses += misses;
-        if (isSegmentOp(key.op)) {
-            ++out.segmentKeys;
-            out.segmentHits += e.hits.load(std::memory_order_relaxed);
-            out.segmentMisses +=
-                e.misses.load(std::memory_order_relaxed);
-        }
     }
     return out;
 }
@@ -485,29 +479,6 @@ GraphCapture::finish()
             graph_->nodes[w].observed = true;
     for (const GraphExitNote &x : graph_->exits)
         graph_->nodes[x.node].observed = true;
-    // Compile the executable form: the node list flattened into
-    // per-stream programs in capture order (which IS each stream's
-    // submission order -- streams are in-order queues, so a linear
-    // sweep of one stream's steps reproduces the recorded schedule).
-    // A std::map keys the programs by recorded stream id, so the
-    // compiled order is deterministic across captures.
-    {
-        std::map<u32, std::size_t> progOf;
-        for (u32 c = 0; c < graph_->calls.size(); ++c) {
-            const GraphCall &call = graph_->calls[c];
-            for (u32 k = 0; k < call.numNodes; ++k) {
-                const u32 n = call.firstNode + k;
-                const u32 sid = graph_->nodes[n].streamId;
-                auto it = progOf.find(sid);
-                if (it == progOf.end()) {
-                    it = progOf.emplace(sid, graph_->exec.streams.size())
-                             .first;
-                    graph_->exec.streams.push_back({sid, {}});
-                }
-                graph_->exec.streams[it->second].steps.push_back({n, c});
-            }
-        }
-    }
     return std::move(graph_);
 }
 
@@ -924,20 +895,33 @@ void
 BatchSession::executeComposite(
     const std::shared_ptr<DeferredProgram> &prog)
 {
-    // One task per ACTUAL stream: the PlanExec stream programs after
-    // the instance's lease remap. Sweeping nodes in index order and
-    // bucketing by their collected (remapped) stream yields exactly
-    // that -- and handles folded leases for free: when the lease maps
-    // two recorded streams onto one actual stream, their programs
-    // merge in node-index (= collection) order, which is the order
-    // the same-stream wait pruning assumed at collection time. The
-    // tasks never touch the KernelGraph (the plan-cache lease is
-    // released when the flush returns); the NodeRecs carry everything
-    // a step needs.
+    // One task per ACTUAL stream: sweeping nodes in index order and
+    // bucketing by their collected (remapped) stream gives each
+    // stream its steps in capture order -- and handles folded leases
+    // for free: when the lease maps two recorded streams onto one
+    // actual stream, their steps merge in node-index (= collection)
+    // order, which is the order the same-stream wait pruning assumed
+    // at collection time. The tasks never touch the KernelGraph (the
+    // plan-cache lease is released when the flush returns); the
+    // NodeRecs carry everything a step needs.
     std::vector<std::pair<Stream *, std::vector<u32>>> buckets;
     for (u32 idx = 0; idx < prog->nodes.size(); ++idx) {
-        Stream *st = prog->nodes[idx].stream;
+        DeferredProgram::NodeRec &nr = prog->nodes[idx];
+        Stream *st = nr.stream;
         FIDES_ASSERT(st != nullptr);
+        if (check::enabled()) {
+            // The combined wait + launch protocol of a solo replay,
+            // on this thread in node order: report the happens-before
+            // edges, allocate the launch's epoch, then snapshot the
+            // stream clock into the deferred event (what record()
+            // would have taken).
+            for (const Event &e : nr.waits)
+                check::onStreamWait(st, e);
+            nr.rec = check::beginLaunch(st, nr.declared);
+            const Event &ev = prog->events[idx];
+            if (ev.valid())
+                ev.bindDeferredClock(check::makeEventClock(st));
+        }
         std::vector<u32> *steps = nullptr;
         for (auto &b : buckets)
             if (b.first == st) {
@@ -956,55 +940,18 @@ BatchSession::executeComposite(
                 const DeferredProgram::NodeRec &nr = prog->nodes[idx];
                 for (const Event &e : nr.waits)
                     e.synchronize();
-                if (nr.custom)
-                    nr.custom(nullptr);
-                else
+                if (nr.custom) {
+                    nr.custom(nr.rec);
+                } else if (nr.rec) {
+                    check::BodyScope scope(nr.rec);
                     prog->calls[nr.call].body(nr.lo, nr.hi);
+                } else {
+                    prog->calls[nr.call].body(nr.lo, nr.hi);
+                }
                 const Event &ev = prog->events[idx];
                 if (ev.valid())
                     ev.signalDeferred();
             }
-        });
-    }
-}
-
-void
-BatchSession::executeClassic(const std::shared_ptr<DeferredProgram> &prog)
-{
-    // Per-node walk, used when the validator is on (per-launch
-    // records and clocks) or the lease folds recorded streams. One
-    // task per node runs waits + body + completion signal.
-    for (std::size_t i = 0; i < prog->nodes.size(); ++i) {
-        const DeferredProgram::NodeRec &nr = prog->nodes[i];
-        Stream &st = *nr.stream;
-        std::shared_ptr<check::LaunchRecord> rec;
-        const Event &ev = prog->events[i];
-        if (check::enabled()) {
-            // The combined wait + launch protocol of a solo replay:
-            // report the happens-before edges, allocate the launch's
-            // epoch, then snapshot the stream clock into the deferred
-            // event (what record() would have taken).
-            for (const Event &e : nr.waits)
-                check::onStreamWait(&st, e);
-            rec = check::beginLaunch(&st, nr.declared);
-            if (ev.valid())
-                ev.bindDeferredClock(check::makeEventClock(&st));
-        }
-        st.submit([prog, i, rec] {
-            const DeferredProgram::NodeRec &node = prog->nodes[i];
-            for (const Event &e : node.waits)
-                e.synchronize();
-            if (node.custom) {
-                node.custom(rec);
-            } else if (rec) {
-                check::BodyScope scope(rec);
-                prog->calls[node.call].body(node.lo, node.hi);
-            } else {
-                prog->calls[node.call].body(node.lo, node.hi);
-            }
-            const Event &done = prog->events[i];
-            if (done.valid())
-                done.signalDeferred();
         });
     }
 }
@@ -1022,7 +969,9 @@ BatchSession::flushPrograms()
     const StreamLease *saved = ctx_->installedThreadLease();
     ctx_->setThreadLease(nullptr);
     for (const auto &prog : programs_) {
-        if (!prog->complete) {
+        if (prog->complete) {
+            executeComposite(prog);
+        } else {
             // Unwound mid-collection: the outputs are dead, but the
             // pre-created events escaped into deferred-free guards
             // and recorded out-params -- signal them so nothing
@@ -1030,15 +979,7 @@ BatchSession::flushPrograms()
             for (const Event &ev : prog->events)
                 if (ev.valid())
                     ev.signalDeferred();
-        } else if (!check::enabled()) {
-            executeComposite(prog);
-            ++compositeFlushes_;
-        } else {
-            // The validator needs per-launch records and clocks, so
-            // validated runs flush one task per node.
-            executeClassic(prog);
         }
-        ++flushedPrograms_;
         ctx_->plans().release();
     }
     programs_.clear();
@@ -1061,11 +1002,6 @@ PlanScope::PlanScope(const Context &ctx, PlanOp op, u32 level,
 {
     if (!ctx.graphEnabled() || ctx.captureSession() ||
         ctx.replaySession())
-        return;
-    // Segment scopes have their own escape hatch: disabled, they stay
-    // inert and the per-op scopes of the inner ops engage instead --
-    // the bit-identical fallback the A/B benches toggle.
-    if (isSegmentOp(op) && !ctx.segmentPlansEnabled())
         return;
     ctx_ = &ctx;
     key_ = PlanKey{op, level + 1, ctx.numDigits(level), aux};

@@ -70,48 +70,7 @@ enum class PlanOp : u32
     Rescale,     //!< Evaluator::rescaleInPlace (both components)
     KSDecompose, //!< decomposeAndModUp (digit split + ModUp)
     KSApply,     //!< applyRotation (inner product + ModDown + gather)
-
-    // Composite segment plans: a whole straight-line ladder captured
-    // as ONE graph. A segment scope swallows every inner op (their
-    // nested PlanScopes stay inert), so a bootstrap replays a handful
-    // of giant plans instead of hundreds of per-op ones. Segment keys
-    // carry the pipeline's config hash in `aux` -- two Bootstrappers
-    // with different slot counts or level budgets at the same level
-    // must not share a plan.
-    CoeffToSlotSeg, //!< Bootstrapper: the CoeffToSlot stage ladder
-    EvalModSeg,     //!< Bootstrapper: conj split + ApproxMod + recombine
-    SlotToCoeffSeg, //!< Bootstrapper: the SlotToCoeff stage ladder
-    LinTransSeg,    //!< applyEncoded: one BSGS diag-matrix product
-    ChebSeg,        //!< evalChebyshevSeries: the whole PS evaluation
 };
-
-/** True for the composite-segment plan kinds (gated by
- *  Context::segmentPlansEnabled / FIDES_NO_SEGMENT_PLANS). */
-inline bool
-isSegmentOp(PlanOp op)
-{
-    return op >= PlanOp::CoeffToSlotSeg;
-}
-
-/**
- * FNV-1a accumulator for segment aux tags: segment plans are keyed on
- * everything their call SEQUENCE depends on beyond (op, level) --
- * slot counts, level budgets, BSGS structure, Chebyshev coefficient
- * zero patterns -- folded into PlanKey::aux. Values that only change
- * kernel BODIES (plaintext contents, scalar constants) must stay out:
- * bodies are rebuilt live on every replay.
- */
-constexpr u32 kPlanAuxSeed = 2166136261u;
-inline u32
-planAuxMix(u32 h, u64 v)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= static_cast<u32>(v & 0xffu);
-        h *= 16777619u;
-        v >>= 8;
-    }
-    return h;
-}
 
 /**
  * Plan identity: everything the schedule shape depends on besides the
@@ -157,14 +116,6 @@ struct PlanCacheStats
     u64 hits = 0;          //!< summed over keys
     u64 misses = 0;        //!< summed over keys
     u64 reservedBytes = 0; //!< pinned arena footprint, all pools
-
-    // Segmentation: the same totals split composite-segment vs per-op
-    // (isSegmentOp on each key), so benches can report how much of the
-    // replay traffic the segment layer absorbs without re-deriving it
-    // from the key list.
-    std::size_t segmentKeys = 0; //!< stored keys with a segment op
-    u64 segmentHits = 0;
-    u64 segmentMisses = 0;
 };
 
 /**
@@ -245,9 +196,8 @@ class PlanCache
  * bodies, precomputed wait events, pre-created (deferred) completion
  * events and the accumulated launch counters. A deferred GraphReplay
  * fills one of these per replayed scope instead of submitting; the
- * batch former flushes the collected programs as either one composite
- * task per stream (the PlanExec linear sweep) or one task per node
- * (the validator-instrumented fallback).
+ * batch former flushes the collected programs as one bulk task per
+ * stream.
  *
  * Everything stream tasks touch after the flush lives HERE (nodes,
  * calls, events), never in the KernelGraph: the plan-cache lease is
@@ -286,6 +236,9 @@ struct DeferredProgram
         /** Declared access set, resolved at collection (validation
          *  runs only; empty otherwise). */
         std::vector<check::DeclaredAccess> declared;
+        /** Launch record allocated by the flush before submission
+         *  (validation runs only; null otherwise). */
+        std::shared_ptr<check::LaunchRecord> rec;
     };
 
     const KernelGraph *graph = nullptr; //!< host-side flush use only
@@ -386,12 +339,11 @@ class GraphCapture
     const Context *ctx_;
     std::unique_ptr<KernelGraph> graph_;
     std::vector<Slot> slots_;
-    //! Partition identity -> slot index. Composite segments bind
-    //! hundreds of operands; the linear scan this replaces made
-    //! every beginCall O(slots).
+    //! Partition identity -> slot index, so beginCall does not scan
+    //! every bound slot.
     std::unordered_map<const LimbPartition *, u32> slotIndex_;
     //! Event identity -> producer node, for extraWaits resolution
-    //! (same O(nodes)-scan concern at segment scale).
+    //! without an O(nodes) scan.
     std::unordered_map<const void *, u32> eventNodes_;
     bool valid_ = true;
 };
@@ -500,12 +452,13 @@ class GraphReplay
  * and the same-stream wait-pruning fast paths are only sound once the
  * deferred tasks are physically enqueued.
  *
- * Flushing executes each program either as the composite PlanExec
- * sweep -- one task per stream that runs waits/body/signal for every
- * step in capture order; O(streams) queue operations per instance --
- * or, when the validator is on or the instance's lease folds recorded
- * streams together, as the per-node classic walk (bit-identical, just
- * more queue traffic). Submission spans every collected instance's
+ * Flushing executes each program as a bulk sweep: one task per
+ * stream that runs waits/body/signal for every step in capture order,
+ * O(streams) queue operations per instance. With the validator on,
+ * the flushing thread reports each step's waits, launch and event
+ * clock in node order before submitting, and each step's body runs
+ * under its own launch record -- so validated runs audit the same
+ * executor that ships. Submission spans every collected instance's
  * lease; the flushing thread temporarily widens its own lease to the
  * whole set (the aggregation the serving layer's batch former is
  * licensed to do).
@@ -555,17 +508,10 @@ class BatchSession
      *  pending programs so the live capture chains correctly. */
     void noteCapture(const PlanKey &key);
 
-    // Observability (Server metrics). ---------------------------------
-    u64 flushedPrograms() const { return flushedPrograms_; }
-    /** Programs flushed via the composite per-stream sweep (the rest
-     *  took the per-node classic walk). */
-    u64 compositeFlushes() const { return compositeFlushes_; }
-
   private:
     void notePosition(const PlanKey &key, u32 pos);
     void flushPrograms();
     void executeComposite(const std::shared_ptr<DeferredProgram> &prog);
-    void executeClassic(const std::shared_ptr<DeferredProgram> &prog);
 
     const Context *ctx_;
     std::vector<std::shared_ptr<DeferredProgram>> programs_;
@@ -574,8 +520,6 @@ class BatchSession
     std::vector<PlanKey> posKeys_;
     std::vector<bool> spinPaid_;
     u32 scopePos_ = 0;
-    u64 flushedPrograms_ = 0;
-    u64 compositeFlushes_ = 0;
 };
 
 /**
@@ -589,15 +533,6 @@ class BatchSession
  * reserving its scratch footprint -- scaled by the context's
  * plan-arena multiplier so N concurrent replays are all served from
  * pool hits -- in the device pools.
- *
- * Composite segment scopes (isSegmentOp kinds) additionally require
- * Context::segmentPlansEnabled(): with segments disabled
- * (FIDES_NO_SEGMENT_PLANS) a segment scope is inert and the inner
- * per-op scopes engage exactly as before -- the bit-identical
- * fallback path. With segments enabled the outermost segment scope
- * captures every inner op into one graph; the inner per-op scopes
- * see an active session and stay inert, so one bootstrap replays a
- * handful of composite plans instead of hundreds of per-op ones.
  */
 class PlanScope
 {

@@ -162,9 +162,9 @@ class Event
     }
 
     /** Stable identity token (the shared completion state): hashable
-     *  key for capture-side event -> producer-node maps, where the
-     *  O(nodes) sameAs scan would make composite-segment capture
-     *  quadratic. Null events share the null identity. */
+     *  key for capture-side event -> producer-node maps, where an
+     *  O(nodes) sameAs scan would make capture quadratic. Null events
+     *  share the null identity. */
     const void *identity() const { return st_.get(); }
 
     /** The validator clock snapshot taken at record() (null when
@@ -324,38 +324,6 @@ struct GraphExitNote
 };
 
 /**
- * The compiled (executable) form of a captured plan: the node list
- * flattened into per-stream launch programs, so a replay can sweep
- * each stream's steps linearly instead of walking nodes one at a time
- * and re-deriving which stream each belongs to. This is the
- * cudaGraphInstantiate analogue to KernelGraph's cudaGraph: the
- * topology is fixed at compile time, and per-replay state reduces to
- * an operand patch table (GraphCall::depSlots bound to this call's
- * polynomials) plus the per-node wait events.
- *
- * Multi-instance replay (ckks/graph.hpp BatchSession) drives k
- * independent operand sets through one PlanExec: each instance
- * submits ONE task per stream program that runs every step in
- * recorded order -- waits, body, completion signal -- cutting the
- * host's queue traffic from O(nodes) to O(streams) per instance.
- */
-struct PlanExec
-{
-    struct Step
-    {
-        u32 node; //!< index into KernelGraph::nodes
-        u32 call; //!< index into KernelGraph::calls (body provider)
-    };
-    /** One stream's launches, in capture (= submission) order. */
-    struct StreamProg
-    {
-        u32 streamId; //!< recorded (pre-remap) stream id
-        std::vector<Step> steps;
-    };
-    std::vector<StreamProg> streams;
-};
-
-/**
  * A captured execution plan: the node list, the per-call structure,
  * the exit events, and the scratch footprint. Immutable once stored
  * in a Context's plan cache; replays only read it.
@@ -376,9 +344,6 @@ class KernelGraph
      * never touch the host allocator.
      */
     std::vector<std::map<std::size_t, u32>> scratch;
-    /** Per-stream flattened launch programs, compiled once at
-     *  capture finish (GraphCapture::finish). */
-    PlanExec exec;
 };
 
 /** Aggregate work counters reported by every kernel launch. */

@@ -147,7 +147,7 @@ class Request
      * Two requests with equal signatures walk the exact same op
      * sequence over registers at the same levels/scales, so every op
      * position resolves to the same plan key for both -- which is
-     * what lets the server replay ONE compiled plan for the whole
+     * what lets the server replay ONE captured plan for the whole
      * group (multi-instance replay). The hash covers the program
      * (kinds, register indices, rotation amounts, scalar bits) and
      * the input ciphertexts' level/scale; it deliberately ignores
@@ -190,9 +190,11 @@ class Request
     }
 
     /**
-     * Whether this request may join a coalesced batch. Bootstrap runs
-     * through composite segment plans with their own session
-     * discipline, so bootstrap-bearing programs always execute solo.
+     * Whether this request may join a coalesced batch. A Bootstrap
+     * op mixes live kernels (modRaise, toCoeff/toEval, stage encodes,
+     * adds) with replayed plan scopes inside ONE op position, while a
+     * BatchSession flushes only at op boundaries -- so
+     * bootstrap-bearing programs always execute solo.
      */
     bool
     batchable() const

@@ -146,14 +146,12 @@ Server::Server(const ckks::Context &ctx, Options opt)
     : ctx_(&ctx), capacity_(opt.queueCapacity)
 {
     numWorkers_ = opt.submitters ? opt.submitters : 1;
-    // Continuous batching is effective only when the Context allows
-    // it (FIDES_NO_BATCH unset) and there is more than one stream to
-    // interleave instances across -- a single-stream set degenerates
-    // to sequential execution anyway, and BatchSession requires the
-    // multi-stream substrate.
+    // Continuous batching is effective only when there is more than
+    // one stream to interleave instances across -- a single-stream
+    // set degenerates to sequential execution anyway, and
+    // BatchSession requires the multi-stream substrate.
     batchWindowUs_ = opt.batchWindowUs;
-    if (opt.maxBatch > 1 && ctx.batchingEnabled() &&
-        ctx.devices().numStreams() > 1)
+    if (opt.maxBatch > 1 && ctx.devices().numStreams() > 1)
         maxBatch_ = opt.maxBatch;
     // Partitioned arenas: every plan stored from now on reserves
     // enough scratch for all submitters to replay it at once -- and
@@ -487,7 +485,7 @@ Server::executeGroup(std::vector<Job> &group, u32 index)
     if (k == 1) {
         // Solo path: bit-identical to the pre-batching server (no
         // BatchSession is ever constructed), which is also the
-        // FIDES_NO_BATCH / maxBatch=1 fallback.
+        // maxBatch=1 default.
         Job &job = group[0];
         ctx_->setThreadLease(&leases_[own[0]]);
         try {

@@ -114,20 +114,17 @@ class Server
         std::size_t queueCapacity = 0;
         /** Enables Bootstrap ops: a shared (thread-safe) engine built
          *  over the same Context/keys. The caller keeps it alive for
-         *  the server's lifetime. Composite segment plans make this
-         *  practical -- the first bootstrap captures the ladders,
-         *  every later one (any submitter) replays them on its own
-         *  lease. */
+         *  the server's lifetime. The first bootstrap captures the
+         *  per-op plans of its ladders; every later one (any
+         *  submitter) replays them on its own lease. */
         const ckks::Bootstrapper *bootstrapper = nullptr;
         /**
          * Continuous batching (DESIGN.md §1.13): a worker that pops a
          * batchable request also claims up to maxBatch-1 queued
          * requests with the same Request::signature() and executes
          * the group as ONE multi-instance plan replay -- the host
-         * walks each op's compiled plan once for the whole group. 1
-         * (the default) disables coalescing entirely; the
-         * FIDES_NO_BATCH environment variable force-disables it at
-         * Context construction regardless of this knob.
+         * walks each op's captured plan once for the whole group. 1
+         * (the default) disables coalescing entirely.
          */
         u32 maxBatch = 1;
         /**

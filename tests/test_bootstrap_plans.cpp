@@ -1,15 +1,16 @@
 /**
  * @file
- * Composite segment plan tests (DESIGN.md §1.10): a whole bootstrap
- * ladder captured as one replayable graph must be a pure dispatch
- * optimization. Segment-mode replay, per-op-mode replay and the
- * graphs-off golden run must agree bit-for-bit on ciphertext limbs;
- * invalidation must drop the composite plans and release their
- * arenas; and a Bootstrap op must flow through the serve::Server
- * from concurrent submitters with sequential-identical results (the
- * ServeBootstrapTest suite runs under TSan in CI via the Serve*
- * filter; SegmentPlanTest deliberately does not -- it re-runs the
- * same numeric pipeline three times and would dominate the TSan
+ * Bootstrap plan tests: a bootstrap replays the per-op plans of its
+ * HMult / HSquare / Rescale / key-switch ops (DESIGN.md §1.10), and
+ * that must be a pure dispatch optimization. Uncached, capture and
+ * replay runs must agree bit-for-bit on ciphertext limbs; replays
+ * must serve fresh inputs without new captures; invalidation must
+ * drop the plans and release their arenas; a warm bootstrap must pin
+ * only per-op scratch; and a Bootstrap op must flow through the
+ * serve::Server from concurrent submitters with sequential-identical
+ * results (the ServeBootstrapTest suite runs under TSan in CI via the
+ * Serve* filter; BootstrapPlanTest deliberately does not -- it re-runs
+ * the same numeric pipeline several times and would dominate the TSan
  * budget without adding concurrency coverage).
  */
 
@@ -60,7 +61,7 @@ expectBitIdentical(const Ciphertext &want, const Ciphertext &got,
  *  2 streams, limbBatch 2), shared across the suite: testBoot key
  *  generation is the expensive part and every test here wants the
  *  same ladders. */
-class SegmentPlanTest : public ::testing::Test
+class BootstrapPlanTest : public ::testing::Test
 {
   protected:
     static constexpr u32 kSlots = 64;
@@ -100,7 +101,6 @@ class SegmentPlanTest : public ::testing::Test
         // Leave the shared fixture in its default config for the
         // next test, with a cold cache.
         ctx->setGraphEnabled(true);
-        ctx->setSegmentPlansEnabled(true);
         ctx->invalidatePlans();
     }
 
@@ -123,13 +123,13 @@ class SegmentPlanTest : public ::testing::Test
     static Bootstrapper *boot;
 };
 
-Context *SegmentPlanTest::ctx = nullptr;
-KeyGen *SegmentPlanTest::keygen = nullptr;
-KeyBundle *SegmentPlanTest::keys = nullptr;
-Evaluator *SegmentPlanTest::eval = nullptr;
-Bootstrapper *SegmentPlanTest::boot = nullptr;
+Context *BootstrapPlanTest::ctx = nullptr;
+KeyGen *BootstrapPlanTest::keygen = nullptr;
+KeyBundle *BootstrapPlanTest::keys = nullptr;
+Evaluator *BootstrapPlanTest::eval = nullptr;
+Bootstrapper *BootstrapPlanTest::boot = nullptr;
 
-TEST_F(SegmentPlanTest, SegmentReplayMatchesPerOpAndUncached)
+TEST_F(BootstrapPlanTest, ReplayMatchesCaptureAndUncached)
 {
     Ciphertext ct = encryptAtBottom(0.37);
 
@@ -139,42 +139,25 @@ TEST_F(SegmentPlanTest, SegmentReplayMatchesPerOpAndUncached)
     golden.syncHost();
     ctx->setGraphEnabled(true);
 
-    // Segment mode: first pass captures the three ladder graphs,
-    // second pass replays them.
-    Ciphertext segCap = boot->bootstrap(ct);
-    expectBitIdentical(golden, segCap, "segment capture pass");
-    kernels::PlanCacheStats st = ctx->planStats();
-    EXPECT_EQ(st.segmentKeys, 3u)
-        << "C2S, EvalMod and S2C should each be one composite key";
-    EXPECT_EQ(st.segmentHits, 0u);
+    // First pass captures the per-op plans, second pass replays them.
+    Ciphertext captured = boot->bootstrap(ct);
+    expectBitIdentical(golden, captured, "capture pass");
+    EXPECT_GT(ctx->planStats().keys.size(), 0u);
 
-    Ciphertext segRep = boot->bootstrap(ct);
-    expectBitIdentical(golden, segRep, "segment replay pass");
-    st = ctx->planStats();
-    EXPECT_EQ(st.segmentHits, 3u)
-        << "the second bootstrap must replay all three segments";
-
-    // Per-op mode on the same binary: segments gated off, the inner
-    // ops capture and replay individually.
-    ctx->setSegmentPlansEnabled(false);
-    Ciphertext perOpCap = boot->bootstrap(ct);
-    expectBitIdentical(golden, perOpCap, "per-op capture pass");
-    Ciphertext perOpRep = boot->bootstrap(ct);
-    expectBitIdentical(golden, perOpRep, "per-op replay pass");
-
-    // Both key populations coexist (disjoint PlanOp ranges), and the
-    // composite layer needs far fewer entries.
-    st = ctx->planStats();
-    EXPECT_EQ(st.segmentKeys, 3u);
-    EXPECT_GT(st.keys.size(), st.segmentKeys + 3 * 3)
-        << "per-op mode should store many more keys than segments";
+    const u64 captures = ctx->devices().planCaptures();
+    const u64 replays = ctx->devices().planReplays();
+    Ciphertext replayed = boot->bootstrap(ct);
+    expectBitIdentical(golden, replayed, "replay pass");
+    EXPECT_EQ(ctx->devices().planCaptures(), captures)
+        << "a warm bootstrap must not capture";
+    EXPECT_GT(ctx->devices().planReplays(), replays);
 }
 
-TEST_F(SegmentPlanTest, SegmentsReplayAcrossDistinctCiphertexts)
+TEST_F(BootstrapPlanTest, ReplaysAcrossDistinctCiphertexts)
 {
     // Replays rebind operand slots by position: a different input
-    // ciphertext must ride the same composite plans and still match
-    // its own golden run.
+    // ciphertext must ride the same plans and still match its own
+    // golden run.
     Ciphertext warm = encryptAtBottom(0.11);
     boot->bootstrap(warm).syncHost(); // capture pass
     const u64 capturesAfterWarm = ctx->devices().planCaptures();
@@ -191,16 +174,16 @@ TEST_F(SegmentPlanTest, SegmentsReplayAcrossDistinctCiphertexts)
         << "the second input must not trigger new captures";
 }
 
-TEST_F(SegmentPlanTest, InvalidationDropsCompositePlansAndArenas)
+TEST_F(BootstrapPlanTest, InvalidationDropsPlansAndArenas)
 {
     Ciphertext ct = encryptAtBottom(0.52);
     Ciphertext before = boot->bootstrap(ct);
     before.syncHost();
-    ASSERT_EQ(ctx->planStats().segmentKeys, 3u);
+    ASSERT_GT(ctx->plans().size(), 0u);
     ASSERT_GT(ctx->planStats().reservedBytes, 0u);
 
     // A config change that alters kernel decomposition must drop the
-    // composite plans and give the pinned arenas back.
+    // plans and give the pinned arenas back.
     const NttSchedule original = ctx->nttSchedule();
     const NttSchedule other = original == NttSchedule::Flat
                                   ? NttSchedule::Radix4
@@ -218,9 +201,20 @@ TEST_F(SegmentPlanTest, InvalidationDropsCompositePlansAndArenas)
     Ciphertext recaptured = boot->bootstrap(ct);
     expectBitIdentical(golden, recaptured,
                        "recapture after invalidation");
-    EXPECT_EQ(ctx->planStats().segmentKeys, 3u);
+    EXPECT_GT(ctx->plans().size(), 0u);
 
     ctx->setNttSchedule(original);
+}
+
+TEST_F(BootstrapPlanTest, WarmBootstrapPinsOnlyPerOpScratch)
+{
+    // Each stored plan pins its op's cumulative scratch trace, so a
+    // plan spanning a whole bootstrap ladder would pin ~1.2 GB here;
+    // per-op plans keep it to one HMult or key switch (~10 MB in all).
+    Ciphertext ct = encryptAtBottom(0.29);
+    boot->bootstrap(ct).syncHost(); // capture pass
+    boot->bootstrap(ct).syncHost(); // replay pass
+    EXPECT_LT(ctx->planStats().reservedBytes, u64{32} * 1000 * 1000);
 }
 
 } // namespace
@@ -320,13 +314,15 @@ TEST_F(ServeBootstrapTest, ConcurrentBootstrapMatchesSequential)
         reqs.push_back(refreshProgram(s));
 
     // Sequential reference on the client thread (this also captures
-    // the composite plans, so the server's submitters replay).
+    // the plans, so the server's submitters replay).
     std::vector<Ciphertext> want;
     for (const Request &r : reqs) {
         want.push_back(executeProgram(*eval, boot, r.clone()));
         want.back().syncHost();
     }
 
+    const u64 captures = ctx->devices().planCaptures();
+    const u64 replays = ctx->devices().planReplays();
     Server::Options opt;
     opt.submitters = 2;
     opt.bootstrapper = boot;
@@ -343,8 +339,9 @@ TEST_F(ServeBootstrapTest, ConcurrentBootstrapMatchesSequential)
     EXPECT_EQ(st.accepted, kRequests);
     EXPECT_EQ(st.completed, kRequests);
     EXPECT_EQ(st.failed, 0u);
-    EXPECT_GE(ctx->planStats().segmentHits, 3u * kRequests)
-        << "served bootstraps must replay the composite segments";
+    EXPECT_EQ(ctx->devices().planCaptures(), captures)
+        << "served bootstraps must replay the reference run's plans";
+    EXPECT_GT(ctx->devices().planReplays(), replays);
 }
 
 TEST(ServeBootstrapDeathTest, BootstrapOpWithoutEngineAborts)

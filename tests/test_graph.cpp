@@ -381,61 +381,5 @@ TEST(GraphPlan, CountersMatchBetweenCaptureAndReplay)
     EXPECT_EQ(j1, j2);
 }
 
-TEST(GraphPlan, CompiledExecCoversEveryNodeOncePerStream)
-{
-    // Every captured plan carries a compiled PlanExec: per-stream
-    // flattened launch programs the multi-instance replay sweeps
-    // linearly. Structural invariants: the programs partition the
-    // node set (each node exactly once, under its own stream), node
-    // indices increase within a stream (capture order), stream ids
-    // are distinct, and each step's call index owns its node.
-    Fixture f(topologyParams(2, 2));
-    (void)runHotOps(f); // capture a spread of plans
-    f.ctx.devices().synchronize();
-
-    kernels::PlanCacheStats ps = f.ctx.planStats();
-    ASSERT_GT(ps.keys.size(), 0u);
-    for (const kernels::PlanKeyStats &ks : ps.keys) {
-        kernels::PlanCache::Lease lease =
-            f.ctx.plans().acquire(ks.key);
-        ASSERT_EQ(lease.role, kernels::PlanCache::Role::Replay);
-        const KernelGraph &g = *lease.graph;
-        ASSERT_FALSE(g.exec.streams.empty());
-
-        std::vector<u32> seen(g.nodes.size(), 0);
-        std::vector<u32> streamIds;
-        for (const PlanExec::StreamProg &prog :
-             g.exec.streams) {
-            streamIds.push_back(prog.streamId);
-            u32 prev = 0;
-            bool first = true;
-            for (const PlanExec::Step &step : prog.steps) {
-                ASSERT_LT(step.node, g.nodes.size());
-                ++seen[step.node];
-                EXPECT_EQ(g.nodes[step.node].streamId,
-                          prog.streamId);
-                if (!first)
-                    EXPECT_GT(step.node, prev)
-                        << "per-stream steps must keep capture "
-                           "order";
-                prev = step.node;
-                first = false;
-                ASSERT_LT(step.call, g.calls.size());
-                const GraphCall &call = g.calls[step.call];
-                EXPECT_GE(step.node, call.firstNode);
-                EXPECT_LT(step.node, call.firstNode + call.numNodes);
-            }
-        }
-        for (std::size_t n = 0; n < g.nodes.size(); ++n)
-            EXPECT_EQ(seen[n], 1u) << "node " << n;
-        std::sort(streamIds.begin(), streamIds.end());
-        EXPECT_EQ(std::adjacent_find(streamIds.begin(),
-                                     streamIds.end()),
-                  streamIds.end())
-            << "duplicate stream program";
-        f.ctx.plans().release();
-    }
-}
-
 } // namespace
 } // namespace fideslib::ckks

@@ -539,38 +539,6 @@ TEST(Serve, RequestSignatureSeparatesShapes)
     EXPECT_FALSE(e.batchable());
 }
 
-TEST(Serve, NoBatchEnvFallsBackToSolo)
-{
-    // FIDES_NO_BATCH mirrors FIDES_NO_GRAPH: with the variable set at
-    // Context construction, a server configured for batching executes
-    // everything solo -- and stays bit-identical.
-    setenv("FIDES_NO_BATCH", "1", 1);
-    {
-        Fixture f(topologyParams(2, 2));
-        EXPECT_FALSE(f.ctx.batchingEnabled());
-        constexpr u32 kRequests = 6;
-        std::vector<Request> programs;
-        for (u32 i = 0; i < kRequests; ++i) {
-            auto x = f.encrypt(0.31 + 0.07 * i);
-            auto y = f.encrypt(0.53 + 0.05 * i);
-            programs.push_back(
-                statsProgram(std::move(x), std::move(y)));
-        }
-        std::vector<Ciphertext> want;
-        for (const Request &r : programs)
-            want.push_back(executeProgram(f.eval, r.clone()));
-
-        Server::Stats st;
-        runBatchedAndCompare(f, 2, 4, std::move(programs), want,
-                             &st);
-        EXPECT_EQ(st.completed, kRequests);
-        EXPECT_EQ(st.batchedRequests, 0u)
-            << "FIDES_NO_BATCH did not disable coalescing";
-        EXPECT_EQ(st.soloRequests, kRequests);
-    }
-    unsetenv("FIDES_NO_BATCH");
-}
-
 // --- metrics conformance ---------------------------------------------
 
 /** One parsed Prometheus histogram: cumulative bucket counts by `le`

@@ -56,17 +56,12 @@ With a fourth and fifth argument (the committed and fresh
 BENCH_bootstrap.json), the bootstrap gate also runs: the usual
 per-row bands against the committed baseline, plan_keys within the
 coarse TIME_TOLERANCE band (the key set is pipeline-shape-determined,
-so a 2x growth means segment plans silently stopped engaging), a
-plan_cache_hits >= 1 floor on the steady-state Seg/PerOp rows (the
-Baseline-sim row legitimately recaptures after its knob toggles), and
-the structural A/B: each BM_BootstrapSeg row must exercise at least
-BOOT_SEG_FACTOR x fewer plan-cache entries per bootstrap than its
-BM_BootstrapPerOp sibling IN THE SAME FILE -- the headline property
-of composite segment plans (DESIGN.md §1.10), machine-independent by
-construction. Rows of the fresh file with the same slot count must
-also report the same syncs_per_op: a row that never joins the host
-inside its timed loop measures enqueue time, not completion time, and
-cannot be compared with its siblings.
+so a 2x growth means the per-op keying widened), and a
+plan_cache_hits >= 1 floor on the steady-state PerOp rows. Rows of
+the fresh file with the same slot count must also report the same
+syncs_per_op: a row that never joins the host inside its timed loop
+measures enqueue time, not completion time, and cannot be compared
+with its siblings.
 
 With --cluster BENCH_cluster.json, the cluster gate also runs: every
 row must report plan_cache_hits >= 1 (every shard serves from its
@@ -98,7 +93,6 @@ TOLERANCE = 1.05  # 5% headroom for iteration rounding
 TIME_TOLERANCE = 2.0  # coarse cross-machine wall-clock band
 SERVE_SCALING = 1.3  # multi-submitter ops/s vs 1 submitter
 MIN_SERVE_CORES = 4  # below this, extra submitters cannot add ops/s
-BOOT_SEG_FACTOR = 3.0  # seg vs per-op plan entries per bootstrap
 CLUSTER_SCALING = 1.3  # 2-shard aggregate ops/s vs 1 shard
 BATCH_SCALING = 1.3  # batched ops/s vs unbatched, same submitters
 BATCH_DISPATCH_FACTOR = 0.6  # batched host CPU/op vs unbatched
@@ -307,14 +301,13 @@ def check_rows(baseline, fresh, failures, time_gate,
 
 
 def check_boot(base_path, fresh_path, failures, time_gate):
-    """Bootstrap gate: per-row bands, key-space band, segment A/B."""
+    """Bootstrap gate: per-row bands, key-space band, syncs A/B."""
     baseline = load(base_path)
     fresh = load(fresh_path)
     if not fresh:
         sys.exit("FAIL: no benchmark rows in " + fresh_path)
-    # Steady-state rows (Seg/PerOp, marked by plan_entries_per_boot)
-    # keep the replay floor; the Baseline-sim row recaptures after its
-    # knob toggles and legitimately reports 0 hits on one iteration.
+    # Steady-state rows (PerOp, marked by plan_entries_per_boot) keep
+    # the replay floor.
     check_rows(baseline, fresh, failures, time_gate, min_one=())
     steady = {name: row for name, row in fresh.items()
               if "plan_entries_per_boot" in row}
@@ -326,8 +319,8 @@ def check_boot(base_path, fresh_path, failures, time_gate):
             failures.append((name, "plan_cache_hits", got, 1))
     # plan_keys: the key set is determined by the pipeline shape, not
     # the machine, but gets the coarse band so an extra helper plan
-    # does not break CI -- segments silently disengaging (a ~8x key
-    # explosion on the Seg rows) still does.
+    # does not break CI -- a keying change that multiplies the key
+    # set still does.
     for name, row in sorted(fresh.items()):
         base = baseline.get(name)
         if base is None or "plan_keys" not in row \
@@ -355,26 +348,6 @@ def check_boot(base_path, fresh_path, failures, time_gate):
         if verdict == "FAIL":
             failures.append((f"{slots:g} slots", "syncs_per_op A/B",
                              syncs, "equal"))
-    # Segment A/B within the fresh file: composite plans must collapse
-    # the per-bootstrap plan-entry count, whatever the machine.
-    for name, seg in sorted(steady.items()):
-        if "BM_BootstrapSeg/" not in name:
-            continue
-        sibling = name.replace("BM_BootstrapSeg/", "BM_BootstrapPerOp/")
-        per = steady.get(sibling)
-        if per is None:
-            print(f"NEW  {name}: no per-op sibling row, skipping A/B")
-            continue
-        s = seg["plan_entries_per_boot"]
-        p = per["plan_entries_per_boot"]
-        ratio = p / s if s else float("inf")
-        verdict = "OK  " if ratio >= BOOT_SEG_FACTOR else "FAIL"
-        print(f"{verdict} {name} segment A/B: {s:.0f} entries/boot "
-              f"vs {p:.0f} per-op ({ratio:.1f}x, "
-              f"floor {BOOT_SEG_FACTOR}x)")
-        if verdict == "FAIL":
-            failures.append((name, "seg/per-op plan entries", ratio,
-                             BOOT_SEG_FACTOR))
 
 
 def main():
