@@ -80,6 +80,13 @@ Bootstrapper::Bootstrapper(const Evaluator &eval,
                    static_cast<long double>(gap_) * delta),
              0));
 
+    // Sparse packing carries Re and Im side by side at 2s slots from
+    // the last CoeffToSlot stage through the first SlotToCoeff stage.
+    if (sparsePacking()) {
+        c2s_.back() = widenC2SStage(c2s_.back());
+        s2c_.front() = widenS2CStage(s2c_.front());
+    }
+
     const u32 need = depth();
     if (need + 1 > ctx.maxLevel()) {
         fatal("bootstrap needs %u levels but the context has only %u "
@@ -87,6 +94,13 @@ Bootstrapper::Bootstrapper(const Evaluator &eval,
               need, ctx.maxLevel());
     }
 
+}
+
+bool
+Bootstrapper::sparsePacking() const
+{
+    return 2 * static_cast<std::size_t>(cfg_.slots)
+         < eval_.context().degree();
 }
 
 u32
@@ -129,7 +143,7 @@ Bootstrapper::encodedStage(bool s2c, u32 idx, u32 level) const
     if (it == cache_.end()) {
         const DiagMatrix &m = s2c ? s2c_[idx] : c2s_[idx];
         it = cache_
-                 .emplace(key, encodeDiagMatrix(eval_, m, cfg_.slots,
+                 .emplace(key, encodeDiagMatrix(eval_, m, m.slots(),
                                                 level))
                  .first;
     }
@@ -212,20 +226,31 @@ Bootstrapper::bootstrap(const Ciphertext &ct) const
         eval_.addInPlace(raised, rot);
     }
 
-    // 3. CoeffToSlot stages. Every homomorphic op inside replays its
-    // own per-op plan; the stage encodes (cached across calls) run
-    // live, outside any plan scope.
+    // Every homomorphic op below replays its own per-op plan; the
+    // stage encodes (cached across calls) run live, outside any plan
+    // scope. A widened stage reads its s-periodic input at 2s slots.
+    auto applyStage = [&](Ciphertext &x, bool s2c, u32 idx) {
+        x.slots = (s2c ? s2c_ : c2s_)[idx].slots();
+        x = applyEncoded(eval_, x, encodedStage(s2c, idx, x.level()));
+    };
+
+    // 3. CoeffToSlot stages.
     Ciphertext enc = std::move(raised);
     for (u32 s = 0; s < c2s_.size(); ++s)
-        enc = applyEncoded(eval_, enc,
-                           encodedStage(false, s, enc.level()));
+        applyStage(enc, false, s);
 
-    // 4-6. Conjugation split, ApproxModEval on both parts, and the
-    // recombine (scoped so the intermediates die before SlotToCoeff).
+    // 4-6. Conjugation split and ApproxModEval (scoped so the
+    // intermediates die before SlotToCoeff). The 1/2 of the split was
+    // folded into CoeffToSlot.
     Ciphertext w = [&] {
-        // Re via conjugate-add (the 1/2 was folded into CoeffToSlot),
-        // Im via an exact monomial multiply.
         Ciphertext conj = eval_.conjugate(enc);
+        // Sparse: enc holds (y, -i y) at 2s slots, so enc + conj is
+        // (Re y, Im y) side by side and one EvalMod covers both.
+        if (sparsePacking())
+            return approxMod(eval_.add(enc, conj));
+
+        // Full packing has no spare slots: Re via conjugate-add, Im via
+        // an exact monomial multiply, EvalMod on each, recombine.
         Ciphertext yRe = eval_.add(enc, conj);
         Ciphertext yIm = eval_.sub(enc, conj);
         eval_.multiplyByMonomialInPlace(yIm, 3 * n / 2); // times -i
@@ -240,7 +265,7 @@ Bootstrapper::bootstrap(const Ciphertext &ct) const
 
     // 7. SlotToCoeff stages.
     for (u32 s = 0; s < s2c_.size(); ++s)
-        w = applyEncoded(eval_, w, encodedStage(true, s, w.level()));
+        applyStage(w, true, s);
 
     // The pipeline's constants assumed input scale Delta; the output
     // is canonical at its level and re-encrypts the original message.

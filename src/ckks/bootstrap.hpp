@@ -12,15 +12,24 @@
  *   3. CoeffToSlot: staged homomorphic inverse special-FFT (level
  *      budget merges butterfly stages); slots now carry the packed
  *      coefficients of t, normalized to [-1, 1] by 1/(Keff q0).
- *   4. Real/imaginary split via HConjugate and an exact monomial
- *      multiplication.
- *   5. ApproxModEval on both parts: Chebyshev approximation of
+ *   4. Real/imaginary split via HConjugate. Sparse packing
+ *      (slots s < N/2) widens the last CoeffToSlot stage to 2s slots
+ *      so that it writes (w, -i w); adding the conjugate leaves Re w
+ *      in slots [0, s) and Im w in [s, 2s) of one ciphertext (the
+ *      2n-slot trick of Chen, Chillotti and Song, EUROCRYPT 2019).
+ *      Full packing has no spare slots and splits into two
+ *      ciphertexts, Im via an exact monomial multiplication.
+ *   5. ApproxModEval -- once on the 2s-slot ciphertext, or on each
+ *      part under full packing: Chebyshev approximation of
  *      cos((2 pi Keff y - pi/2)/2^r) evaluated with the BSGS
  *      Paterson-Stockmeyer routine, followed by r double-angle
  *      iterations, yielding sin(2 pi t/q0) ~ (2 pi g/q0) m.
  *   6. Recombine and SlotToCoeff (staged forward special-FFT with
  *      the q0/(2 pi g Delta) constant folded in), producing a
- *      ciphertext encrypting m again at a usable level.
+ *      ciphertext encrypting m again at a usable level. Sparse
+ *      packing recombines inside the widened first SlotToCoeff
+ *      stage, which maps (Re, Im) to Re + i Im at s slots; full
+ *      packing recombines with a monomial multiply and an add.
  */
 
 #pragma once
@@ -71,6 +80,8 @@ class Bootstrapper
     u32 numDoubleAngles() const { return doubleAngles_; }
 
   private:
+    /** slots < N/2: Re and Im share one 2s-slot EvalMod. */
+    bool sparsePacking() const;
     const EncodedDiagMatrix &encodedStage(bool s2c, u32 idx,
                                           u32 level) const;
     Ciphertext approxMod(const Ciphertext &y) const;

@@ -1,6 +1,7 @@
 #include "ckks/chebyshev.hpp"
 
 #include <cmath>
+#include <map>
 #include <numbers>
 
 #include "core/logging.hpp"
@@ -118,10 +119,34 @@ struct PsContext
     const Evaluator &eval;
     //! babies[j] = T_j for j in 1..k (index 0 unused).
     std::vector<Ciphertext> babies;
+    //! lowered[j][l] = T_j brought down to canonical level l.
+    std::vector<std::map<u32, Ciphertext>> lowered;
     //! giants[i] = T_{k * 2^i}.
     std::vector<Ciphertext> giants;
     u32 k;
 };
+
+/**
+ * T_j at canonical @p level. Each level is dropped from the one above
+ * once per call, so the baby spans and the ladder share every drop
+ * (bit-identical to lowering a fresh clone each time).
+ */
+const Ciphertext &
+babyAt(PsContext &ps, std::size_t j, u32 level)
+{
+    const Ciphertext &top = ps.babies[j];
+    FIDES_ASSERT(level <= top.level());
+    if (level == top.level())
+        return top;
+    auto &byLevel = ps.lowered[j];
+    auto it = byLevel.find(level);
+    if (it == byLevel.end()) {
+        Ciphertext c = babyAt(ps, j, level + 1).clone();
+        ps.eval.toCanonicalLevel(c, level);
+        it = byLevel.emplace(level, std::move(c)).first;
+    }
+    return it->second;
+}
 
 /** Linear combination sum_j c_j T_j with deg < k (one level). */
 Ciphertext
@@ -141,8 +166,7 @@ evalBabySpan(PsContext &ps, const std::vector<double> &c)
     for (std::size_t j = 1; j <= d; ++j) {
         if (std::fabs(c[j]) < 1e-300)
             continue;
-        Ciphertext term = ps.babies[j].clone();
-        eval.toCanonicalLevel(term, lmin);
+        Ciphertext term = babyAt(ps, j, lmin).clone();
         eval.multiplyScalarInPlace(
             term, static_cast<long double>(c[j]),
             eval.context().levelScale(lmin));
@@ -155,8 +179,7 @@ evalBabySpan(PsContext &ps, const std::vector<double> &c)
     }
     if (!any) {
         // Constant polynomial: encode c_0 onto a zeroed ciphertext.
-        acc = ps.babies[1].clone();
-        eval.toCanonicalLevel(acc, lmin);
+        acc = babyAt(ps, 1, lmin).clone();
         eval.multiplyScalarInPlace(acc, 0.0L,
                                    eval.context().levelScale(lmin));
     }
@@ -210,7 +233,7 @@ evalChebyshevSeries(const Evaluator &eval, const Ciphertext &y,
     FIDES_ASSERT(eval.isCanonical(y));
     const std::size_t d = chebDegree(coeffs);
 
-    PsContext ps{eval, {}, {}, 1};
+    PsContext ps{eval, {}, {}, {}, 1};
     // Baby-step count: power of two near sqrt(d+1).
     while (ps.k * ps.k < d + 1)
         ps.k <<= 1;
@@ -219,6 +242,7 @@ evalChebyshevSeries(const Evaluator &eval, const Ciphertext &y,
     ps.babies.reserve(ps.k + 1);
     ps.babies.push_back(y.clone());
     ps.babies.push_back(y.clone());
+    ps.lowered.resize(ps.k + 1);
     for (u32 j = 2; j <= ps.k; ++j) {
         // T_{a+b} = 2 T_a T_b - T_{|a-b|}.
         u32 a = (j + 1) / 2, b = j / 2;
@@ -228,7 +252,9 @@ evalChebyshevSeries(const Evaluator &eval, const Ciphertext &y,
             eval.addScalarInPlace(twice, -1.0); // T_0 = 1
             ps.babies.push_back(std::move(twice));
         } else {
-            ps.babies.push_back(eval.subC(twice, ps.babies[a - b]));
+            // T_{a-b} sits at or above twice's level.
+            eval.subInPlace(twice, babyAt(ps, a - b, twice.level()));
+            ps.babies.push_back(std::move(twice));
         }
     }
 

@@ -186,6 +186,21 @@ mergeStages(std::vector<DiagMatrix> stages, u32 budget)
     return out;
 }
 
+/** @p m on 2s slots with diagonals (b_d, lower * b_d). */
+DiagMatrix
+stackHalves(const DiagMatrix &m, Cplx lower)
+{
+    const u32 s = m.slots();
+    DiagMatrix out(2 * s);
+    for (const auto &[d, diag] : m.diags()) {
+        for (u32 j = 0; j < s; ++j) {
+            out.addToDiag(d, j, diag[j]);
+            out.addToDiag(d, s + j, lower * diag[j]);
+        }
+    }
+    return out;
+}
+
 } // namespace
 
 std::vector<DiagMatrix>
@@ -210,6 +225,27 @@ buildS2CStages(u32 slots, u32 budget)
     if (slots == 1)
         stages.push_back(DiagMatrix::identity(1));
     return mergeStages(std::move(stages), budget);
+}
+
+DiagMatrix
+widenC2SStage(const DiagMatrix &last)
+{
+    return stackHalves(last, Cplx(0, -1));
+}
+
+DiagMatrix
+widenS2CStage(const DiagMatrix &first)
+{
+    // P: diag_0 = (1..1, i..i), diag_s = (i..i, 1..1).
+    const u32 s = first.slots();
+    DiagMatrix merge(2 * s);
+    for (u32 j = 0; j < s; ++j) {
+        merge.addToDiag(0, j, Cplx(1, 0));
+        merge.addToDiag(0, s + j, Cplx(0, 1));
+        merge.addToDiag(s, j, Cplx(0, 1));
+        merge.addToDiag(s, s + j, Cplx(1, 0));
+    }
+    return stackHalves(first, Cplx(1, 0)).composeAfter(merge);
 }
 
 BsgsPlan

@@ -76,6 +76,28 @@ class DiagMatrix
 std::vector<DiagMatrix> buildC2SStages(u32 slots, u32 budget);
 std::vector<DiagMatrix> buildS2CStages(u32 slots, u32 budget);
 
+/*
+ * Sparse bootstrapping (s = slots < N/2) runs ApproxModEval once, on
+ * a 2s-slot ciphertext holding the real parts in slots [0, s) and the
+ * imaginary parts in [s, 2s). s-slot data read at 2s slots is
+ * s-periodic, and a rotation by d acts on it as on the s-slot view,
+ * so only the two stages at the boundary widen.
+ */
+
+/**
+ * The last C2S stage B on 2s slots, diagonals (b_d, -i b_d): it maps
+ * s-periodic (z, z) to (Bz, -i Bz), so adding the conjugate gives
+ * (2 Re Bz, 2 Im Bz). Same offsets, so the same rotation keys.
+ */
+DiagMatrix widenC2SStage(const DiagMatrix &last);
+
+/**
+ * The first S2C stage B extended s-periodically to 2s slots and
+ * composed after P(u, v) = (u + iv, u + iv): it maps (u, v) to
+ * s-periodic (B(u + iv), B(u + iv)). Offsets {d} and {d + s}.
+ */
+DiagMatrix widenS2CStage(const DiagMatrix &first);
+
 /** BSGS plan for one matrix: which rotations it needs. */
 struct BsgsPlan
 {

@@ -2,7 +2,8 @@
  * @file
  * End-to-end bootstrapping tests: a fresh ciphertext consumed to the
  * last level is refreshed and must still decrypt to its message, with
- * usable levels restored; sparse packing exercises the SubSum trace.
+ * usable levels restored; sparse packing exercises the SubSum trace
+ * and the single 2s-slot EvalMod, full packing the two-EvalMod split.
  */
 
 #include <gtest/gtest.h>
@@ -113,6 +114,21 @@ TEST_F(BootstrapTest, RefreshesNearFullPacking)
     EXPECT_LT(err, 1e-2) << "bootstrap precision too low";
     // Expect a reasonable precision, not just "under the sanity bar".
     EXPECT_LT(err, 2e-3);
+}
+
+TEST_F(BootstrapTest, RefreshesFullPacking)
+{
+    // slots = N/2 leaves no spare slots for a 2s-slot EvalMod, so this
+    // is the path that splits Re and Im and runs EvalMod twice.
+    const u32 slots = ctx->degree() / 2;
+    auto boot = makeBootstrapper(slots);
+    auto z = message(slots);
+    auto ct = encryptAtBottom(z);
+
+    auto fresh = boot.bootstrap(ct);
+    EXPECT_GE(fresh.level(), 1u);
+    EXPECT_EQ(fresh.slots, slots);
+    EXPECT_LT(maxError(decryptVec(fresh), z), 2e-3);
 }
 
 TEST_F(BootstrapTest, RefreshedCiphertextSupportsMultiplication)

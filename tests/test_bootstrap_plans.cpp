@@ -217,6 +217,22 @@ TEST_F(BootstrapPlanTest, WarmBootstrapPinsOnlyPerOpScratch)
     EXPECT_LT(ctx->planStats().reservedBytes, u64{32} * 1000 * 1000);
 }
 
+TEST_F(BootstrapPlanTest, WarmSparseBootstrapRunsOneEvalMod)
+{
+    // Re and Im share one 2s-slot ApproxModEval. On this fixture a
+    // warm bootstrap replays 384 plan entries when each part runs its
+    // own EvalMod, and 160 with the shared one.
+    constexpr u64 kTwoEvalModEntries = 384;
+    Ciphertext ct = encryptAtBottom(0.61);
+    boot->bootstrap(ct).syncHost(); // capture pass
+    DeviceSet &devs = ctx->devices();
+    const u64 before = devs.planReplays() + devs.planCaptures();
+    boot->bootstrap(ct).syncHost();
+    const u64 entries =
+        devs.planReplays() + devs.planCaptures() - before;
+    EXPECT_LE(entries * 10, kTwoEvalModEntries * 6);
+}
+
 } // namespace
 } // namespace fideslib::ckks
 

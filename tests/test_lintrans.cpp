@@ -2,12 +2,14 @@
  * @file
  * Tests for homomorphic linear transforms: diagonal representation,
  * sparse composition, the FFT butterfly stage factorization (the
- * algebra CoeffToSlot/SlotToCoeff rely on), BSGS planning, and
+ * algebra CoeffToSlot/SlotToCoeff rely on), the 2s-slot stages the
+ * sparse bootstrap widens for its single EvalMod, BSGS planning, and
  * encrypted application against the plain oracle.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "ckks/bootstrap.hpp"
@@ -149,6 +151,154 @@ TEST(LinTrans, BsgsPlanCoversAllOffsets)
     // BSGS must beat the naive rotation count for multi-diag maps.
     EXPECT_LT(plan.babies.size() + plan.giants.size(),
               m.diags().size() + 2);
+}
+
+// --- sparse bootstrap: the 2s-slot stages at the EvalMod boundary ---
+
+/** An s-slot matrix as it acts at 2s slots: diagonals (b_d, b_d). On
+ *  s-periodic input it agrees with the s-slot map in each half. */
+DiagMatrix
+periodicExtension(const DiagMatrix &m)
+{
+    const u32 s = m.slots();
+    DiagMatrix out(2 * s);
+    for (const auto &[d, diag] : m.diags()) {
+        for (u32 j = 0; j < s; ++j) {
+            out.addToDiag(d, j, diag[j]);
+            out.addToDiag(d, s + j, diag[j]);
+        }
+    }
+    return out;
+}
+
+std::vector<Cplx>
+concat(const std::vector<Cplx> &a, const std::vector<Cplx> &b)
+{
+    std::vector<Cplx> out = a;
+    out.insert(out.end(), b.begin(), b.end());
+    return out;
+}
+
+std::vector<Cplx>
+applyAll(const std::vector<DiagMatrix> &stages, std::vector<Cplx> v)
+{
+    for (const auto &m : stages)
+        v = m.apply(v);
+    return v;
+}
+
+/** The sparse CoeffToSlot ladder at 2s slots: every stage but the
+ *  last reads s-periodic data, the last one is widened. */
+std::vector<DiagMatrix>
+wideC2S(const std::vector<DiagMatrix> &stages)
+{
+    std::vector<DiagMatrix> out;
+    for (std::size_t i = 0; i + 1 < stages.size(); ++i)
+        out.push_back(periodicExtension(stages[i]));
+    out.push_back(widenC2SStage(stages.back()));
+    return out;
+}
+
+/** The sparse SlotToCoeff ladder at 2s slots. */
+std::vector<DiagMatrix>
+wideS2C(const std::vector<DiagMatrix> &stages)
+{
+    std::vector<DiagMatrix> out{widenS2CStage(stages.front())};
+    for (std::size_t i = 1; i < stages.size(); ++i)
+        out.push_back(periodicExtension(stages[i]));
+    return out;
+}
+
+/** v + conj(v), the homomorphic conjugate-add. */
+std::vector<Cplx>
+addConjugate(std::vector<Cplx> v)
+{
+    for (auto &x : v)
+        x += std::conj(x);
+    return v;
+}
+
+TEST(LinTrans, WidenedC2SWritesBothHalves)
+{
+    const u32 s = 32;
+    for (u32 budget : {1u, 2u, 3u}) {
+        auto stages = buildC2SStages(s, budget);
+        auto z = randomVec(s, 10 + budget);
+        auto az = applyAll(stages, z);
+        std::vector<Cplx> minusIAz(s);
+        for (u32 j = 0; j < s; ++j)
+            minusIAz[j] = Cplx(0, -1) * az[j];
+        auto got = applyAll(wideC2S(stages), concat(z, z));
+        expectVecNear(got, concat(az, minusIAz), 1e-12);
+    }
+}
+
+TEST(LinTrans, ConjugateAddSplitsRealAndImaginary)
+{
+    const u32 s = 32;
+    auto stages = buildC2SStages(s, 2);
+    auto z = randomVec(s, 14);
+    auto az = applyAll(stages, z);
+    std::vector<Cplx> re(s), im(s);
+    for (u32 j = 0; j < s; ++j) {
+        re[j] = Cplx(2 * az[j].real(), 0);
+        im[j] = Cplx(2 * az[j].imag(), 0);
+    }
+    auto got = addConjugate(applyAll(wideC2S(stages), concat(z, z)));
+    expectVecNear(got, concat(re, im), 1e-12);
+}
+
+TEST(LinTrans, WidenedS2CMergesHalves)
+{
+    const u32 s = 32;
+    for (u32 budget : {1u, 2u, 3u}) {
+        auto stages = buildS2CStages(s, budget);
+        auto u = randomVec(s, 15 + budget);
+        auto v = randomVec(s, 20 + budget);
+        std::vector<Cplx> merged(s);
+        for (u32 j = 0; j < s; ++j)
+            merged[j] = u[j] + Cplx(0, 1) * v[j];
+        auto b = applyAll(stages, merged);
+        auto got = applyAll(wideS2C(stages), concat(u, v));
+        expectVecNear(got, concat(b, b), 1e-12);
+    }
+}
+
+TEST(LinTrans, SparseRoundTripRecoversMessage)
+{
+    const u32 s = 64;
+    for (u32 budget : {1u, 2u, 3u}) {
+        auto c2s = buildC2SStages(s, budget);
+        auto s2c = buildS2CStages(s, budget);
+        // The bootstrap folds the split's 1/2 into the first C2S stage.
+        c2s.front().scale(Cplx(0.5L, 0));
+        auto z = randomVec(s, 25 + budget);
+        auto split = addConjugate(applyAll(wideC2S(c2s), concat(z, z)));
+        for (u32 j = 0; j < 2 * s; ++j)
+            ASSERT_NEAR((double)split[j].imag(), 0.0, 1e-15) << j;
+        auto got = applyAll(wideS2C(s2c), split);
+        expectVecNear(got, concat(z, z), 1e-9);
+    }
+}
+
+TEST(LinTrans, WidenedStagesKeepBabyStepsAndAddShiftedGiants)
+{
+    // 64 slots at the default level budget (3): the widened S2C
+    // stage reuses the baby steps; its giants gain g + s.
+    const u32 s = 64;
+    auto first = buildS2CStages(s, 3).front();
+    auto plan = planBsgs(first);
+    auto widePlan = planBsgs(widenS2CStage(first));
+    EXPECT_EQ(widePlan.babies, plan.babies);
+    std::vector<i64> giants = plan.giants;
+    for (i64 g : plan.giants)
+        giants.push_back(g + s);
+    std::sort(giants.begin(), giants.end());
+    EXPECT_EQ(widePlan.giants, giants);
+
+    auto last = buildC2SStages(s, 3).back();
+    EXPECT_EQ(requiredRotations(widenC2SStage(last)),
+              requiredRotations(last));
 }
 
 class LinTransHomomorphic : public ::testing::Test
