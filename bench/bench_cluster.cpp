@@ -26,12 +26,9 @@
  * add wall-clock throughput. Ends with a Router::metricsText() smoke
  * dump so the /metrics surface stays exercised.
  *
- * --max_batch > 1 adds per-shard continuous-batching rows (name
- * suffix _batch; DESIGN.md §1.13) and --target_rps > 0 adds open-loop
- * Poisson rows at the largest shard count (suffix _open): the same
- * knobs, row naming, and host_dispatch_us/batched_requests fields as
- * bench_serve, so the cluster sweep documents how coalescing composes
- * with sharding.
+ * --target_rps > 0 adds an open-loop Poisson row at the largest
+ * shard count (suffix _open): the same knob, row naming and
+ * host_dispatch_us field as bench_serve.
  */
 
 #include <algorithm>
@@ -60,7 +57,6 @@ u32 gStreams = 4;    //!< streams per device, per shard
 u32 gRequests = 48;  //!< total measured requests, all tenants
 u32 gTenants = 4;
 u32 gSubmitters = 4; //!< total submitter threads, split over shards
-u32 gMaxBatch = 1;   //!< per-shard coalescing cap (1 = off)
 double gTargetRps = 0; //!< open-loop Poisson arrival rate (0 = closed)
 std::vector<u32> gShards = {1, 2, 4};
 std::string gJsonOut = "BENCH_cluster.json";
@@ -98,7 +94,6 @@ shardParams()
 struct RunResult
 {
     u32 shards;
-    u32 maxBatch;
     double targetRps;
     double seconds;
     double p50Ms;
@@ -106,20 +101,18 @@ struct RunResult
     u64 planHits;
     std::size_t planKeys;
     u64 arenaBytes;
-    u64 batchedRequests;
     double hostDispatchUs; //!< dispatch-engine CPU per executed op
     std::string metrics;
 };
 
 RunResult
-runOnce(u32 shards, u32 maxBatch, double targetRps,
+runOnce(u32 shards, double targetRps,
         const HostKeyBundle &wireKeys, const Context &clientCtx,
         const Ciphertext &x, const Ciphertext &y)
 {
     Router::Options opt;
     opt.shards = shards;
     opt.submittersPerShard = std::max(1u, gSubmitters / shards);
-    opt.maxBatch = maxBatch;
     Router router(shardParams(), opt);
     for (u32 s = 0; s < shards; ++s)
         router.shardContext(s).devices().setLaunchOverheadNs(2000);
@@ -152,15 +145,13 @@ runOnce(u32 shards, u32 maxBatch, double targetRps,
         router.shardContext(s).devices().synchronize();
         hits0 += router.shardContext(s).devices().planReplays();
     }
-    u64 dispatch0 = 0, ops0 = 0, batched0 = 0;
+    u64 dispatch0 = 0, ops0 = 0;
     for (const auto &ss : router.stats().shards) {
         dispatch0 += ss.serve.dispatchCpuNs;
         ops0 += ss.serve.executedOps;
-        batched0 += ss.serve.batchedRequests;
     }
 
-    // Closed loop: submit everything at once (the coalescing-friendly
-    // burst). Open loop: Poisson arrivals at --target_rps, the
+    // Closed loop: submit everything at once. Open loop: Poisson arrivals at --target_rps, the
     // latency-under-load view -- same seed as bench_serve so the two
     // benches stress comparable traces.
     std::mt19937_64 rng(0xF1DE5u);
@@ -204,22 +195,19 @@ runOnce(u32 shards, u32 maxBatch, double targetRps,
 
     RunResult r{};
     r.shards = shards;
-    r.maxBatch = maxBatch;
     r.targetRps = targetRps;
     r.seconds = seconds;
     r.p50Ms = pct(0.50);
     r.p99Ms = pct(0.99);
     r.planHits = hits1 - hits0;
     const Router::Stats st = router.stats();
-    u64 dispatch1 = 0, ops1 = 0, batched1 = 0;
+    u64 dispatch1 = 0, ops1 = 0;
     for (const auto &ss : st.shards) {
         r.planKeys += ss.planKeys;
         r.arenaBytes += ss.arenaBytes;
         dispatch1 += ss.serve.dispatchCpuNs;
         ops1 += ss.serve.executedOps;
-        batched1 += ss.serve.batchedRequests;
     }
-    r.batchedRequests = batched1 - batched0;
     r.hostDispatchUs = ops1 > ops0
                            ? static_cast<double>(dispatch1 - dispatch0) /
                                  1e3 / static_cast<double>(ops1 - ops0)
@@ -250,8 +238,6 @@ parseFlags(int argc, char **argv)
             gTenants = static_cast<u32>(std::atoi(value(i)));
         } else if (std::strncmp(a, "--submitters", 12) == 0) {
             gSubmitters = static_cast<u32>(std::atoi(value(i)));
-        } else if (std::strncmp(a, "--max_batch", 11) == 0) {
-            gMaxBatch = static_cast<u32>(std::atoi(value(i)));
         } else if (std::strncmp(a, "--target_rps", 12) == 0) {
             gTargetRps = std::atof(value(i));
         } else if (std::strncmp(a, "--shards", 8) == 0) {
@@ -308,26 +294,18 @@ main(int argc, char **argv)
                 gTenants, gRequests, kOpsPerRequest, gSubmitters,
                 cores);
 
-    // Row schedule mirrors bench_serve: closed-loop unbatched per
-    // shard count (the scaling sweep the cluster gate reads), then
-    // closed-loop batched rows for the same counts when --max_batch
-    // asks for coalescing, then open-loop Poisson rows at the largest
-    // shard count when --target_rps asks for latency-under-load.
+    // Row schedule mirrors bench_serve: one closed-loop row per shard
+    // count (the scaling sweep the cluster gate reads), then an
+    // open-loop Poisson row at the largest shard count when
+    // --target_rps asks for latency-under-load.
     std::vector<RunResult> rows;
     for (u32 s : gShards)
-        rows.push_back(runOnce(s, 1, 0, wireKeys, clientCtx, x, y));
-    if (gMaxBatch > 1)
-        for (u32 s : gShards)
-            rows.push_back(
-                runOnce(s, gMaxBatch, 0, wireKeys, clientCtx, x, y));
+        rows.push_back(runOnce(s, 0, wireKeys, clientCtx, x, y));
     if (gTargetRps > 0) {
         const u32 s =
             *std::max_element(gShards.begin(), gShards.end());
         rows.push_back(
-            runOnce(s, 1, gTargetRps, wireKeys, clientCtx, x, y));
-        if (gMaxBatch > 1)
-            rows.push_back(runOnce(s, gMaxBatch, gTargetRps, wireKeys,
-                                   clientCtx, x, y));
+            runOnce(s, gTargetRps, wireKeys, clientCtx, x, y));
     }
 
     const double base =
@@ -344,8 +322,6 @@ main(int argc, char **argv)
         std::string name = "cluster_sh" + std::to_string(r.shards);
         if (r.targetRps > 0)
             name += "_open";
-        if (r.maxBatch > 1)
-            name += "_batch";
         std::printf("  %-20s  %8.1f req/s  %8.1f ops/s  "
                     "p50 %6.2f ms  p99 %6.2f ms  x%.2f vs 1 shard  "
                     "dispatch %5.1f us/op\n",
@@ -356,20 +332,18 @@ main(int argc, char **argv)
             f,
             "  {\"name\": \"%s\", \"shards\": %u, "
             "\"submitters_per_shard\": %u, \"tenants\": %u, "
-            "\"max_batch\": %u, \"target_rps\": %.1f, "
+            "\"target_rps\": %.1f, "
             "\"requests\": %u, \"ops_per_request\": %u, "
             "\"requests_per_sec\": %.2f, \"ops_per_sec\": %.2f, "
             "\"p50_ms\": %.3f, \"p99_ms\": %.3f, "
             "\"scaling_vs_1shard\": %.3f, \"host_dispatch_us\": %.3f, "
-            "\"batched_requests\": %llu, \"plan_cache_hits\": %llu, "
+            "\"plan_cache_hits\": %llu, "
             "\"plan_keys\": %zu, \"plan_arena_mb\": %.2f, "
             "\"cores\": %u}%s\n",
             name.c_str(), r.shards,
-            std::max(1u, gSubmitters / r.shards), gTenants, r.maxBatch,
-            r.targetRps, gRequests, kOpsPerRequest, reqPerSec,
+            std::max(1u, gSubmitters / r.shards), gTenants, r.targetRps, gRequests, kOpsPerRequest, reqPerSec,
             reqPerSec * kOpsPerRequest, r.p50Ms, r.p99Ms, scaling,
             r.hostDispatchUs,
-            static_cast<unsigned long long>(r.batchedRequests),
             static_cast<unsigned long long>(r.planHits), r.planKeys,
             static_cast<double>(r.arenaBytes) / 1e6, cores,
             i + 1 < rows.size() ? "," : "");

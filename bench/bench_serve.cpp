@@ -1,6 +1,6 @@
 /**
  * @file
- * Serving-throughput benchmark for the batched front door
+ * Serving-throughput benchmark for the front door
  * (serve/server.hpp): N identical stats-style requests -- the
  * multiply/rescale/rotate/add/square chain of encrypted_stats --
  * submitted to a Server over a multi-device, multi-stream DeviceSet,
@@ -13,7 +13,9 @@
  * submitters is exactly the per-request host dispatch the plan cache
  * made cheap, spread over disjoint stream leases. Results are
  * bit-identical across submitter counts (proven by test_serve); this
- * bench measures only the schedule.
+ * bench measures only the schedule. --target_rps > 0 adds an
+ * open-loop Poisson row (name suffix _open) at the largest submitter
+ * count, so p50/p99 also read latency under load.
  *
  * A final "serve_bootstrap" row exercises the long-program path: a
  * refresh chain (input -> bootstrap -> square -> rescale) served
@@ -60,8 +62,7 @@ u32 gDevices = 2;
 u32 gStreams = 8; //!< total streams across all devices
 u32 gRequests = 48;
 std::vector<u32> gSubmitters = {1, 4};
-u32 gMaxBatch = 4;      //!< batched rows' coalescing cap
-double gTargetRps = 0;  //!< >0: add open-loop Poisson rows
+double gTargetRps = 0; //!< >0: add an open-loop Poisson row
 std::string gJsonOut = "BENCH_serve.json";
 
 constexpr u32 kOpsPerRequest = 6; //!< statsProgram's homomorphic ops
@@ -85,13 +86,11 @@ statsProgram(Ciphertext x, Ciphertext y)
 struct RunResult
 {
     u32 submitters;
-    u32 maxBatch;
     double targetRps; //!< 0 = closed loop
     double seconds;
     double p50Ms;
     double p99Ms;
     u64 planHits;
-    u64 batchedRequests;
     double hostDispatchUs; //!< worker CPU us per homomorphic op
     double launchesPerOp;
     double kernelsPerOp;
@@ -107,9 +106,8 @@ totalLaunches(const DeviceSet &devs)
 }
 
 /**
- * One measured serving run. @p maxBatch > 1 turns on the continuous
- * batcher (cross-request op coalescing); @p targetRps > 0 switches
- * from closed-loop (submit everything, then join) to an open-loop
+ * One measured serving run. @p targetRps > 0 switches from
+ * closed-loop (submit everything, then join) to an open-loop
  * Poisson arrival process at that rate -- exponential inter-arrival
  * gaps from a fixed seed, so p50/p99 measure latency under load
  * rather than under a synchronized burst.
@@ -117,7 +115,7 @@ totalLaunches(const DeviceSet &devs)
 RunResult
 runOnce(const Context &ctx, const KeyBundle &keys,
         const Ciphertext &x, const Ciphertext &y, u32 submitters,
-        u32 maxBatch, double targetRps)
+        double targetRps)
 {
     // Requests are pre-built so the measured region contains only
     // serving work (the clone traffic is client-side in the paper's
@@ -133,7 +131,6 @@ runOnce(const Context &ctx, const KeyBundle &keys,
 
     Server::Options opt;
     opt.submitters = submitters;
-    opt.maxBatch = maxBatch;
     Server server(ctx, keys, opt);
 
     std::mt19937_64 rng(0xF1DE5u); // deterministic arrival schedule
@@ -174,13 +171,11 @@ runOnce(const Context &ctx, const KeyBundle &keys,
     };
     const double ops = static_cast<double>(st.executedOps);
     return {submitters,
-            maxBatch,
             targetRps,
             seconds,
             pct(0.50),
             pct(0.99),
             ctx.devices().planReplays() - hits0,
-            st.batchedRequests,
             static_cast<double>(st.dispatchCpuNs) / 1e3 / ops,
             static_cast<double>(totalLaunches(ctx.devices()) -
                                 launches0) /
@@ -335,8 +330,6 @@ parseFlags(int argc, char **argv)
                     std::atoi(list.substr(p, c - p).c_str())));
                 p = c + 1;
             }
-        } else if (std::strncmp(a, "--max_batch", 11) == 0) {
-            gMaxBatch = static_cast<u32>(std::atoi(value(i)));
         } else if (std::strncmp(a, "--target_rps", 12) == 0) {
             gTargetRps = std::atof(value(i));
         } else if (std::strncmp(a, "--json_out", 10) == 0) {
@@ -393,25 +386,15 @@ main(int argc, char **argv)
                 gDevices, ctx.devices().streamsPerDevice(), gRequests,
                 kOpsPerRequest, cores);
 
-    // Row schedule: closed-loop unbatched per submitter count,
-    // closed-loop batched for the multi-submitter counts (the A/B the
-    // batching gate compares), then open-loop Poisson rows at
-    // --target_rps when requested.
+    // Row schedule: one closed-loop row per submitter count, then an
+    // open-loop Poisson row at --target_rps when requested.
     std::vector<RunResult> rows;
     for (u32 s : gSubmitters)
-        rows.push_back(runOnce(ctx, keys, x, y, s, 1, 0));
-    if (gMaxBatch > 1)
-        for (u32 s : gSubmitters)
-            if (s > 1)
-                rows.push_back(
-                    runOnce(ctx, keys, x, y, s, gMaxBatch, 0));
+        rows.push_back(runOnce(ctx, keys, x, y, s, 0));
     if (gTargetRps > 0) {
         const u32 s = *std::max_element(gSubmitters.begin(),
                                         gSubmitters.end());
-        rows.push_back(runOnce(ctx, keys, x, y, s, 1, gTargetRps));
-        if (gMaxBatch > 1 && s > 1)
-            rows.push_back(
-                runOnce(ctx, keys, x, y, s, gMaxBatch, gTargetRps));
+        rows.push_back(runOnce(ctx, keys, x, y, s, gTargetRps));
     }
 
     kernels::PlanCacheStats ps = ctx.planStats();
@@ -426,32 +409,27 @@ main(int argc, char **argv)
         std::string name = "serve_s" + std::to_string(r.submitters);
         if (r.targetRps > 0)
             name += "_open";
-        if (r.maxBatch > 1)
-            name += "_batch";
         std::printf("  %-18s  %8.1f req/s  %8.1f ops/s  "
                     "p50 %6.2f ms  p99 %6.2f ms  dispatch %6.1f "
-                    "us/op  batched %llu\n",
+                    "us/op\n",
                     name.c_str(), reqPerSec,
                     reqPerSec * kOpsPerRequest, r.p50Ms, r.p99Ms,
-                    r.hostDispatchUs,
-                    static_cast<unsigned long long>(
-                        r.batchedRequests));
+                    r.hostDispatchUs);
         std::fprintf(
             f,
             "  {\"name\": \"%s\", \"submitters\": %u, "
-            "\"max_batch\": %u, \"target_rps\": %.1f, "
+            "\"target_rps\": %.1f, "
             "\"requests\": %u, \"ops_per_request\": %u, "
             "\"requests_per_sec\": %.2f, \"ops_per_sec\": %.2f, "
             "\"p50_ms\": %.3f, \"p99_ms\": %.3f, "
             "\"host_dispatch_us\": %.3f, \"launches_per_op\": %.3f, "
-            "\"kernels_per_op\": %.3f, \"batched_requests\": %llu, "
+            "\"kernels_per_op\": %.3f, "
             "\"plan_cache_hits\": %llu, \"plan_keys\": %zu, "
             "\"plan_arena_mb\": %.2f, \"cores\": %u}%s\n",
-            name.c_str(), r.submitters, r.maxBatch, r.targetRps,
+            name.c_str(), r.submitters, r.targetRps,
             gRequests, kOpsPerRequest, reqPerSec,
             reqPerSec * kOpsPerRequest, r.p50Ms, r.p99Ms,
             r.hostDispatchUs, r.launchesPerOp, r.kernelsPerOp,
-            static_cast<unsigned long long>(r.batchedRequests),
             static_cast<unsigned long long>(r.planHits),
             ps.keys.size(),
             static_cast<double>(ps.reservedBytes) / 1e6, cores, ",");

@@ -188,24 +188,6 @@ dispatchConvert(const Context &ctx, const ConvTables &tables,
         const u64 bw = sel.size() * n * kWord;
         const u64 ops = sel.size() * n * (2 * ns + 2);
 
-        if (replay && replay->deferred()) {
-            // Multi-instance collection: package the Conv body (and
-            // its validator access report) for the batch flush. The
-            // pre-created event is exactly what the live record()
-            // below would have handed downstream.
-            auto wAcc = writeAccesses(sel);
-            Event ev = replay->deferCustomNode(
-                br, bw, ops,
-                [&ctx, &tables, src, dst, sel, keep, convReads, wAcc](
-                    const std::shared_ptr<check::LaunchRecord> &rec) {
-                    convertTargets(ctx, tables, src, dst, sel);
-                    if (rec)
-                        noteConvAccesses(rec, *convReads, *wAcc);
-                });
-            launches.push_back({std::move(ev), std::move(sel)});
-            continue;
-        }
-
         if (replay) {
             Stream *st = replay->customNode(br, bw, ops);
             if (!st) {

@@ -31,10 +31,6 @@ struct ThreadExecState
     kernels::GraphReplay *replay = nullptr;
     const Context *leaseCtx = nullptr;
     const StreamLease *lease = nullptr;
-    //! Batch sink (outlives individual capture/replay sessions: one
-    //! BatchSession spans a whole batched request group).
-    const Context *batchCtx = nullptr;
-    kernels::BatchSession *batch = nullptr;
 };
 
 thread_local ThreadExecState tExec;
@@ -201,30 +197,6 @@ Context::setReplaySession(kernels::GraphReplay *r) const
     } else if (tExec.ctx == this) {
         tExec.replay = nullptr;
     }
-}
-
-kernels::BatchSession *
-Context::batchSession() const
-{
-    return tExec.batchCtx == this ? tExec.batch : nullptr;
-}
-
-void
-Context::setBatchSession(kernels::BatchSession *b) const
-{
-    if (b) {
-        tExec.batchCtx = this;
-        tExec.batch = b;
-    } else if (tExec.batchCtx == this) {
-        tExec.batchCtx = nullptr;
-        tExec.batch = nullptr;
-    }
-}
-
-const StreamLease *
-Context::installedThreadLease() const
-{
-    return tExec.leaseCtx == this ? tExec.lease : nullptr;
 }
 
 const StreamLease &

@@ -33,7 +33,6 @@ namespace fideslib::ckks
 
 namespace kernels
 {
-class BatchSession;
 class GraphCapture;
 class GraphReplay;
 class PlanCache;
@@ -325,19 +324,6 @@ class Context
     kernels::GraphReplay *replaySession() const;
     void setCaptureSession(kernels::GraphCapture *c) const;
     void setReplaySession(kernels::GraphReplay *r) const;
-    /**
-     * The CALLING THREAD's active multi-instance batch sink, if any:
-     * installed by kernels::BatchSession on a serving batch leader.
-     * While set, PlanScope replays collect DeferredPrograms instead
-     * of submitting (graph.hpp; DESIGN.md §1.13).
-     */
-    kernels::BatchSession *batchSession() const;
-    void setBatchSession(kernels::BatchSession *b) const;
-    /** The lease pointer the calling thread installed via
-     *  setThreadLease (null when running on the whole-set default) --
-     *  what a batch flush saves and restores around its aggregated
-     *  submission. */
-    const StreamLease *installedThreadLease() const;
 
     // Per-shard key-bundle registry (serve::Router placement). --------
     /**

@@ -491,14 +491,6 @@ GraphReplay::GraphReplay(const Context &ctx, const KernelGraph &graph)
     nodeEvents_.resize(graph.nodes.size());
 }
 
-GraphReplay::GraphReplay(const Context &ctx, const KernelGraph &graph,
-                         DeferredProgram *sink)
-    : GraphReplay(ctx, graph)
-{
-    FIDES_ASSERT(sink != nullptr);
-    sink_ = sink;
-}
-
 void
 GraphReplay::bindSlot(u32 slot, const RNSPoly &poly)
 {
@@ -528,11 +520,6 @@ GraphReplay::gatherWaits(const Stream &st, const GraphNode &node,
                          std::vector<Event> &waits) const
 {
     auto consider = [&](const Event &e) {
-        // Same-stream pruning stays sound in deferred mode: a
-        // deferred event's streamId is the remapped stream the node
-        // WILL retire on, and the flush preserves collection order
-        // per stream, so in-order execution covers the dependency by
-        // the time anything runs.
         if (e.ready() || e.streamId() == st.id())
             return;
         for (const Event &w : waits)
@@ -595,47 +582,6 @@ GraphReplay::replayCall(
     DeviceSet &devs = ctx_->devices();
     const StreamLease &lease = ctx_->streamLease();
 
-    if (sink_) {
-        // Deferred collection: resolve everything a flush needs NOW
-        // (streams against this instance's lease, waits against the
-        // current event state, declared accesses against the bound
-        // operands) but submit nothing. Completion events are
-        // pre-created so recorded out-params and exit notes carry
-        // handles identical in behaviour to live-recorded ones.
-        const u32 callIdx = static_cast<u32>(callCursor_ - 1);
-        DeferredProgram::CallRec &cr = sink_->calls[callIdx];
-        cr.body = fn;
-        cr.keep.reserve(deps.size());
-        for (const Dep &d : deps)
-            cr.keep.push_back(d.poly->partShared());
-        for (u32 k = 0; k < call.numNodes; ++k) {
-            const u32 idx = static_cast<u32>(nodeCursor_++);
-            const GraphNode &node = graph_->nodes[idx];
-            Stream &st = lease.remap(node.streamId);
-            DeferredProgram::NodeRec &nr = sink_->nodes[idx];
-            nr.stream = &st;
-            nr.call = callIdx;
-            nr.lo = node.lo;
-            nr.hi = node.hi;
-            KernelCounters &c = sink_->perDevice[st.device().id()];
-            c.launches += 1;
-            c.bytesRead += node.bytesRead;
-            c.bytesWritten += node.bytesWritten;
-            c.intOps += node.intOps;
-            gatherWaits(st, node, nr.waits);
-            if (check::enabled())
-                nr.declared = declaredAccesses(deps, node.lo, node.hi);
-            if (node.observed || recorded) {
-                Event ev = Event::makeDeferred(st.id());
-                sink_->events[idx] = ev;
-                nodeEvents_[idx] = ev;
-                if (recorded)
-                    recorded->push_back(std::move(ev));
-            }
-        }
-        return;
-    }
-
     if (devs.numStreams() == 1) {
         // Inline replay: batches run eagerly in capture order, which
         // is the live submission order -- bit-identical by
@@ -691,8 +637,8 @@ GraphReplay::replayCall(
 
     // Pass 2 -- the queue-facing sweep, timed as dispatch-engine
     // cost: launch accounting, wait enqueue, task submission and
-    // event records (the simulated CUDA API surface a live replay
-    // pays per node and a batched flush pays once per group).
+    // event records (the simulated CUDA API surface a replay pays
+    // per node).
     DispatchTimer timer;
     for (u32 k = 0; k < call.numNodes; ++k) {
         const u32 idx = static_cast<u32>(nodeCursor_++);
@@ -733,38 +679,9 @@ GraphReplay::beginCustomCall(const RNSPoly &srcPoly,
     bindSlot(call.depSlots[1], dstPoly);
 }
 
-Event
-GraphReplay::deferCustomNode(
-    u64 bytesRead, u64 bytesWritten, u64 intOps,
-    std::function<void(const std::shared_ptr<check::LaunchRecord> &)> run)
-{
-    FIDES_ASSERT(sink_ != nullptr);
-    FIDES_ASSERT(nodeCursor_ < graph_->nodes.size());
-    const u32 idx = static_cast<u32>(nodeCursor_++);
-    const GraphNode &node = graph_->nodes[idx];
-    Stream &st = ctx_->streamLease().remap(node.streamId);
-    DeferredProgram::NodeRec &nr = sink_->nodes[idx];
-    nr.stream = &st;
-    nr.custom = std::move(run);
-    KernelCounters &c = sink_->perDevice[st.device().id()];
-    c.launches += 1;
-    c.bytesRead += bytesRead;
-    c.bytesWritten += bytesWritten;
-    c.intOps += intOps;
-    gatherWaits(st, node, nr.waits);
-    // Custom events are unconditionally consumed by the dispatcher's
-    // launch list, so always pre-create one (live replay records one
-    // unconditionally too).
-    Event ev = Event::makeDeferred(st.id());
-    sink_->events[idx] = ev;
-    nodeEvents_[idx] = ev;
-    return ev;
-}
-
 Stream *
 GraphReplay::customNode(u64 bytesRead, u64 bytesWritten, u64 intOps)
 {
-    FIDES_ASSERT(sink_ == nullptr); // deferred mode uses deferCustomNode
     FIDES_ASSERT(nodeCursor_ < graph_->nodes.size());
     const GraphNode &node = graph_->nodes[nodeCursor_];
     DeviceSet &devs = ctx_->devices();
@@ -785,7 +702,6 @@ GraphReplay::customNode(u64 bytesRead, u64 bytesWritten, u64 intOps)
 void
 GraphReplay::noteCustomEvent(const Event &ev)
 {
-    FIDES_ASSERT(sink_ == nullptr);
     nodeEvents_[nodeCursor_++] = ev;
 }
 
@@ -797,10 +713,6 @@ GraphReplay::finish()
     FIDES_ASSERT(bound_.size() == graph_->numSlots);
     if (ctx_->devices().numStreams() == 1)
         return; // inline: nothing pending, nothing to note
-    // In deferred mode the exit notes carry the pre-created events:
-    // downstream live work (the next op in the batch's lockstep walk)
-    // chains off them through the ordinary limb tracking, blocking
-    // stream-side until the flush signals them.
     for (const GraphExitNote &x : graph_->exits) {
         const LimbPartition &p = *bound_[x.slot];
         FIDES_ASSERT(x.limb < p.size());
@@ -809,190 +721,6 @@ GraphReplay::finish()
         else
             p[x.limb].noteRead(nodeEvents_[x.node]);
     }
-    if (sink_) {
-        DeviceSet &devs = ctx_->devices();
-        for (u32 d = 0; d < devs.numDevices(); ++d)
-            if (sink_->perDevice[d].launches)
-                devs.device(d).launchReplayedBulk(sink_->perDevice[d]);
-        sink_->complete = true;
-    }
-}
-
-// --- BatchSession -----------------------------------------------------
-
-BatchSession::BatchSession(const Context &ctx) : ctx_(&ctx)
-{
-    // Single-stream execution is inline (bodies run on the collecting
-    // thread as they are walked); there is nothing to defer and the
-    // pre-created events would deadlock the inline waits.
-    FIDES_ASSERT(ctx.devices().numStreams() > 1);
-    FIDES_ASSERT(ctx.batchSession() == nullptr);
-    ctx.setBatchSession(this);
-}
-
-BatchSession::~BatchSession()
-{
-    flush();
-    ctx_->setBatchSession(nullptr);
-}
-
-void
-BatchSession::beginInstance(u32)
-{
-    scopePos_ = 0;
-}
-
-void
-BatchSession::notePosition(const PlanKey &key, u32 pos)
-{
-    // The batch former only groups requests whose programs walk an
-    // identical plan-key sequence; a divergence here is a grouping
-    // bug, not a user error.
-    if (posKeys_.size() <= pos) {
-        FIDES_ASSERT(posKeys_.size() == pos);
-        posKeys_.push_back(key);
-        return;
-    }
-    const PlanKey &k = posKeys_[pos];
-    FIDES_ASSERT(!(k < key) && !(key < k));
-}
-
-BatchSession::Engage
-BatchSession::beginReplay(const KernelGraph &graph, const PlanKey &key)
-{
-    const u32 pos = scopePos_++;
-    notePosition(key, pos);
-    if (spinPaid_.size() <= pos)
-        spinPaid_.resize(pos + 1, false);
-    const bool pay = !spinPaid_[pos];
-    spinPaid_[pos] = true;
-
-    auto prog = std::make_shared<DeferredProgram>();
-    prog->graph = &graph;
-    prog->calls.resize(graph.calls.size());
-    prog->nodes.resize(graph.nodes.size());
-    prog->events.resize(graph.nodes.size());
-    prog->perDevice.resize(ctx_->devices().numDevices());
-    Engage out{prog.get(), pay};
-    programs_.push_back(std::move(prog));
-    return out;
-}
-
-void
-BatchSession::noteCapture(const PlanKey &key)
-{
-    notePosition(key, scopePos_++);
-    // The capture executes LIVE: its kernels chain off operand events
-    // through the ordinary tracking, and the same-stream wait-pruning
-    // fast paths are only sound against physically enqueued work --
-    // so everything deferred so far must be flushed first. Position
-    // bookkeeping survives (the flush is mid-op, not an op boundary):
-    // later instances at already-paid positions still skip the spin.
-    flushPrograms();
-}
-
-void
-BatchSession::executeComposite(
-    const std::shared_ptr<DeferredProgram> &prog)
-{
-    // One task per ACTUAL stream: sweeping nodes in index order and
-    // bucketing by their collected (remapped) stream gives each
-    // stream its steps in capture order -- and handles folded leases
-    // for free: when the lease maps two recorded streams onto one
-    // actual stream, their steps merge in node-index (= collection)
-    // order, which is the order the same-stream wait pruning assumed
-    // at collection time. The tasks never touch the KernelGraph (the
-    // plan-cache lease is released when the flush returns); the
-    // NodeRecs carry everything a step needs.
-    std::vector<std::pair<Stream *, std::vector<u32>>> buckets;
-    for (u32 idx = 0; idx < prog->nodes.size(); ++idx) {
-        DeferredProgram::NodeRec &nr = prog->nodes[idx];
-        Stream *st = nr.stream;
-        FIDES_ASSERT(st != nullptr);
-        if (check::enabled()) {
-            // The combined wait + launch protocol of a solo replay,
-            // on this thread in node order: report the happens-before
-            // edges, allocate the launch's epoch, then snapshot the
-            // stream clock into the deferred event (what record()
-            // would have taken).
-            for (const Event &e : nr.waits)
-                check::onStreamWait(st, e);
-            nr.rec = check::beginLaunch(st, nr.declared);
-            const Event &ev = prog->events[idx];
-            if (ev.valid())
-                ev.bindDeferredClock(check::makeEventClock(st));
-        }
-        std::vector<u32> *steps = nullptr;
-        for (auto &b : buckets)
-            if (b.first == st) {
-                steps = &b.second;
-                break;
-            }
-        if (steps == nullptr) {
-            buckets.emplace_back(st, std::vector<u32>{});
-            steps = &buckets.back().second;
-        }
-        steps->push_back(idx);
-    }
-    for (auto &b : buckets) {
-        b.first->submit([prog, steps = std::move(b.second)] {
-            for (u32 idx : steps) {
-                const DeferredProgram::NodeRec &nr = prog->nodes[idx];
-                for (const Event &e : nr.waits)
-                    e.synchronize();
-                if (nr.custom) {
-                    nr.custom(nr.rec);
-                } else if (nr.rec) {
-                    check::BodyScope scope(nr.rec);
-                    prog->calls[nr.call].body(nr.lo, nr.hi);
-                } else {
-                    prog->calls[nr.call].body(nr.lo, nr.hi);
-                }
-                const Event &ev = prog->events[idx];
-                if (ev.valid())
-                    ev.signalDeferred();
-            }
-        });
-    }
-}
-
-void
-BatchSession::flushPrograms()
-{
-    if (programs_.empty())
-        return;
-    DispatchTimer timer;
-    // Lease aggregation: the collected programs span every grouped
-    // instance's lease, so the flushing thread widens its own to the
-    // whole set for the duration (restored below -- the batch former
-    // reinstalls a per-instance lease at the next position anyway).
-    const StreamLease *saved = ctx_->installedThreadLease();
-    ctx_->setThreadLease(nullptr);
-    for (const auto &prog : programs_) {
-        if (prog->complete) {
-            executeComposite(prog);
-        } else {
-            // Unwound mid-collection: the outputs are dead, but the
-            // pre-created events escaped into deferred-free guards
-            // and recorded out-params -- signal them so nothing
-            // (pool reclamation, stream waiters) blocks forever.
-            for (const Event &ev : prog->events)
-                if (ev.valid())
-                    ev.signalDeferred();
-        }
-        ctx_->plans().release();
-    }
-    programs_.clear();
-    ctx_->setThreadLease(saved);
-}
-
-void
-BatchSession::flush()
-{
-    flushPrograms();
-    scopePos_ = 0;
-    posKeys_.clear();
-    spinPaid_.clear();
 }
 
 // --- PlanScope --------------------------------------------------------
@@ -1010,29 +738,14 @@ PlanScope::PlanScope(const Context &ctx, PlanOp op, u32 level,
     PlanCache::Lease lease = ctx.plans().acquire(key_);
     if (lease.role == PlanCache::Role::Replay) {
         ctx.devices().notePlanReplay();
-        if (BatchSession *bs = ctx.batchSession()) {
-            // Multi-instance replay: collect instead of submit, and
-            // pay the whole-graph overhead once per scope position
-            // per batch -- instances 2..k ride the first one's spin.
-            BatchSession::Engage e = bs->beginReplay(*lease.graph, key_);
-            if (e.paySpin) {
-                DispatchTimer timer;
-                spinNs(ctx.devices().device(0).launchOverheadNs());
-            }
-            replay_ = std::make_unique<GraphReplay>(ctx, *lease.graph,
-                                                    e.program);
-        } else {
-            // cudaGraphLaunch economics: one dispatch overhead for
-            // the whole replayed graph instead of one per launch.
-            DispatchTimer timer;
-            spinNs(ctx.devices().device(0).launchOverheadNs());
-            replay_ = std::make_unique<GraphReplay>(ctx, *lease.graph);
-        }
+        // cudaGraphLaunch economics: one dispatch overhead for the
+        // whole replayed graph instead of one per launch.
+        DispatchTimer timer;
+        spinNs(ctx.devices().device(0).launchOverheadNs());
+        replay_ = std::make_unique<GraphReplay>(ctx, *lease.graph);
         ctx.setReplaySession(replay_.get());
     } else {
         ctx.devices().notePlanCapture();
-        if (BatchSession *bs = ctx.batchSession())
-            bs->noteCapture(key_);
         capture_ = std::make_unique<GraphCapture>(ctx);
         ctx.setCaptureSession(capture_.get());
     }
@@ -1049,10 +762,7 @@ PlanScope::~PlanScope()
         // are dead on the unwind path anyway).
         if (std::uncaught_exceptions() == 0)
             replay_->finish();
-        // A deferred replay's lease is released by the flush -- the
-        // graph must stay alive until its collected program executes.
-        if (!replay_->deferred())
-            ctx_->plans().release();
+        ctx_->plans().release();
         return;
     }
     ctx_->setCaptureSession(nullptr);

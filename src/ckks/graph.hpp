@@ -189,75 +189,6 @@ class PlanCache
     std::atomic<u32> activeLeases_{0};
 };
 
-/**
- * One instance's fully resolved slice of a multi-instance replay
- * (BatchSession): everything a flush needs to execute a captured plan
- * WITHOUT the collecting thread -- remapped streams, rebuilt kernel
- * bodies, precomputed wait events, pre-created (deferred) completion
- * events and the accumulated launch counters. A deferred GraphReplay
- * fills one of these per replayed scope instead of submitting; the
- * batch former flushes the collected programs as one bulk task per
- * stream.
- *
- * Everything stream tasks touch after the flush lives HERE (nodes,
- * calls, events), never in the KernelGraph: the plan-cache lease is
- * released when the flush returns, so the graph may only be
- * dereferenced by the flushing host thread.
- */
-struct DeferredProgram
-{
-    /** One forBatches call's rebuilt body plus the operand
-     *  partitions it must keep alive (mirrors the live dispatcher's
-     *  lifetime contract). Empty body for custom (Conv) calls, whose
-     *  nodes carry their own closures. */
-    struct CallRec
-    {
-        std::function<void(std::size_t, std::size_t)> body;
-        std::vector<std::shared_ptr<LimbPartition>> keep;
-    };
-
-    /** One launch, resolved at collection time against the instance's
-     *  lease and operand bindings. */
-    struct NodeRec
-    {
-        Stream *stream = nullptr; //!< remapped at collection
-        u32 call = 0;             //!< owning CallRec / GraphCall index
-        std::size_t lo = 0;       //!< limb batch range (forBatches)
-        std::size_t hi = 0;
-        /** Events this node synchronizes before its body: the
-         *  precomputed in-graph edges (deferred events of earlier
-         *  nodes) plus the external first-touch checks, pruned like a
-         *  solo replay (ready / same remapped stream / duplicate). */
-        std::vector<Event> waits;
-        /** Custom (Conv) body: invoked with the flush's launch record
-         *  (null when validation is off). Null for forBatches nodes. */
-        std::function<void(const std::shared_ptr<check::LaunchRecord> &)>
-            custom;
-        /** Declared access set, resolved at collection (validation
-         *  runs only; empty otherwise). */
-        std::vector<check::DeclaredAccess> declared;
-        /** Launch record allocated by the flush before submission
-         *  (validation runs only; null otherwise). */
-        std::shared_ptr<check::LaunchRecord> rec;
-    };
-
-    const KernelGraph *graph = nullptr; //!< host-side flush use only
-    std::vector<CallRec> calls;         //!< indexed like graph->calls
-    std::vector<NodeRec> nodes;         //!< indexed like graph->nodes
-    /** Pre-created completion event per node (invalid when the node
-     *  is unobserved); signalled by the flushed stream task that
-     *  retires the node. */
-    std::vector<Event> events;
-    /** Launch counters accumulated at collection, flushed in one
-     *  Device::launchReplayedBulk per device. */
-    std::vector<KernelCounters> perDevice;
-    /** Set by GraphReplay::finish(): the scope closed normally. An
-     *  incomplete program (exception unwind) is discarded at flush --
-     *  its events are signalled so nothing waits forever, but no body
-     *  runs. */
-    bool complete = false;
-};
-
 /** The validator's view of one batch's Dep list: the limb buffers
  *  batch [lo, hi) resolves to (depLimbRange). Live launches and
  *  replays are held to the same declared set. */
@@ -362,20 +293,6 @@ class GraphReplay
   public:
     GraphReplay(const Context &ctx, const KernelGraph &graph);
 
-    /**
-     * Deferred (multi-instance) mode: instead of submitting, every
-     * hook resolves its streams, waits and counters into @p sink for
-     * a later BatchSession flush. Completion events are pre-created
-     * (Event::makeDeferred) so exit notes and recorded out-params
-     * behave exactly as in a live replay -- consumers simply block
-     * until the flushed stream task signals them.
-     */
-    GraphReplay(const Context &ctx, const KernelGraph &graph,
-                DeferredProgram *sink);
-
-    /** True in deferred-collection mode (BatchSession installed). */
-    bool deferred() const { return sink_ != nullptr; }
-
     /** forBatches hook: replays every recorded batch of the next
      *  call, billing each launch the counters recorded at capture.
      *  @p recorded mirrors the live out-parameter. */
@@ -393,27 +310,13 @@ class GraphReplay
     /** The completion event of the custom node just issued. */
     void noteCustomEvent(const Event &ev);
 
-    /**
-     * Deferred-mode custom node (base conversion): collects @p run --
-     * the Conv body, taking the flush-time launch record -- into the
-     * sink and returns the node's pre-created completion event (what
-     * a live replay's Stream::record would have produced).
-     */
-    Event deferCustomNode(
-        u64 bytesRead, u64 bytesWritten, u64 intOps,
-        std::function<void(const std::shared_ptr<check::LaunchRecord> &)>
-            run);
-
     /** Applies the exit notes and asserts the whole plan was
-     *  consumed (a partial replay is a library bug). In deferred mode
-     *  also flushes the accumulated counters and marks the sink
-     *  complete. */
+     *  consumed (a partial replay is a library bug). */
     void finish();
 
   private:
     void bindSlot(u32 slot, const RNSPoly &poly);
-    /** The pruned wait set of @p node against @p st (shared by the
-     *  live enqueue path and deferred collection). */
+    /** The pruned wait set of @p node against @p st. */
     void gatherWaits(const Stream &st, const GraphNode &node,
                      std::vector<Event> &out) const;
     /** Enqueues a pre-gathered wait set onto @p st (one Stream::wait,
@@ -423,7 +326,6 @@ class GraphReplay
 
     const Context *ctx_;
     const KernelGraph *graph_;
-    DeferredProgram *sink_ = nullptr;
     std::vector<std::shared_ptr<LimbPartition>> bound_;
     std::vector<Event> nodeEvents_;
     //! Per-node wait sets of the current call (live replay's untimed
@@ -432,94 +334,6 @@ class GraphReplay
     std::vector<std::vector<Event>> waitScratch_;
     std::size_t callCursor_ = 0;
     std::size_t nodeCursor_ = 0;
-};
-
-/**
- * Cross-request continuous batching: drives k independent operand
- * sets (k requests' ciphertexts) through shared captured plans with
- * ONE host-side walk per plan per batch (DESIGN.md §1.13).
- *
- * The batch former (serve::Server) installs a session on its leader
- * thread, then runs the grouped requests' programs in op-lockstep:
- * for each op position, every instance's op body executes under that
- * instance's StreamLease with the session installed -- PlanScope
- * replays then COLLECT into DeferredPrograms instead of submitting,
- * and the whole-graph launch overhead is paid once per scope position
- * instead of once per instance -- followed by one flush() that
- * submits everything. Ops without a plan (Add, host glue) run live,
- * which is why the flush must sit on every op boundary: live work
- * chains off the deferred events through the ordinary limb tracking,
- * and the same-stream wait-pruning fast paths are only sound once the
- * deferred tasks are physically enqueued.
- *
- * Flushing executes each program as a bulk sweep: one task per
- * stream that runs waits/body/signal for every step in capture order,
- * O(streams) queue operations per instance. With the validator on,
- * the flushing thread reports each step's waits, launch and event
- * clock in node order before submitting, and each step's body runs
- * under its own launch record -- so validated runs audit the same
- * executor that ships. Submission spans every collected instance's
- * lease; the flushing thread temporarily widens its own lease to the
- * whole set (the aggregation the serving layer's batch former is
- * licensed to do).
- *
- * Capture misses stay live: a scope that draws the Capture role first
- * flushes the pending programs (so its live kernels chain off
- * physically enqueued work), captures as usual, and later instances
- * of the same position replay-collect against the published plan.
- */
-class BatchSession
-{
-  public:
-    /** Installs the session as @p ctx's calling-thread batch sink.
-     *  Requires a multi-stream topology (single-stream execution is
-     *  inline and has nothing to defer). */
-    explicit BatchSession(const Context &ctx);
-    /** Flushes anything still pending and uninstalls. */
-    ~BatchSession();
-
-    BatchSession(const BatchSession &) = delete;
-    BatchSession &operator=(const BatchSession &) = delete;
-
-    /** Marks the start of instance @p instance's slice of the current
-     *  op position (resets the per-instance scope counter). */
-    void beginInstance(u32 instance);
-
-    /**
-     * Executes every collected program in collection order and
-     * releases their plan-cache leases. On return the calling
-     * thread's lease is restored; all deferred events are enqueued
-     * (signalled once their stream tasks retire). Must be called at
-     * every op-position boundary before any instance's NEXT op runs.
-     */
-    void flush();
-
-    // PlanScope hooks. ------------------------------------------------
-    struct Engage
-    {
-        DeferredProgram *program;
-        bool paySpin; //!< first replay at this scope position: pay
-                      //!< the whole-graph launch overhead (once per
-                      //!< position per batch, not per instance)
-    };
-    /** Starts deferred collection of one replayed scope. */
-    Engage beginReplay(const KernelGraph &graph, const PlanKey &key);
-    /** A scope at the current position drew the Capture role: flush
-     *  pending programs so the live capture chains correctly. */
-    void noteCapture(const PlanKey &key);
-
-  private:
-    void notePosition(const PlanKey &key, u32 pos);
-    void flushPrograms();
-    void executeComposite(const std::shared_ptr<DeferredProgram> &prog);
-
-    const Context *ctx_;
-    std::vector<std::shared_ptr<DeferredProgram>> programs_;
-    //! Structural lockstep check: instance i's scope sequence must
-    //! key-match instance 0's (the batch former's compatibility rule).
-    std::vector<PlanKey> posKeys_;
-    std::vector<bool> spinPaid_;
-    u32 scopePos_ = 0;
 };
 
 /**
@@ -559,21 +373,15 @@ class PlanScope
  * Dispatch-engine accounting: cumulative thread CPU the CALLING
  * thread has spent on the simulated device-API surface of plan
  * replay -- the whole-graph launch-overhead spin (the cudaGraphLaunch
- * analog), a solo replay's per-node queue traffic (wait enqueue, task
- * submission, event records, launch accounting: the per-node
- * cudaStreamWaitEvent / cudaLaunchKernel / cudaEventRecord analogs),
- * and a batched flush's per-stream bulk submission. Monotone
- * per-thread counter; callers take deltas around a region (the
- * serving layer's host-dispatch-per-op metric).
+ * analog) plus each replayed node's queue traffic: launch accounting,
+ * wait enqueue, task submission and event record (the per-node
+ * cudaLaunchKernel / cudaStreamWaitEvent / cudaEventRecord analogs).
+ * Monotone per-thread counter; callers take deltas around a region
+ * (the serving layer's host-dispatch-per-op metric).
  *
  * Graph-walk bookkeeping -- operand binding, wait derivation, body
- * construction, deferred collection -- is deliberately OUTSIDE the
- * counter on BOTH paths: it runs once per instance in solo and
- * batched execution alike, so including it would only dilute the
- * structural difference. What the counter isolates is exactly what
- * cross-request coalescing changes: a solo op pays O(nodes) queue
- * operations every request, a coalesced group pays the spin plus
- * O(streams) flush submissions once for the WHOLE group.
+ * construction -- stays outside the counter: it is plan-layer host
+ * work, not the device-API cost the counter models.
  */
 u64 dispatchEngineNs();
 

@@ -352,13 +352,6 @@ Device::launchReplayed(u64 bytesRead, u64 bytesWritten, u64 intOps)
     counters_.intOps += intOps;
 }
 
-void
-Device::launchReplayedBulk(const KernelCounters &c)
-{
-    std::lock_guard<std::mutex> lock(countersMutex_);
-    counters_ += c;
-}
-
 KernelCounters
 Device::counters() const
 {

@@ -175,50 +175,6 @@ class Event
         return st_ ? st_->checkClock : nullptr;
     }
 
-    // Deferred events (instantiated plan replay, ckks/graph.hpp). ----
-    //
-    // A batched replay collects a whole graph's launches before any
-    // stream sees them, yet must hand out completion events at
-    // collection time (exit notes, recorded out-params). A DEFERRED
-    // event is created unsignalled with the stream id it WILL retire
-    // on; the flush signals it from inside the stream task that runs
-    // the corresponding node, so by the time any consumer can observe
-    // it, it behaves exactly like a recorded event.
-
-    /** Creates an unsignalled event pinned to @p streamId. */
-    static Event
-    makeDeferred(u32 streamId)
-    {
-        auto st = std::make_shared<State>();
-        st->streamId = streamId;
-        return Event(std::move(st));
-    }
-
-    /** Signals a deferred event (from the flushed stream task that
-     *  retired its node). Idempotent like a recorded signal. */
-    void
-    signalDeferred() const
-    {
-        {
-            std::lock_guard<std::mutex> lock(st_->m);
-            st_->done.store(true, std::memory_order_release);
-        }
-        st_->cv.notify_all();
-    }
-
-    /**
-     * Attaches the validator clock a deferred event could not take at
-     * creation (the stream task that signals it does not exist yet).
-     * Must be called before the signalling task is submitted: readers
-     * only consult the clock after observing done, so the submission's
-     * mutex edge orders this plain store before every read.
-     */
-    void
-    bindDeferredClock(std::shared_ptr<void> clock) const
-    {
-        st_->checkClock = std::move(clock);
-    }
-
   private:
     friend class Stream;
 
@@ -549,16 +505,6 @@ class Device
      */
     void launchReplayed(u64 bytesRead, u64 bytesWritten, u64 intOps);
 
-    /**
-     * Accounts a whole batch of replayed launches in one counter
-     * update (@p c.launches kernels, summed bytes/ops). A deferred
-     * multi-instance replay accumulates its per-node counters on the
-     * collecting thread and flushes them here, paying one mutex
-     * acquisition per (device, instance, graph) instead of one per
-     * node -- the counters land identical to per-node accounting.
-     */
-    void launchReplayedBulk(const KernelCounters &c);
-
   private:
     u32 id_;
     MemPool pool_;
@@ -787,8 +733,9 @@ class StreamLease
  * worker @p worker gets a contiguous slot group, groups as equal as
  * possible; with more workers than slots the groups wrap (two
  * submitters then share streams, which stays correct -- stream queues
- * are mutex-guarded and cross-request hazards do not exist -- but
- * loses the isolation, so servers should prefer submitters <= slots).
+ * are mutex-guarded, cross-request hazards do not exist and waits
+ * cannot cycle (DESIGN.md §1.8) -- but loses the isolation, so
+ * servers should prefer submitters <= slots).
  */
 inline StreamLease
 leaseForWorker(DeviceSet &devs, u32 worker, u32 totalWorkers)

@@ -16,7 +16,6 @@
 
 #pragma once
 
-#include <cstring>
 #include <vector>
 
 #include "ckks/ciphertext.hpp"
@@ -140,69 +139,6 @@ class Request
             return output_;
         FIDES_ASSERT(numRegs_ > 0);
         return numRegs_ - 1;
-    }
-
-    /**
-     * Batch-compatibility key (continuous batching, DESIGN.md §1.13).
-     * Two requests with equal signatures walk the exact same op
-     * sequence over registers at the same levels/scales, so every op
-     * position resolves to the same plan key for both -- which is
-     * what lets the server replay ONE captured plan for the whole
-     * group (multi-instance replay). The hash covers the program
-     * (kinds, register indices, rotation amounts, scalar bits) and
-     * the input ciphertexts' level/scale; it deliberately ignores
-     * key material and payload data, which plans never depend on --
-     * requests from DIFFERENT tenants batch together.
-     */
-    u64
-    signature() const
-    {
-        u64 h = 0xcbf29ce484222325ull; // FNV-1a offset basis
-        auto mix = [&h](u64 v) {
-            for (int i = 0; i < 8; ++i) {
-                h ^= (v >> (8 * i)) & 0xffu;
-                h *= 0x100000001b3ull;
-            }
-        };
-        mix(numRegs_);
-        mix(outputRegister());
-        mix(inputs_.size());
-        for (const ckks::Ciphertext &ct : inputs_) {
-            mix(ct.level());
-            u64 bits = 0;
-            const double s = static_cast<double>(ct.scale);
-            static_assert(sizeof(bits) == sizeof(s));
-            std::memcpy(&bits, &s, sizeof(bits));
-            mix(bits);
-            mix(ct.slots);
-        }
-        for (const Op &op : ops_) {
-            mix(static_cast<u64>(op.kind));
-            mix(op.dst);
-            mix(op.a);
-            mix(op.b);
-            mix(static_cast<u64>(op.rot));
-            u64 bits = 0;
-            std::memcpy(&bits, &op.scalar, sizeof(bits));
-            mix(bits);
-        }
-        return h;
-    }
-
-    /**
-     * Whether this request may join a coalesced batch. A Bootstrap
-     * op mixes live kernels (modRaise, toCoeff/toEval, stage encodes,
-     * adds) with replayed plan scopes inside ONE op position, while a
-     * BatchSession flushes only at op boundaries -- so
-     * bootstrap-bearing programs always execute solo.
-     */
-    bool
-    batchable() const
-    {
-        for (const Op &op : ops_)
-            if (op.kind == Op::Kind::Bootstrap)
-                return false;
-        return true;
     }
 
     /** Deep copy (clones the input ciphertexts). */

@@ -48,8 +48,6 @@ Router::Router(const ckks::Parameters &params, Options opt)
         Server::Options so;
         so.submitters = opt_.submittersPerShard;
         so.queueCapacity = opt_.queueCapacity;
-        so.maxBatch = opt_.maxBatch;
-        so.batchWindowUs = opt_.batchWindowUs;
         sh.server = std::make_unique<Server>(*sh.ctx, so);
         shards_.push_back(std::move(sh));
     }

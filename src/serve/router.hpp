@@ -70,12 +70,6 @@ class Router
         double rebalanceSkew = 0;
         /** Hot-shard pending-load floor below which skew is noise. */
         u64 rebalanceMinLoad = 16;
-        /** Per-shard continuous-batching cap, forwarded to
-         *  Server::Options::maxBatch (1 = off). */
-        u32 maxBatch = 1;
-        /** Per-shard batch-forming window, forwarded to
-         *  Server::Options::batchWindowUs. */
-        u32 batchWindowUs = 200;
     };
 
     /** Aggregate observability (stats()). */

@@ -1,6 +1,6 @@
 /**
  * @file
- * The batched serving front door (DESIGN.md §1.8): a thread-safe
+ * The serving front door (DESIGN.md §1.8): a thread-safe
  * Server that owns nothing but views -- a shared Context and the
  * registered tenants' KeyBundles -- and schedules N independent
  * client requests across the DeviceSet through a pool of submitter
@@ -10,10 +10,12 @@
  * serve::Router shard tenants across many Servers and migrate them
  * between shards (DESIGN.md §1.12).
  *
- * Each submitter holds a disjoint StreamLease (a contiguous slot
- * range on every device) and its own Evaluator, so the
- * single-submitter invariants of the dispatch layer hold per lease
- * while requests from different submitters interleave on the devices.
+ * Each submitter owns one StreamLease for its whole lifetime (a
+ * contiguous slot range on every device; leases wrap and share
+ * streams when submitters outnumber slots) and builds an Evaluator
+ * per job, so the single-submitter invariants of the dispatch layer
+ * hold per thread while requests from different submitters
+ * interleave on the devices.
  * Replayed execution plans are shared through the Context's
  * single-flight PlanCache: the first request of a shape captures, the
  * rest replay with recorded streams folded onto their own lease --
@@ -118,22 +120,6 @@ class Server
          *  per-op plans of its ladders; every later one (any
          *  submitter) replays them on its own lease. */
         const ckks::Bootstrapper *bootstrapper = nullptr;
-        /**
-         * Continuous batching (DESIGN.md §1.13): a worker that pops a
-         * batchable request also claims up to maxBatch-1 queued
-         * requests with the same Request::signature() and executes
-         * the group as ONE multi-instance plan replay -- the host
-         * walks each op's captured plan once for the whole group. 1
-         * (the default) disables coalescing entirely.
-         */
-        u32 maxBatch = 1;
-        /**
-         * How long (microseconds) a worker holding a partial batch
-         * waits for more compatible arrivals before dispatching what
-         * it has. 0 = never wait: coalesce only what is already
-         * queued.
-         */
-        u32 batchWindowUs = 200;
     };
 
     struct Stats
@@ -142,23 +128,18 @@ class Server
         u64 completed = 0; //!< requests fulfilled
         u64 failed = 0;    //!< requests that threw
         u64 queued = 0;    //!< depth gauge: waiting + executing now
-        // Continuous-batching observability (DESIGN.md §1.13).
-        u64 batchedRequests = 0; //!< requests retired in groups >= 2
-        u64 soloRequests = 0;    //!< requests retired alone
-        u64 batchedOps = 0; //!< program ops executed under coalescing
-        u64 soloOps = 0;    //!< program ops executed solo
+        //! Always 0; perfbench's Totals::add still reads it.
+        u64 batchedRequests = 0;
+        //! Every retired request; perfbench's Totals::add reads it.
+        u64 soloRequests = 0;
         //! Host CPU nanoseconds the executing workers spent on the
         //! simulated device-API surface
-        //! (ckks::kernels::dispatchEngineNs): the launch-overhead
-        //! spin plus, for solo replays, per-node wait/submit/record
-        //! queue traffic, or, for coalesced groups, the one bulk
-        //! per-stream flush. Graph-walk bookkeeping (operand binding,
-        //! wait gathering) is excluded from BOTH paths -- it is
-        //! identical per-instance code either way -- so with
-        //! executedOps this yields the machine-independent
-        //! host-dispatch-per-op ratio the batching regression gate
-        //! checks (a group pays per-node queue traffic once where k
-        //! solo requests pay it k times).
+        //! (ckks::kernels::dispatchEngineNs): the plan replays'
+        //! launch-overhead spins plus their per-node
+        //! wait/submit/record queue traffic. Graph-walk bookkeeping
+        //! (operand binding, wait gathering) is excluded, so with
+        //! executedOps this yields a host-dispatch-per-op ratio
+        //! (perfbench's serve.server.dispatch_us_per_op).
         u64 dispatchCpuNs = 0;
         u64 executedOps = 0; //!< total program ops executed
     };
@@ -174,11 +155,6 @@ class Server
      *  bucket of counts is +Inf. */
     static constexpr std::array<double, 12> kLatencyBucketsMs = {
         1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 5000, 20000};
-
-    /** Fixed batch-size histogram bounds (group size per dispatch);
-     *  the last bucket of counts is +Inf. */
-    static constexpr std::array<double, 5> kBatchBuckets = {1, 2, 4, 8,
-                                                           16};
 
     Server(const ckks::Context &ctx, const ckks::KeyBundle &keys,
            Options opt);
@@ -255,37 +231,13 @@ class Server
     };
 
     void workerLoop(u32 index);
-    //! Pops leader + compatible followers off queue_ (m_ held).
-    void gatherCompatibleLocked(std::vector<Job> &group, u32 maxBatch);
-    //! Executes a claimed group (solo path for size-1 groups, multi-
-    //! instance batched replay otherwise) and fulfils every handle.
-    void executeGroup(std::vector<Job> &group, u32 index);
-    //! Checks out @p k leases from the pool, all-or-nothing, FIFO.
-    std::vector<u32> acquireLeases(std::size_t k, u32 preferred);
-    void releaseLeases(const std::vector<u32> &claimed);
+    //! Runs @p job on the calling worker's installed lease and
+    //! fulfils its handle.
+    void executeJob(Job &job);
 
     const ckks::Context *ctx_;
     std::size_t capacity_;
     u32 numWorkers_ = 0; //!< fixed before any thread starts
-    u32 maxBatch_ = 1;   //!< effective coalescing cap (1 = off)
-    u32 batchWindowUs_ = 0;
-    //! Disjoint stream leases, built before any thread starts.
-    //! Workers check leases out of this pool per dispatch group
-    //! (acquireLeases) instead of owning one: a batching leader needs
-    //! k of them to spread its instances across the device set, and
-    //! exclusive checkout is what keeps the replay sweep deadlock-
-    //! free. Replayed waits run as blocking tasks ON the stream
-    //! threads, so two executors interleaving tasks onto the same two
-    //! streams in opposite orders can close a wait cycle; a lease
-    //! used by at most one executor at a time (a single thread
-    //! submitting in node order) cannot.
-    std::vector<StreamLease> leases_;
-    std::vector<u32> leaseBusy_;      //!< guarded by leaseM_
-    std::size_t leaseFreeCount_ = 0;  //!< guarded by leaseM_
-    u64 leaseTicketNext_ = 0;         //!< FIFO: no starving big groups
-    u64 leaseTicketServing_ = 0;
-    std::mutex leaseM_;
-    std::condition_variable leaseFree_;
 
     mutable std::mutex m_;
     std::condition_variable wake_;    //!< queue became non-empty / stop
@@ -301,9 +253,6 @@ class Server
     std::array<u64, kLatencyBucketsMs.size() + 1> latency_{};
     //! Sum of completed-request latencies (the histogram's `_sum`).
     double latencySumMs_ = 0;
-    //! Dispatch group sizes per kBatchBuckets bucket, plus +Inf.
-    std::array<u64, kBatchBuckets.size() + 1> batchSize_{};
-    double batchSizeSum_ = 0; //!< sum of dispatched group sizes
 
     std::vector<std::thread> workers_;
 };

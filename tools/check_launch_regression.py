@@ -42,16 +42,6 @@ so a machine needs cores comfortably above that for extra submitters
 to be physically able to add throughput. GitHub's standard runners
 have 4; the bench records its core count in each row.
 
-The serve file also feeds the continuous-batching gate: each
-serve_sN_batch row is compared against its unbatched same-submitter
-sibling in the same file. Batched throughput must reach
-BATCH_SCALING x unbatched (skipped, explicitly, below
-MIN_SERVE_CORES cores) and batched host_dispatch_us must come in at
-or under BATCH_DISPATCH_FACTOR x unbatched -- that one is CPU per
-executed op, machine-independent, and never skipped. Structural
-counters (launches_per_op, kernels_per_op) must be unchanged between
-the pair: coalescing dispatch must not change the work.
-
 With a fourth and fifth argument (the committed and fresh
 BENCH_bootstrap.json), the bootstrap gate also runs: the usual
 per-row bands against the committed baseline, plan_keys within the
@@ -94,8 +84,6 @@ TIME_TOLERANCE = 2.0  # coarse cross-machine wall-clock band
 SERVE_SCALING = 1.3  # multi-submitter ops/s vs 1 submitter
 MIN_SERVE_CORES = 4  # below this, extra submitters cannot add ops/s
 CLUSTER_SCALING = 1.3  # 2-shard aggregate ops/s vs 1 shard
-BATCH_SCALING = 1.3  # batched ops/s vs unbatched, same submitters
-BATCH_DISPATCH_FACTOR = 0.6  # batched host CPU/op vs unbatched
 
 
 def load(path):
@@ -104,12 +92,11 @@ def load(path):
     return {row["name"]: row for row in rows}
 
 
-def closed_unbatched(rows):
-    """The classic closed-loop solo rows (serve_sN): batched and
-    open-loop rows share their submitter counts, so the scaling gate
-    must filter by shape, not sort position."""
-    return [r for r in rows
-            if r.get("max_batch", 1) <= 1 and r.get("target_rps", 0) <= 0]
+def closed_loop(rows):
+    """The closed-loop rows (serve_sN, cluster_shN): open-loop rows
+    share their submitter and shard counts, so the scaling gates must
+    filter by shape, not sort position."""
+    return [r for r in rows if r.get("target_rps", 0) <= 0]
 
 
 def check_serve(path, failures):
@@ -125,9 +112,9 @@ def check_serve(path, failures):
               "(floor 1)")
         if verdict == "FAIL":
             failures.append((row["name"], "plan_cache_hits", hits, 1))
-    rows = closed_unbatched(all_rows)
+    rows = closed_loop(all_rows)
     if not rows:
-        print("SKIP serve scaling: no closed-loop unbatched rows")
+        print("SKIP serve scaling: no closed-loop rows")
         return
     base, peak = rows[0], rows[-1]
     if peak["submitters"] <= base["submitters"]:
@@ -152,82 +139,6 @@ def check_serve(path, failures):
                          SERVE_SCALING))
 
 
-def check_batching(path, failures):
-    """Continuous-batching gate: the serve_sN_batch rows against their
-    unbatched same-submitter siblings IN THE SAME FILE (same binary,
-    same machine, same run -- a true A/B).
-
-      - ops/s: batched >= BATCH_SCALING x unbatched. Wall-clock, so
-        skipped (explicitly) below MIN_SERVE_CORES cores, like the
-        submitter-scaling gate.
-      - host_dispatch_us: batched <= BATCH_DISPATCH_FACTOR x
-        unbatched. Worker-thread CPU per executed op, so machine-
-        independent -- NO skip: the whole point of coalescing is that
-        the host walks each plan once per group instead of once per
-        request, and that must show up as CPU per op on any machine.
-      - launches_per_op / kernels_per_op: unchanged within TOLERANCE
-        either way -- batching coalesces dispatch, it must not change
-        the work a request executes.
-      - batched_requests >= 1: the batch former actually engaged.
-    """
-    rows = load(path).values()
-    batched = sorted((r for r in rows
-                      if r.get("max_batch", 1) > 1
-                      and r.get("target_rps", 0) <= 0),
-                     key=lambda r: r["submitters"])
-    if not batched:
-        print("SKIP batching gate: no closed-loop batched rows")
-        return
-    # Keep rows without dispatch accounting (serve_bootstrap) out of
-    # the sibling map -- only the stats-program rows are A/B pairs.
-    solo_by_sub = {r["submitters"]: r for r in closed_unbatched(rows)
-                   if "host_dispatch_us" in r}
-    for row in batched:
-        name = row["name"]
-        solo = solo_by_sub.get(row["submitters"])
-        if solo is None:
-            print(f"FAIL {name}: no unbatched sibling row")
-            failures.append((name, "unbatched sibling", 0, 1))
-            continue
-        got = row.get("batched_requests", 0)
-        verdict = "OK  " if got >= 1 else "FAIL"
-        print(f"{verdict} {name} batched_requests: {got} (floor 1)")
-        if verdict == "FAIL":
-            failures.append((name, "batched_requests", got, 1))
-        ratio = row["host_dispatch_us"] / solo["host_dispatch_us"]
-        verdict = "OK  " if ratio <= BATCH_DISPATCH_FACTOR else "FAIL"
-        print(f"{verdict} {name} host_dispatch_us: "
-              f"{row['host_dispatch_us']:.1f} vs {solo['name']} "
-              f"{solo['host_dispatch_us']:.1f} ({ratio:.2f}x, "
-              f"ceiling {BATCH_DISPATCH_FACTOR}x)")
-        if verdict == "FAIL":
-            failures.append((name, "host_dispatch_us A/B", ratio,
-                             BATCH_DISPATCH_FACTOR))
-        for counter in ("launches_per_op", "kernels_per_op"):
-            if counter not in row or counter not in solo:
-                continue
-            got, want = row[counter], solo[counter]
-            ok = want / TOLERANCE <= got <= want * TOLERANCE
-            verdict = "OK  " if ok else "FAIL"
-            print(f"{verdict} {name} {counter}: {got:.2f} "
-                  f"(unbatched {want:.2f}, band {TOLERANCE}x)")
-            if not ok:
-                failures.append((name, counter, got, want))
-        tput = row["ops_per_sec"] / solo["ops_per_sec"]
-        label = (f"{name} batched throughput: {tput:.2f}x of "
-                 f"{solo['name']} (floor {BATCH_SCALING}x)")
-        if row["cores"] < MIN_SERVE_CORES:
-            print(f"SKIP {label} -- {row['cores']} core(s) < "
-                  f"{MIN_SERVE_CORES}, wall-clock batching gain not "
-                  "expressible")
-            continue
-        verdict = "OK  " if tput >= BATCH_SCALING else "FAIL"
-        print(f"{verdict} {label}")
-        if verdict == "FAIL":
-            failures.append((name, "ops_per_sec batched A/B", tput,
-                             BATCH_SCALING))
-
-
 def check_cluster(path, failures):
     """Cluster gate: per-shard replay steady state + shard scaling."""
     rows = sorted(load(path).values(), key=lambda r: r["shards"])
@@ -240,7 +151,7 @@ def check_cluster(path, failures):
               "(floor 1)")
         if verdict == "FAIL":
             failures.append((row["name"], "plan_cache_hits", hits, 1))
-    by_shards = {row["shards"]: row for row in closed_unbatched(rows)}
+    by_shards = {row["shards"]: row for row in closed_loop(rows)}
     if 1 not in by_shards or 2 not in by_shards:
         print("FAIL cluster scaling: need the 1- and 2-shard rows")
         failures.append(("cluster", "rows", sorted(by_shards), [1, 2]))
@@ -382,7 +293,6 @@ def main():
 
     if len(args) >= 3:
         check_serve(args[2], failures)
-        check_batching(args[2], failures)
     if len(args) == 5:
         check_boot(args[3], args[4], failures, time_gate)
     if cluster_path is not None:
