@@ -2,13 +2,12 @@
  * @file
  * Ablation benches for the design choices DESIGN.md calls out
  * (paper Section III-F): kernel fusion on/off, Barrett vs naive `%`
- * modular reduction inside the element-wise kernels, hierarchical vs
- * flat NTT schedule, and hoisted vs naive multi-rotation.
+ * modular reduction inside the element-wise kernels, and hoisted vs
+ * naive multi-rotation. bench_ntt compares the hierarchical and flat
+ * NTT schedules (Figure 4).
  */
 
 #include "bench_common.hpp"
-
-#include "ckks/kernels.hpp"
 
 namespace
 {
@@ -56,23 +55,6 @@ BM_HMultModMul(benchmark::State &state)
     }
     b.ctx->setModMulKind(ModMulKind::Barrett);
     state.SetLabel(state.range(0) ? "barrett" : "naive-percent");
-}
-
-void
-BM_NttSchedule(benchmark::State &state)
-{
-    auto &b = bc();
-    b.ctx->setNttSchedule(state.range(0) ? NttSchedule::Hierarchical
-                                         : NttSchedule::Flat);
-    auto ct = b.randomCiphertext(b.ctx->maxLevel());
-    for (auto _ : state) {
-        auto r = ct.clone();
-        ckks::kernels::toCoeff(r.c0);
-        ckks::kernels::toEval(r.c0);
-        benchmark::DoNotOptimize(r.c0.limb(0).data());
-    }
-    b.ctx->setNttSchedule(NttSchedule::Hierarchical);
-    state.SetLabel(state.range(0) ? "hierarchical" : "flat");
 }
 
 void
@@ -127,8 +109,6 @@ BM_DotProductFusion(benchmark::State &state)
 BENCHMARK(BM_RescaleFusion)->Arg(0)->Arg(1)->Unit(
     benchmark::kMicrosecond);
 BENCHMARK(BM_HMultModMul)->Arg(0)->Arg(1)->Unit(
-    benchmark::kMicrosecond);
-BENCHMARK(BM_NttSchedule)->Arg(0)->Arg(1)->Unit(
     benchmark::kMicrosecond);
 BENCHMARK(BM_MultiRotation)->Arg(0)->Arg(1)->Unit(
     benchmark::kMicrosecond);

@@ -3,8 +3,8 @@
  * Table VI reproduction: bootstrapping time and amortized time
  * (us / (slot * remaining level)) across slot counts, FIDESlib (all
  * optimizations) vs the Baseline-sim configuration (naive `%`
- * arithmetic, no fusion, no limb batching, flat NTT -- the shape of
- * an unoptimized CPU implementation on the same substrate).
+ * arithmetic, no fusion, no limb batching -- the shape of an
+ * unoptimized CPU implementation on the same substrate).
  *
  * BM_BootstrapPerOp runs the FIDESlib configuration in the plan-cache
  * steady state: a warmup bootstrap captures the per-op plans, the
@@ -163,7 +163,6 @@ BM_BootstrapBaselineSim(benchmark::State &state)
 
     b.ctx->setFusion(false);
     b.ctx->setLimbBatch(0);
-    b.ctx->setNttSchedule(NttSchedule::Flat);
     b.ctx->setModMulKind(ModMulKind::Naive);
     u32 outLevel = 0;
     DeviceSet &devs = b.ctx->devices();
@@ -192,7 +191,6 @@ BM_BootstrapBaselineSim(benchmark::State &state)
     Parameters p = bootParams();
     b.ctx->setFusion(p.fusion);
     b.ctx->setLimbBatch(p.limbBatch);
-    b.ctx->setNttSchedule(p.nttSchedule);
     b.ctx->setModMulKind(p.modMul);
     state.counters["slots"] = slots;
     state.counters["levels_remaining"] = outLevel;

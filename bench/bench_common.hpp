@@ -41,17 +41,12 @@ paperScale()
     return env && env[0] == '1';
 }
 
-/** The benchmark parameter set: paper headline or scaled default.
- *  The benches run the autotuned per-shape NTT schedule (the unit
- *  tests keep the Flat default so they never pay the tuning cost). */
+/** The benchmark parameter set: paper headline or scaled default. */
 inline Parameters
 benchParams()
 {
-    Parameters p =
-        paperScale() ? Parameters::paper16()  // [16, 29, 59, 4]
-                     : Parameters::paper14(); // [14, 13, 49, 3]
-    p.nttSchedule = NttSchedule::Auto;
-    return p;
+    return paperScale() ? Parameters::paper16()  // [16, 29, 59, 4]
+                        : Parameters::paper14(); // [14, 13, 49, 3]
 }
 
 /** A context plus keys, built once per (params, rotations) request. */

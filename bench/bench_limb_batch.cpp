@@ -127,20 +127,6 @@ BM_HMultLimbBatch(benchmark::State &state)
     state.counters["plan_misses"] = static_cast<double>(ps.misses);
     state.counters["plan_arena_mb"] =
         static_cast<double>(ps.reservedBytes) / 1e6;
-    // The autotuned NTT schedule baked into the replayed plan
-    // (Context::nttStats): the widest-shape winners land in the
-    // trajectory next to ns_per_op, so a pick flip across commits is
-    // attributable. Values index NttVariant (0 = flat, 1 = hier,
-    // 2 = radix4, 3 = blocked, 4 = fusedlast).
-    const NttStats ns = b.ctx->nttStats();
-    state.counters["ntt_tuned"] = ns.tuned ? 1 : 0;
-    if (!ns.shapes.empty()) {
-        const NttShapeStats &top = ns.shapes.back();
-        state.counters["ntt_fwd_variant"] =
-            static_cast<double>(static_cast<u32>(top.choice.fwd));
-        state.counters["ntt_inv_variant"] =
-            static_cast<double>(static_cast<u32>(top.choice.inv));
-    }
     // Hazard-validator overhead observability (check/check.hpp,
     // DESIGN.md §1.11): the same replayed multiply timed with the
     // validator on (Report mode) and off, back to back. Both ns/op

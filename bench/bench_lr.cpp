@@ -82,13 +82,11 @@ configureBaseline(BenchContext &b, bool on)
     if (on) {
         b.ctx->setFusion(false);
         b.ctx->setLimbBatch(0);
-        b.ctx->setNttSchedule(NttSchedule::Flat);
         b.ctx->setModMulKind(ModMulKind::Naive);
     } else {
         Parameters p = lrParams();
         b.ctx->setFusion(p.fusion);
         b.ctx->setLimbBatch(p.limbBatch);
-        b.ctx->setNttSchedule(p.nttSchedule);
         b.ctx->setModMulKind(p.modMul);
     }
 }

@@ -4,9 +4,9 @@
  * maximum-level ciphertext, across three backends:
  *   - OpenFHE-sim: the naive reference backend (CPU baseline),
  *   - Phantom-sim: device backend, Phantom's design choices (no
- *     fusion, no limb batching, flat NTT; ScalarAdd/ScalarMult have
- *     no fast path -- encoded-plaintext fallbacks, matching the N/A
- *     cells of the paper's table),
+ *     fusion, no limb batching; ScalarAdd/ScalarMult have no fast
+ *     path -- encoded-plaintext fallbacks, matching the N/A cells of
+ *     the paper's table),
  *   - FIDESlib: device backend, all optimizations.
  *
  * Default set: [logN, L, Delta, dnum] = [14, 13, 49, 3]; set
@@ -45,12 +45,10 @@ configure(Backend be)
         Parameters p = base.phantomSim();
         ctx.setFusion(p.fusion);
         ctx.setLimbBatch(p.limbBatch);
-        ctx.setNttSchedule(p.nttSchedule);
         ctx.setModMulKind(p.modMul);
     } else {
         ctx.setFusion(base.fusion);
         ctx.setLimbBatch(base.limbBatch);
-        ctx.setNttSchedule(base.nttSchedule);
         ctx.setModMulKind(base.modMul);
     }
 }

@@ -337,22 +337,19 @@ modUpDigit(const RNSPoly &evalPoly, const RNSPoly &coeffPoly, u32 digit)
     const std::size_t srcLo = tables.sourceIdx.front();
     const std::size_t srcHi = srcLo + tables.sourceIdx.size();
     FIDES_ASSERT(tables.sourceIdx.back() + 1 == srcHi);
-    const NttChoice c = ctx.nttChoiceFor(tables.targetIdx.size());
-    const kernels::LimbCost nttCost = kernels::nttLimbCost(ctx, c.fwd);
+    const kernels::LimbCost nttCost = kernels::nttLimbCost(ctx);
     const kernels::LimbCost copyCost{n * kWord, n * kWord, 0};
     kernels::forBatches(ctx, out.numLimbs(),
                         [&](std::size_t i) {
         return i >= srcLo && i < srcHi ? copyCost : nttCost;
-    }, [&ctx, &op, &ep, c, srcLo, srcHi, n](std::size_t lo,
-                                            std::size_t hi) {
+    }, [&ctx, &op, &ep, srcLo, srcHi, n](std::size_t lo,
+                                         std::size_t hi) {
         for (std::size_t i = lo; i < hi; ++i) {
             if (i >= srcLo && i < srcHi) {
                 std::memcpy(op[i].write(), ep[i].read(),
                             n * sizeof(u64));
             } else {
-                nttForwardVariant(op[i].write(),
-                                  *ctx.prime(op[i].primeIdx()).ntt,
-                                  c.fwd, c.fwdColBlock);
+                nttForward(op[i].write(), *ctx.prime(op[i].primeIdx()).ntt);
             }
         }
     }, [&op](std::size_t i) { return op[i].primeIdx(); },
@@ -377,11 +374,11 @@ modDown(RNSPoly &a)
     // iNTT the special limbs to coefficient form.
     kernels::forBatches(ctx, K, 2 * n * kWord, 2 * n * kWord,
                         5 * n * ctx.logDegree(),
-                        [&ctx, &ap, level, K](std::size_t lo,
-                                              std::size_t hi) {
+                        [&ctx, &ap, level](std::size_t lo,
+                                           std::size_t hi) {
         for (std::size_t k = lo; k < hi; ++k) {
             Limb &l = ap[level + 1 + k];
-            kernels::inttLimb(ctx, l.write(), l.primeIdx(), K);
+            kernels::inttLimb(ctx, l.write(), l.primeIdx());
         }
     }, [&ap, level](std::size_t k) {
         return ap[level + 1 + k].primeIdx();

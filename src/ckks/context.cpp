@@ -1,7 +1,6 @@
 #include "ckks/context.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cstdlib>
 #include <string>
 
@@ -46,50 +45,6 @@ primeProduct(const std::vector<PrimeRecord> &primes,
     return prod;
 }
 
-/**
- * Parses the FIDES_NTT_SCHEDULE environment value (case-insensitive;
- * accepts the short names nttVariantName emits plus a few obvious
- * spellings). Returns false on an unrecognized value.
- */
-bool
-parseNttSchedule(const char *s, NttSchedule &out)
-{
-    std::string v;
-    for (const char *p = s; *p; ++p)
-        v.push_back(static_cast<char>(
-            std::tolower(static_cast<unsigned char>(*p))));
-    if (v == "flat")
-        out = NttSchedule::Flat;
-    else if (v == "hier" || v == "hierarchical")
-        out = NttSchedule::Hierarchical;
-    else if (v == "radix4")
-        out = NttSchedule::Radix4;
-    else if (v == "blocked" || v == "blockedhier")
-        out = NttSchedule::BlockedHier;
-    else if (v == "fusedlast")
-        out = NttSchedule::FusedLast;
-    else if (v == "auto")
-        out = NttSchedule::Auto;
-    else
-        return false;
-    return true;
-}
-
-/** The concrete variant a non-Auto schedule pins for every shape. */
-NttVariant
-pinnedVariant(NttSchedule s)
-{
-    switch (s) {
-    case NttSchedule::Flat: return NttVariant::Flat;
-    case NttSchedule::Hierarchical: return NttVariant::Hierarchical;
-    case NttSchedule::Radix4: return NttVariant::Radix4;
-    case NttSchedule::BlockedHier: return NttVariant::BlockedHier;
-    case NttSchedule::FusedLast: return NttVariant::FusedLast;
-    case NttSchedule::Auto: break;
-    }
-    panic("pinnedVariant called on NttSchedule::Auto");
-}
-
 } // namespace
 
 Context::Context(const Parameters &params)
@@ -101,22 +56,11 @@ Context::Context(const Parameters &params)
       prng_(params.seed),
       limbBatch_(params.limbBatch),
       fusion_(params.fusion),
-      nttSchedule_(params.nttSchedule),
       modMul_(params.modMul),
       graphEnabled_(std::getenv("FIDES_NO_GRAPH") == nullptr),
       plans_(std::make_unique<kernels::PlanCache>())
 {
     params_.validate();
-    // Escape hatch mirroring FIDES_NO_GRAPH: pin (or un-pin, with
-    // "auto") the NTT schedule without touching code. Applied at
-    // Context build only -- later setNttSchedule calls still win.
-    if (const char *env = std::getenv("FIDES_NTT_SCHEDULE")) {
-        NttSchedule s;
-        if (parseNttSchedule(env, s))
-            nttSchedule_ = s;
-        else
-            warn("ignoring unrecognized FIDES_NTT_SCHEDULE=%s", env);
-    }
     // Hazard-validator escape hatch (check/check.hpp): FIDES_VALIDATE
     // turns the racecheck/declcheck/initcheck layer on for any
     // existing binary, before the DeviceSet below exists so the pool's
@@ -138,7 +82,6 @@ Context::Context(const Parameters &params)
     defaultLease_ = std::make_unique<StreamLease>(*devices_);
     generatePrimeChain();
     buildConvTables();
-    configureNtt();
     crt_.resize(params_.multDepth + 1);
 
     levelScales_.resize(params_.multDepth + 1);
@@ -248,79 +191,6 @@ Context::planStats() const
     for (u32 d = 0; d < devices_->numDevices(); ++d)
         stats.reservedBytes += devices_->device(d).pool().bytesReserved();
     return stats;
-}
-
-void
-Context::setNttSchedule(NttSchedule s)
-{
-    if (s == nttSchedule_)
-        return;
-    // Replays re-run the kernel bodies, which read the choice table,
-    // so a stale plan would execute the NEW schedule against arena
-    // reservations sized for the old one -- drop the plans (and their
-    // arenas) before the table changes under them.
-    invalidatePlans();
-    nttSchedule_ = s;
-    configureNtt();
-}
-
-void
-Context::configureNtt()
-{
-    nttBuckets_.clear();
-    nttShapeStats_.clear();
-    nttTuned_ = false;
-
-    if (nttSchedule_ != NttSchedule::Auto) {
-        const NttVariant v = pinnedVariant(nttSchedule_);
-        pinnedNtt_ = NttChoice{v, v, 0, 0};
-        return;
-    }
-
-    NttAutotuner tuner(NttAutotuner::Options::fromEnv());
-
-    std::vector<const NttTables *> tables;
-    tables.reserve(primes_.size());
-    for (const PrimeRecord &p : primes_)
-        tables.push_back(p.ntt.get());
-
-    // Tune at power-of-two limb buckets 1, 2, 4, ... up to the full
-    // prime-chain width (the widest working set any op can touch);
-    // the final bucket is clamped to the actual width so the headline
-    // shape is tuned exactly.
-    const u32 total = numPrimes();
-    for (u32 limbs = 1;; limbs <<= 1) {
-        const u32 eff = std::min(limbs, total);
-        NttShapeStats stats = tuner.tuneShape(tables, eff);
-        nttBuckets_.push_back(stats.choice);
-        nttShapeStats_.push_back(std::move(stats));
-        if (limbs >= total)
-            break;
-    }
-    pinnedNtt_ = nttBuckets_.front();
-    nttTuned_ = true;
-}
-
-NttChoice
-Context::nttChoiceFor(std::size_t limbs) const
-{
-    if (nttBuckets_.empty())
-        return pinnedNtt_; // pinned (non-Auto) schedule
-    std::size_t b = 0;
-    while ((std::size_t{1} << b) < limbs &&
-           b + 1 < nttBuckets_.size())
-        ++b;
-    return nttBuckets_[b];
-}
-
-NttStats
-Context::nttStats() const
-{
-    NttStats s;
-    s.configured = nttSchedule_;
-    s.tuned = nttTuned_;
-    s.shapes = nttShapeStats_;
-    return s;
 }
 
 void

@@ -25,7 +25,6 @@
 #include "core/device.hpp"
 #include "core/modarith.hpp"
 #include "core/ntt.hpp"
-#include "core/ntt_tune.hpp"
 #include "core/rng.hpp"
 
 namespace fideslib::ckks
@@ -69,17 +68,21 @@ struct ConvTables
     std::vector<u64> sHatModT;
 };
 
-/**
- * Observability snapshot of the context's per-shape NTT schedule
- * table (Context::nttStats): the configured policy, whether the
- * autotuner actually ran, and -- in Auto mode -- the tuning outcome
- * of every (degree, limb-bucket) shape that was raced.
- */
+/** The NTT variant pair Context::nttChoiceFor reports: always Flat
+ *  both ways, blocks 0. Kept because perfbench reads it. */
+struct NttChoice
+{
+    NttVariant fwd = NttVariant::Flat;
+    NttVariant inv = NttVariant::Flat;
+    u32 fwdColBlock = 0;
+    u32 invColBlock = 0;
+};
+
+/** Context::nttStats's snapshot: nothing tunes the NTT, so tuned is
+ *  always false. Kept because perfbench reads it. */
 struct NttStats
 {
-    NttSchedule configured = NttSchedule::Flat;
-    bool tuned = false; //!< true iff the autotuner ran (Auto mode)
-    std::vector<NttShapeStats> shapes;
+    bool tuned = false;
 };
 
 /** CKKS crypto-context: owns primes, tables and configuration. */
@@ -231,26 +234,11 @@ class Context
             invalidatePlans();
         fusion_ = f;
     }
-    NttSchedule nttSchedule() const { return nttSchedule_; }
-    /**
-     * Switches the NTT schedule policy. A genuine change invalidates
-     * every captured plan (replays re-run the kernel bodies, which
-     * read the choice table, so stale plans would otherwise keep the
-     * old arena reservations alive) and rebuilds the per-shape choice
-     * table -- re-running the autotuner when switching to Auto.
-     * Setting the already-active schedule is a no-op.
-     */
-    void setNttSchedule(NttSchedule s);
-    /**
-     * The tuned (or pinned) schedule choice for an op touching
-     * @p limbs limbs. Limb counts bucket at powers of two; reads are
-     * lock-free (the table is built in the constructor and rebuilt
-     * only by setNttSchedule, and execution knobs are mutated only
-     * between ops).
-     */
-    NttChoice nttChoiceFor(std::size_t limbs) const;
-    /** The per-shape schedule table plus tuning measurements. */
-    NttStats nttStats() const;
+    /** NttChoice{} for any limb count: every op runs nttForward /
+     *  nttInverse. Kept because perfbench calls it. */
+    NttChoice nttChoiceFor(std::size_t) const { return {}; }
+    /** NttStats{}. Kept because perfbench calls it. */
+    NttStats nttStats() const { return {}; }
     ModMulKind modMulKind() const { return modMul_; }
     void
     setModMulKind(ModMulKind k)
@@ -361,14 +349,6 @@ class Context
   private:
     void generatePrimeChain();
     void buildConvTables();
-    /**
-     * (Re)builds the per-shape NTT choice table from nttSchedule_:
-     * non-Auto schedules pin one concrete variant for every shape;
-     * Auto races the schedule zoo on the context's real prime tables
-     * at power-of-two limb buckets (NttAutotuner) and records the
-     * winners. Called from the constructor and setNttSchedule.
-     */
-    void configureNtt();
 
     Parameters params_;
     std::unique_ptr<DeviceSet> devices_;
@@ -403,16 +383,7 @@ class Context
 
     u32 limbBatch_;
     bool fusion_;
-    NttSchedule nttSchedule_;
     ModMulKind modMul_;
-
-    // Per-shape NTT schedule table (configureNtt). nttBuckets_[b] is
-    // the choice for limb counts in (2^{b-1}, 2^b]; pinnedNtt_ is the
-    // uniform choice non-Auto schedules use for every shape.
-    NttChoice pinnedNtt_;
-    std::vector<NttChoice> nttBuckets_;
-    std::vector<NttShapeStats> nttShapeStats_;
-    bool nttTuned_ = false;
 
     bool graphEnabled_;
     std::unique_ptr<kernels::PlanCache> plans_;

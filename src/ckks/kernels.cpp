@@ -580,52 +580,27 @@ scalarSubFrom(RNSPoly &a, const std::vector<u64> &scalar)
 }
 
 void
-nttLimb(const Context &ctx, u64 *data, u32 primeIdx,
-        std::size_t shapeLimbs)
+nttLimb(const Context &ctx, u64 *data, u32 primeIdx)
 {
-    const NttTables &t = *ctx.prime(primeIdx).ntt;
-    const NttChoice c = ctx.nttChoiceFor(shapeLimbs);
-    nttForwardVariant(data, t, c.fwd, c.fwdColBlock);
+    nttForward(data, *ctx.prime(primeIdx).ntt);
 }
 
 void
-inttLimb(const Context &ctx, u64 *data, u32 primeIdx,
-         std::size_t shapeLimbs)
+inttLimb(const Context &ctx, u64 *data, u32 primeIdx)
 {
-    const NttTables &t = *ctx.prime(primeIdx).ntt;
-    const NttChoice c = ctx.nttChoiceFor(shapeLimbs);
-    nttInverseVariant(data, t, c.inv, c.invColBlock);
+    nttInverse(data, *ctx.prime(primeIdx).ntt);
 }
 
 /**
- * Modelled off-chip traffic of one NTT limb under variant @p v: the
- * hierarchical 2D schedules touch every element in exactly two passes
- * (four memory accesses per element, paper Figure 3); a flat radix-2
- * schedule spills one pass per pair of stages once the limb exceeds
- * on-chip memory, and the radix-4 schedule halves that by keeping
- * four elements in registers across two stages.
+ * Modelled off-chip traffic of one NTT limb: the flat radix-2 loop
+ * spills one pass per pair of stages once the limb exceeds on-chip
+ * memory, so it sweeps the limb max(2, logN/2) times.
  */
-static u64
-nttPassesPerLimb(const Context &ctx, NttVariant v)
-{
-    switch (v) {
-    case NttVariant::Hierarchical:
-    case NttVariant::BlockedHier:
-        return 2;
-    case NttVariant::Radix4:
-        return std::max<u64>(2, ctx.logDegree() / 4);
-    case NttVariant::Flat:
-    case NttVariant::FusedLast:
-        break;
-    }
-    return std::max<u64>(2, ctx.logDegree() / 2);
-}
-
 LimbCost
-nttLimbCost(const Context &ctx, NttVariant v)
+nttLimbCost(const Context &ctx)
 {
     const u64 n = ctx.degree();
-    const u64 bytes = nttPassesPerLimb(ctx, v) * n * kWord;
+    const u64 bytes = std::max<u64>(2, ctx.logDegree() / 2) * n * kWord;
     return {bytes, bytes, 5 * n * ctx.logDegree()};
 }
 
@@ -635,18 +610,13 @@ toEval(RNSPoly &a)
     check::ScopedLabel lbl("toEval");
     FIDES_ASSERT(a.format() == Format::Coeff);
     const auto &ctx = a.context();
-    const std::size_t limbs = a.numLimbs();
-    // Resolve the tuned schedule once per op, not once per limb.
-    const NttChoice c = ctx.nttChoiceFor(limbs);
-    const LimbCost cost = nttLimbCost(ctx, c.fwd);
+    const LimbCost cost = nttLimbCost(ctx);
     LimbPartition &ap = a.partition();
-    forBatches(ctx, limbs, cost.bytesRead, cost.bytesWritten,
+    forBatches(ctx, a.numLimbs(), cost.bytesRead, cost.bytesWritten,
                cost.intOps,
-               [&ctx, &ap, c](std::size_t lo, std::size_t hi) {
+               [&ctx, &ap](std::size_t lo, std::size_t hi) {
         for (std::size_t i = lo; i < hi; ++i)
-            nttForwardVariant(ap[i].write(),
-                              *ctx.prime(ap[i].primeIdx()).ntt,
-                              c.fwd, c.fwdColBlock);
+            nttForward(ap[i].write(), *ctx.prime(ap[i].primeIdx()).ntt);
     }, [&ap](std::size_t i) { return ap[i].primeIdx(); }, {wr(a)});
     a.setFormat(Format::Eval);
 }
@@ -657,17 +627,13 @@ toCoeff(RNSPoly &a)
     check::ScopedLabel lbl("toCoeff");
     FIDES_ASSERT(a.format() == Format::Eval);
     const auto &ctx = a.context();
-    const std::size_t limbs = a.numLimbs();
-    const NttChoice c = ctx.nttChoiceFor(limbs);
-    const LimbCost cost = nttLimbCost(ctx, c.inv);
+    const LimbCost cost = nttLimbCost(ctx);
     LimbPartition &ap = a.partition();
-    forBatches(ctx, limbs, cost.bytesRead, cost.bytesWritten,
+    forBatches(ctx, a.numLimbs(), cost.bytesRead, cost.bytesWritten,
                cost.intOps,
-               [&ctx, &ap, c](std::size_t lo, std::size_t hi) {
+               [&ctx, &ap](std::size_t lo, std::size_t hi) {
         for (std::size_t i = lo; i < hi; ++i)
-            nttInverseVariant(ap[i].write(),
-                              *ctx.prime(ap[i].primeIdx()).ntt,
-                              c.inv, c.invColBlock);
+            nttInverse(ap[i].write(), *ctx.prime(ap[i].primeIdx()).ntt);
     }, [&ap](std::size_t i) { return ap[i].primeIdx(); }, {wr(a)});
     a.setFormat(Format::Coeff);
 }
@@ -898,8 +864,7 @@ runOpOnLimb(const Context &ctx, const FusedChain::Op &op, std::size_t i,
                           (*op.out)[i].write(), (*op.out)[i].primeIdx());
         break;
     case Kind::Ntt:
-        nttLimb(ctx, (*op.out)[i].write(), (*op.out)[i].primeIdx(),
-                op.out->size());
+        nttLimb(ctx, (*op.out)[i].write(), (*op.out)[i].primeIdx());
         break;
     case Kind::RsubScalarMul: {
         const u64 p = ctx.prime((*op.out)[i].primeIdx()).value();

@@ -317,17 +317,13 @@ void keySwitchInnerProduct(RNSPoly &out0, RNSPoly &out1,
 void toEval(RNSPoly &a);
 /** Eval -> Coeff: inverse NTT on every limb. */
 void toCoeff(RNSPoly &a);
-/** Forward NTT on a single raw limb buffer. @p shapeLimbs is the
- *  limb count of the op this limb belongs to -- the per-shape tuned
- *  schedule table (Context::nttChoiceFor) keys on it. */
-void nttLimb(const Context &ctx, u64 *data, u32 primeIdx,
-             std::size_t shapeLimbs = 1);
-/** Inverse NTT on a single raw limb buffer (see nttLimb). */
-void inttLimb(const Context &ctx, u64 *data, u32 primeIdx,
-              std::size_t shapeLimbs = 1);
-/** Modelled cost of transforming one limb with NTT variant @p v, in
- *  either direction (what toEval/toCoeff bill per limb). */
-LimbCost nttLimbCost(const Context &ctx, NttVariant v);
+/** Forward NTT on a single raw limb buffer. */
+void nttLimb(const Context &ctx, u64 *data, u32 primeIdx);
+/** Inverse NTT on a single raw limb buffer. */
+void inttLimb(const Context &ctx, u64 *data, u32 primeIdx);
+/** Modelled cost of transforming one limb, in either direction (what
+ *  toEval/toCoeff bill per limb). */
+LimbCost nttLimbCost(const Context &ctx);
 
 /**
  * Galois automorphism in the evaluation domain: out[j] = in[perm[j]]

@@ -122,7 +122,6 @@ Parameters::phantomSim() const
     Parameters p = *this;
     p.fusion = false;
     p.limbBatch = 0; // one kernel spans all limbs
-    p.nttSchedule = NttSchedule::Flat;
     return p;
 }
 

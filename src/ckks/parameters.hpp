@@ -3,8 +3,9 @@
  * CKKS parameter set (paper Table II notation): ring degree N = 2^logN,
  * multiplicative depth L, scaling factor Delta = 2^logDelta, and the
  * hybrid key-switching digit count dnum, plus backend execution
- * options (limb batching, kernel fusion, NTT schedule, modular
- * reduction strategy) that the benchmarks ablate.
+ * options (limb batching, kernel fusion, modular reduction strategy)
+ * that the benchmarks ablate. The NTT is not an option: every
+ * Context runs the Flat kernel core/ntt.hpp picks from CPUID.
  */
 
 #pragma once
@@ -13,24 +14,6 @@
 
 namespace fideslib::ckks
 {
-
-/**
- * NTT loop schedule (paper Section III-F4). The first five pin one
- * concrete variant of the core schedule zoo (core/ntt.hpp) globally;
- * `Auto` runs the NttAutotuner at Context build and picks the winner
- * per (degree, limb-count) shape, baking the choices into every
- * subsequently captured execution plan. All variants are bit-exact
- * against each other, so the choice is pure performance.
- */
-enum class NttSchedule
-{
-    Flat,
-    Hierarchical,
-    Radix4,
-    BlockedHier,
-    FusedLast,
-    Auto,
-};
 
 /** Modular multiplication strategy in element-wise kernels. */
 enum class ModMulKind { Barrett, Naive };
@@ -51,17 +34,10 @@ struct Parameters
     // Backend execution configuration -----------------------------------
     // Defaults are tuned for the host substrate: one launch per
     // kernel (no real launch overhead to amortize, and the host cache
-    // prefers long streams) and the flat NTT schedule (the
-    // hierarchical 2D schedule is the GPU-optimal layout -- it trades
-    // cache-line utilization for coalesced strides, which inverts on
-    // a CPU). NttSchedule::Auto replaces the single global pick with
-    // the per-shape autotuned table (the benches default to it); the
-    // FIDES_NTT_SCHEDULE environment variable overrides this field at
-    // Context build. Figure 7's bench sweeps limbBatch with simulated
-    // launch overhead; Figure 4's bench compares the NTT schedules.
+    // prefers long streams). Figure 7's bench sweeps limbBatch with
+    // simulated launch overhead.
     u32 limbBatch = 0;      //!< limbs per kernel launch (0 = all)
     bool fusion = true;     //!< enable kernel fusion (Section III-F5)
-    NttSchedule nttSchedule = NttSchedule::Flat;
     ModMulKind modMul = ModMulKind::Barrett;
     u64 launchOverheadNs = 0; //!< simulated kernel-launch cost
 
@@ -95,7 +71,7 @@ struct Parameters
 
     /**
      * Phantom-like configuration of the same set: no fusion, no limb
-     * batching, flat NTT (DESIGN.md substitution #4).
+     * batching (DESIGN.md substitution #4).
      */
     Parameters phantomSim() const;
 };

@@ -1,7 +1,5 @@
 #include "core/ntt.hpp"
 
-#include <algorithm>
-
 #if defined(__x86_64__)
 #include <immintrin.h>
 #endif
@@ -59,23 +57,6 @@ correct(u64 *a, std::size_t n, u64 p, u64 twoP)
             v -= p;
         a[j] = v;
     }
-}
-
-/**
- * Columns per block of the blocked-hierarchical column pass: one
- * block's working set (colBlock columns x n1 rows of u64) targets L1
- * (32 KiB), clamped so tiny transforms still form one block.
- */
-inline std::size_t
-defaultColBlock(std::size_t n1, std::size_t n2)
-{
-    constexpr std::size_t kL1Bytes = 32 * 1024;
-    std::size_t b = kL1Bytes / (n1 * sizeof(u64));
-    if (b < 8)
-        b = 8;
-    if (b > n2)
-        b = n2;
-    return b;
 }
 
 #if defined(__x86_64__)
@@ -273,11 +254,11 @@ forwardAvx512(u64 *a, const NttTables &t)
     const V twoP = _mm512_set1_epi64(static_cast<long long>(2 * pv));
 
     // Stages with stride >= 8: each butterfly group is whole vectors
-    // sharing one broadcast twiddle. Stages m and 2m run together, as
-    // in nttForwardRadix4: four vectors take both stages' butterflies
-    // in registers, halving the passes over the limb. When there is an
-    // odd number of them (even log n), the block pass below takes the
-    // stride-8 one.
+    // sharing one broadcast twiddle. Stages m and 2m run together: four
+    // vectors, a quarter-span apart, take stage m's two butterflies and
+    // then stage 2m's two in registers, halving the passes over the
+    // limb. When there is an odd number of these stages (even log n),
+    // the block pass below takes the stride-8 one.
     const bool blockTakes8 = log2Floor(n) % 2 == 0;
     const std::size_t mEnd = blockTakes8 ? n / 16 : n / 8;
     std::size_t tt = n; // stage m's butterfly span; its stride is tt/2
@@ -377,7 +358,8 @@ inverseAvx512(u64 *a, const NttTables &t)
     }
 
     // The remaining stages up to stride n/4: broadcast twiddle per
-    // group, stages h and h/2 together, as in nttInverseRadix4.
+    // group, stages h and h/2 together -- four vectors take stage h's
+    // two butterflies and then stage h/2's two in registers.
     std::size_t tt = blockTakes8 ? 16 : 8; // stage h's stride
     for (std::size_t h = n / (2 * tt); h > 1; h >>= 2, tt <<= 2) {
         for (std::size_t i = 0; i < h / 2; ++i) {
@@ -404,9 +386,9 @@ inverseAvx512(u64 *a, const NttTables &t)
         }
     }
 
-    // Last stage (stride n/2, twiddle w[1]) with the n^-1 sweep folded
-    // in, as nttInverseFusedLast: the sum leg is multiplied by n^-1,
-    // the difference leg by w[1] * n^-1, both fully reduced.
+    // Last stage (stride n/2, twiddle w[1]) with the scalar loop's
+    // n^-1 sweep folded in: the sum leg is multiplied by n^-1, the
+    // difference leg by w[1] * n^-1 (invLastW), both fully reduced.
     const std::size_t half = n / 2;
     const Twiddle tn = broadcastTwiddle(t.nInv(), t.nInvShoup());
     const Twiddle tl = broadcastTwiddle(t.invLastW(), t.invLastWShoup());
@@ -432,9 +414,6 @@ nttVariantName(NttVariant v)
     switch (v) {
     case NttVariant::Flat: return "flat";
     case NttVariant::Hierarchical: return "hier";
-    case NttVariant::Radix4: return "radix4";
-    case NttVariant::BlockedHier: return "blocked";
-    case NttVariant::FusedLast: return "fusedlast";
     }
     return "?";
 }
@@ -468,8 +447,8 @@ NttTables::NttTables(std::size_t n, const Modulus &m, u64 psi)
     }
     nInv_ = invMod(static_cast<u64>(n), m);
     nInvShoup_ = shoupPrecompute(nInv_, m.value);
-    // FusedLast inverse: the final GS stage uses invRootPow[1] only
-    // (h = 1), so its twiddle can absorb the nInv sweep.
+    // The inverse's last GS stage uses invRootPow[1] only (h = 1), so
+    // its twiddle can absorb the nInv sweep (inverseAvx512's epilogue).
     invLastW_ = n > 1 ? mulModBarrett(invRootPow_[1], nInv_, m) : nInv_;
     invLastWShoup_ = shoupPrecompute(invLastW_, m.value);
 }
@@ -701,353 +680,21 @@ nttInverseHierarchical(u64 *a, const NttTables &t)
 }
 
 void
-nttForwardRadix4(u64 *a, const NttTables &t)
+nttForwardVariant(u64 *a, const NttTables &t, NttVariant v, std::size_t)
 {
-    const std::size_t n = t.degree();
-    const u64 p = t.modulus().value;
-    const u64 twoP = 2 * p;
-    const u64 *w = t.rootPow();
-    const u64 *ws = t.rootPowShoup();
-    const u32 logN = log2Floor(n);
-
-    std::size_t m = 1;
-    std::size_t tt = n;
-    if (logN & 1) {
-        // Odd stage count: one leading radix-2 stage, then pairs.
-        // The fused loop's invariant is tt == n/m at entry (stage m
-        // runs with stride tt/2), which n/2 satisfies for m = 2.
-        tt >>= 1;
-        const u64 w1 = w[1], ws1 = ws[1];
-        for (std::size_t j = 0; j < tt; ++j)
-            ctButterfly(a[j], a[j + tt], w1, ws1, p, twoP);
-        m = 2;
-    }
-    // Fuse stages (m, 2m): four elements travel through both stages
-    // while still in registers -- the arithmetic per element is the
-    // butterfly sequence of the flat schedule, verbatim, so the
-    // output is bit-identical; only the memory sweeps halve.
-    while (m < n) {
-        const std::size_t t2 = tt >> 2; // stride of the second stage
-        for (std::size_t i = 0; i < m; ++i) {
-            const std::size_t base = i * tt;
-            const u64 wA = w[m + i], wsA = ws[m + i];
-            const u64 wB = w[2 * m + 2 * i], wsB = ws[2 * m + 2 * i];
-            const u64 wC = w[2 * m + 2 * i + 1];
-            const u64 wsC = ws[2 * m + 2 * i + 1];
-            for (std::size_t q = base; q < base + t2; ++q) {
-                u64 &x0 = a[q];
-                u64 &x1 = a[q + t2];
-                u64 &x2 = a[q + 2 * t2];
-                u64 &x3 = a[q + 3 * t2];
-                ctButterfly(x0, x2, wA, wsA, p, twoP); // stage m
-                ctButterfly(x1, x3, wA, wsA, p, twoP);
-                ctButterfly(x0, x1, wB, wsB, p, twoP); // stage 2m
-                ctButterfly(x2, x3, wC, wsC, p, twoP);
-            }
-        }
-        tt >>= 2;
-        m <<= 2;
-    }
-    correct(a, n, p, twoP);
-}
-
-void
-nttInverseRadix4(u64 *a, const NttTables &t)
-{
-    const std::size_t n = t.degree();
-    const u64 p = t.modulus().value;
-    const u64 twoP = 2 * p;
-    const u64 *w = t.invRootPow();
-    const u64 *ws = t.invRootPowShoup();
-
-    // Fuse stages (m, m/2) from the top; a trailing radix-2 stage
-    // mops up when the stage count is odd.
-    std::size_t tt = 1;
-    std::size_t m = n;
-    while (m > 2) {
-        const std::size_t h = m >> 1;
-        const std::size_t h2 = h >> 1;
-        for (std::size_t i2 = 0; i2 < h2; ++i2) {
-            const std::size_t base = 4 * i2 * tt;
-            const u64 wA = w[h + 2 * i2], wsA = ws[h + 2 * i2];
-            const u64 wB = w[h + 2 * i2 + 1];
-            const u64 wsB = ws[h + 2 * i2 + 1];
-            const u64 wC = w[h2 + i2], wsC = ws[h2 + i2];
-            for (std::size_t q = base; q < base + tt; ++q) {
-                u64 &x0 = a[q];
-                u64 &x1 = a[q + tt];
-                u64 &x2 = a[q + 2 * tt];
-                u64 &x3 = a[q + 3 * tt];
-                gsButterfly(x0, x1, wA, wsA, p, twoP); // stage m
-                gsButterfly(x2, x3, wB, wsB, p, twoP);
-                gsButterfly(x0, x2, wC, wsC, p, twoP); // stage m/2
-                gsButterfly(x1, x3, wC, wsC, p, twoP);
-            }
-        }
-        tt <<= 2;
-        m >>= 2;
-    }
-    if (m == 2) {
-        const u64 w1 = w[1], ws1 = ws[1];
-        for (std::size_t j = 0; j < tt; ++j)
-            gsButterfly(a[j], a[j + tt], w1, ws1, p, twoP);
-    }
-    const u64 nInv = t.nInv();
-    const u64 nInvS = t.nInvShoup();
-    for (std::size_t j = 0; j < n; ++j)
-        a[j] = mulModShoup(a[j] >= twoP ? a[j] - twoP : a[j],
-                           nInv, nInvS, p);
-}
-
-void
-nttForwardBlockedHier(u64 *a, const NttTables &t, std::size_t colBlock)
-{
-    const std::size_t n = t.degree();
-    const u32 logN = log2Floor(n);
-    const u32 logN1 = logN / 2;
-    const std::size_t n1 = std::size_t{1} << logN1;
-    const std::size_t n2 = n / n1;
-    const u64 p = t.modulus().value;
-    const u64 twoP = 2 * p;
-    const u64 *w = t.rootPow();
-    const u64 *ws = t.rootPowShoup();
-    if (colBlock == 0)
-        colBlock = defaultColBlock(n1, n2);
-    if (colBlock > n2)
-        colBlock = n2;
-
-    // Column pass, blocked: the stage loop runs INSIDE a group of
-    // adjacent columns, so the group's n1 x colBlock working set --
-    // sized to L1 -- is swept once per stage instead of one strided
-    // column at a time. Columns are independent sub-transforms, so
-    // reordering them is bit-identical to the plain hierarchical
-    // schedule.
-    for (std::size_t c0 = 0; c0 < n2; c0 += colBlock) {
-        const std::size_t c1 = std::min(c0 + colBlock, n2);
-        std::size_t tt = n1;
-        for (std::size_t m = 1; m < n1; m <<= 1) {
-            tt >>= 1;
-            for (std::size_t i = 0; i < m; ++i) {
-                const u64 wi = w[m + i];
-                const u64 wsi = ws[m + i];
-                const std::size_t r1 = 2 * i * tt;
-                for (std::size_t r = r1; r < r1 + tt; ++r) {
-                    u64 *lo = a + r * n2;
-                    u64 *hi = a + (r + tt) * n2;
-                    for (std::size_t c = c0; c < c1; ++c)
-                        ctButterfly(lo[c], hi[c], wi, wsi, p, twoP);
-                }
-            }
-        }
-    }
-
-    // Row pass: identical to the plain hierarchical schedule (rows
-    // are contiguous; nothing to block).
-    for (std::size_t b = 0; b < n1; ++b) {
-        u64 *base = a + b * n2;
-        std::size_t tt = n2;
-        for (std::size_t mLoc = 1; mLoc < n2; mLoc <<= 1) {
-            tt >>= 1;
-            for (std::size_t i = 0; i < mLoc; ++i) {
-                const std::size_t wIdx = mLoc * (n1 + b) + i;
-                const u64 wi = w[wIdx];
-                const u64 wsi = ws[wIdx];
-                const std::size_t j1 = 2 * i * tt;
-                for (std::size_t j = j1; j < j1 + tt; ++j)
-                    ctButterfly(base[j], base[j + tt], wi, wsi, p, twoP);
-            }
-        }
-    }
-    correct(a, n, p, twoP);
-}
-
-void
-nttInverseBlockedHier(u64 *a, const NttTables &t, std::size_t colBlock)
-{
-    const std::size_t n = t.degree();
-    const u32 logN = log2Floor(n);
-    const u32 logN1 = logN / 2;
-    const std::size_t n1 = std::size_t{1} << logN1;
-    const std::size_t n2 = n / n1;
-    const u64 p = t.modulus().value;
-    const u64 twoP = 2 * p;
-    const u64 *w = t.invRootPow();
-    const u64 *ws = t.invRootPowShoup();
-    if (colBlock == 0)
-        colBlock = defaultColBlock(n1, n2);
-    if (colBlock > n2)
-        colBlock = n2;
-
-    // Row pass first (inverse runs stages in reverse order).
-    for (std::size_t b = 0; b < n1; ++b) {
-        u64 *base = a + b * n2;
-        std::size_t tt = 1;
-        for (std::size_t mLoc = n2; mLoc > 1; mLoc >>= 1) {
-            const std::size_t hLoc = mLoc >> 1;
-            std::size_t j1 = 0;
-            for (std::size_t i = 0; i < hLoc; ++i) {
-                const std::size_t wIdx = hLoc * (n1 + b) + i;
-                const u64 wi = w[wIdx];
-                const u64 wsi = ws[wIdx];
-                for (std::size_t j = j1; j < j1 + tt; ++j)
-                    gsButterfly(base[j], base[j + tt], wi, wsi, p, twoP);
-                j1 += 2 * tt;
-            }
-            tt <<= 1;
-        }
-    }
-
-    // Column pass, blocked (see the forward for the cache argument).
-    for (std::size_t c0 = 0; c0 < n2; c0 += colBlock) {
-        const std::size_t c1 = std::min(c0 + colBlock, n2);
-        std::size_t tt = 1;
-        for (std::size_t m = n1; m > 1; m >>= 1) {
-            const std::size_t h = m >> 1;
-            std::size_t r1 = 0;
-            for (std::size_t i = 0; i < h; ++i) {
-                const u64 wi = w[h + i];
-                const u64 wsi = ws[h + i];
-                for (std::size_t r = r1; r < r1 + tt; ++r) {
-                    u64 *lo = a + r * n2;
-                    u64 *hi = a + (r + tt) * n2;
-                    for (std::size_t c = c0; c < c1; ++c)
-                        gsButterfly(lo[c], hi[c], wi, wsi, p, twoP);
-                }
-                r1 += 2 * tt;
-            }
-            tt <<= 1;
-        }
-    }
-
-    const u64 nInv = t.nInv();
-    const u64 nInvS = t.nInvShoup();
-    for (std::size_t j = 0; j < n; ++j)
-        a[j] = mulModShoup(a[j] >= twoP ? a[j] - twoP : a[j],
-                           nInv, nInvS, p);
-}
-
-void
-nttForwardFusedLast(u64 *a, const NttTables &t)
-{
-    const std::size_t n = t.degree();
-    if (n < 2) {
+    if (v == NttVariant::Hierarchical)
+        nttForwardHierarchical(a, t);
+    else
         nttForward(a, t);
-        return;
-    }
-    const u64 p = t.modulus().value;
-    const u64 twoP = 2 * p;
-    const u64 *w = t.rootPow();
-    const u64 *ws = t.rootPowShoup();
-
-    std::size_t tt = n;
-    for (std::size_t m = 1; m < n / 2; m <<= 1) {
-        tt >>= 1;
-        for (std::size_t i = 0; i < m; ++i) {
-            const u64 wi = w[m + i];
-            const u64 wsi = ws[m + i];
-            const std::size_t j1 = 2 * i * tt;
-            for (std::size_t j = j1; j < j1 + tt; ++j)
-                ctButterfly(a[j], a[j + tt], wi, wsi, p, twoP);
-        }
-    }
-    // Last stage (m = n/2, tt = 1) with the correction folded in:
-    // both outputs are reduced to [0, p) while still in registers,
-    // saving the separate correct() sweep over memory.
-    const std::size_t half = n / 2;
-    for (std::size_t i = 0; i < half; ++i) {
-        u64 &x = a[2 * i];
-        u64 &y = a[2 * i + 1];
-        ctButterfly(x, y, w[half + i], ws[half + i], p, twoP);
-        if (x >= twoP)
-            x -= twoP;
-        if (x >= p)
-            x -= p;
-        if (y >= twoP)
-            y -= twoP;
-        if (y >= p)
-            y -= p;
-    }
 }
 
 void
-nttInverseFusedLast(u64 *a, const NttTables &t)
+nttInverseVariant(u64 *a, const NttTables &t, NttVariant v, std::size_t)
 {
-    const std::size_t n = t.degree();
-    if (n < 2) {
+    if (v == NttVariant::Hierarchical)
+        nttInverseHierarchical(a, t);
+    else
         nttInverse(a, t);
-        return;
-    }
-    const u64 p = t.modulus().value;
-    const u64 twoP = 2 * p;
-    const u64 *w = t.invRootPow();
-    const u64 *ws = t.invRootPowShoup();
-
-    std::size_t tt = 1;
-    for (std::size_t m = n; m > 2; m >>= 1) {
-        const std::size_t h = m >> 1;
-        std::size_t j1 = 0;
-        for (std::size_t i = 0; i < h; ++i) {
-            const u64 wi = w[h + i];
-            const u64 wsi = ws[h + i];
-            for (std::size_t j = j1; j < j1 + tt; ++j)
-                gsButterfly(a[j], a[j + tt], wi, wsi, p, twoP);
-            j1 += 2 * tt;
-        }
-        tt <<= 1;
-    }
-    // Last stage (m = 2, single twiddle w[1]) with the nInv sweep
-    // folded in: the sum leg multiplies by nInv directly, the
-    // difference leg by the precomputed w[1]*nInv -- both legs land
-    // fully reduced, exactly as the flat schedule's trailing sweep
-    // leaves them.
-    const std::size_t half = n / 2;
-    const u64 nInv = t.nInv();
-    const u64 nInvS = t.nInvShoup();
-    const u64 wl = t.invLastW();
-    const u64 wlS = t.invLastWShoup();
-    for (std::size_t j = 0; j < half; ++j) {
-        u64 u = a[j];
-        if (u >= twoP)
-            u -= twoP;
-        u64 v = a[j + half];
-        if (v >= twoP)
-            v -= twoP;
-        u64 s = u + v;
-        if (s >= twoP)
-            s -= twoP;
-        a[j] = mulModShoup(s, nInv, nInvS, p);
-        a[j + half] = mulModShoup(u + twoP - v, wl, wlS, p);
-    }
-}
-
-void
-nttForwardVariant(u64 *a, const NttTables &t, NttVariant v,
-                  std::size_t colBlock)
-{
-    switch (v) {
-    case NttVariant::Flat: nttForward(a, t); break;
-    case NttVariant::Hierarchical: nttForwardHierarchical(a, t); break;
-    case NttVariant::Radix4: nttForwardRadix4(a, t); break;
-    case NttVariant::BlockedHier:
-        nttForwardBlockedHier(a, t, colBlock);
-        break;
-    case NttVariant::FusedLast: nttForwardFusedLast(a, t); break;
-    }
-}
-
-void
-nttInverseVariant(u64 *a, const NttTables &t, NttVariant v,
-                  std::size_t colBlock)
-{
-    switch (v) {
-    case NttVariant::Flat: nttInverse(a, t); break;
-    case NttVariant::Hierarchical: nttInverseHierarchical(a, t); break;
-    case NttVariant::Radix4: nttInverseRadix4(a, t); break;
-    case NttVariant::BlockedHier:
-        nttInverseBlockedHier(a, t, colBlock);
-        break;
-    case NttVariant::FusedLast: nttInverseFusedLast(a, t); break;
-    }
 }
 
 std::vector<u64>

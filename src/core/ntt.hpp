@@ -12,39 +12,26 @@
  * twiddle constants and lazy [0, 4p) intermediates (Harvey-style),
  * with a single correction pass at the end.
  *
- * A zoo of execution schedules is provided over identical arithmetic
- * (every variant is bit-exact against every other and against the
- * reference NTT -- only the loop order and pass structure differ):
- *  - nttForward/nttInverse: the textbook single-pass loop nest (the
- *    Flat schedule every Context runs by default). It has two kernels,
- *    picked once per process from CPUID: an 8-lane AVX-512 (F + DQ)
- *    one that runs the scalar butterflies lane for lane -- stage
- *    pairs in registers as Radix4 runs them, and the last three
- *    forward stages (first three inverse ones) per 16-element block
- *    -- and the portable scalar loop, used on every other CPU and
- *    below degree 16. Both return fully reduced residues, so the pick
- *    never changes a result;
- *  - nttForwardHierarchical/nttInverseHierarchical: the paper's
- *    hierarchical ("2D") schedule that splits the transform into
- *    sqrt(N)-sized column and row passes so each element is touched
- *    by only two passes (four memory accesses per element), mirroring
- *    the GPU thread-block decomposition of Figure 3;
- *  - nttForwardRadix4/nttInverseRadix4: pairs of radix-2 stages fused
- *    into radix-4 butterflies, so each fused pass loads four elements
- *    into registers and runs two stages on them -- half the sweeps
- *    over memory of the flat schedule;
- *  - nttForwardBlockedHier/nttInverseBlockedHier: the hierarchical
- *    column pass re-blocked over groups of adjacent columns sized to
- *    L1/L2, so the strided column accesses reuse every cache line
- *    across the block instead of touching one lane per line;
- *  - nttForwardFusedLast/nttInverseFusedLast: the flat schedule with
- *    the trailing sweep folded into the last butterfly stage -- the
- *    forward's correct() pass and the inverse's nInv multiply happen
- *    while the last stage's values are still in registers.
+ * nttForward/nttInverse run the Flat schedule, the textbook
+ * single-pass loop nest, and are what every Context op calls. Flat
+ * has two kernels, picked once per process from CPUID:
+ *  - an 8-lane AVX-512 (F + DQ) kernel that runs the scalar
+ *    butterflies lane for lane. It takes the stride >= 8 stages in
+ *    pairs, four vectors in registers per pair, and the last three
+ *    forward stages (first three inverse ones) per 16-element block,
+ *    with the forward's correction and the inverse's n^-1 sweep folded
+ *    into the stage that ends it;
+ *  - the portable scalar loop, used on every other CPU and below
+ *    degree 16.
+ * Both return fully reduced residues, so the pick never changes a
+ * result. No option, environment variable or NttVariant selects it.
  *
- * NttVariant names a concrete schedule; nttForwardVariant and
- * nttInverseVariant dispatch on it (the per-shape autotuner in
- * ntt_tune.hpp picks one per working-set shape).
+ * nttForwardHierarchical/nttInverseHierarchical are the paper's
+ * hierarchical ("2D") schedule, kept as the Figure 3/4 reference: it
+ * splits the transform into sqrt(N)-sized column and row passes so
+ * each element is touched by only two passes (four memory accesses
+ * per element), mirroring the GPU thread-block decomposition of
+ * Figure 3. bench_ntt times it against Flat; tests hold it bit-exact.
  *
  * Evaluation-order contract (used by automorphism tables): output
  * slot i of the forward transform holds the polynomial evaluated at
@@ -61,20 +48,15 @@
 namespace fideslib
 {
 
-/** A concrete, executable NTT loop schedule. */
+/** The paper's Figure 4 pair of NTT schedules, for bench_ntt and
+ *  perfbench's NTT probe. */
 enum class NttVariant : u32
 {
-    Flat,        //!< radix-2 single loop nest
+    Flat,         //!< nttForward/nttInverse
     Hierarchical, //!< 2D column/row passes (paper Figure 3)
-    Radix4,      //!< fused stage pairs, half the memory sweeps
-    BlockedHier, //!< 2D with cache-blocked column pass
-    FusedLast,   //!< flat with the trailing sweep folded in
 };
 
-constexpr u32 kNttVariantCount = 5;
-
-/** Short stable name ("flat", "radix4", ...) for reports and the
- *  FIDES_NTT_SCHEDULE escape hatch. */
+/** Short stable name ("flat", "hier"); bench_ntt and perfbench print it. */
 const char *nttVariantName(NttVariant v);
 
 /** Precomputed twiddle tables for one (modulus, ring degree) pair. */
@@ -97,7 +79,8 @@ class NttTables
     const u64 *invRootPowShoup() const { return invRootPowShoup_.data(); }
     u64 nInv() const { return nInv_; }
     u64 nInvShoup() const { return nInvShoup_; }
-    //! Last inverse-stage twiddle pre-folded with nInv (FusedLast).
+    //! Last inverse-stage twiddle pre-folded with nInv (the AVX-512
+    //! inverse's epilogue).
     u64 invLastW() const { return invLastW_; }
     u64 invLastWShoup() const { return invLastWShoup_; }
 
@@ -137,32 +120,12 @@ void nttForwardHierarchical(u64 *a, const NttTables &t);
 /** Hierarchical (2D) schedule of the inverse NTT; same output. */
 void nttInverseHierarchical(u64 *a, const NttTables &t);
 
-/** Radix-4 schedule (fused stage pairs); same output. */
-void nttForwardRadix4(u64 *a, const NttTables &t);
-void nttInverseRadix4(u64 *a, const NttTables &t);
-
-/**
- * Cache-blocked hierarchical schedule: the column pass runs over
- * groups of @p colBlock adjacent columns so every strided cache line
- * is reused across the whole block. @p colBlock 0 sizes the block so
- * one column group fits L1 (32 KiB); any value is clamped to the
- * column count. Same output as every other schedule.
- */
-void nttForwardBlockedHier(u64 *a, const NttTables &t,
-                           std::size_t colBlock = 0);
-void nttInverseBlockedHier(u64 *a, const NttTables &t,
-                           std::size_t colBlock = 0);
-
-/** Flat schedule with the trailing sweep fused into the last stage
- *  (forward: correct(); inverse: the nInv multiply); same output. */
-void nttForwardFusedLast(u64 *a, const NttTables &t);
-void nttInverseFusedLast(u64 *a, const NttTables &t);
-
-/** Dispatch on a concrete variant (@p colBlock: BlockedHier only). */
+/** Dispatch on a Figure 4 variant. The last argument is ignored;
+ *  it stays because perfbench passes NttChoice's column block. */
 void nttForwardVariant(u64 *a, const NttTables &t, NttVariant v,
-                       std::size_t colBlock = 0);
+                       std::size_t = 0);
 void nttInverseVariant(u64 *a, const NttTables &t, NttVariant v,
-                       std::size_t colBlock = 0);
+                       std::size_t = 0);
 
 /**
  * Reference O(n^2) negacyclic evaluation used by tests: returns the

@@ -182,18 +182,19 @@ TEST_F(BootstrapPlanTest, InvalidationDropsPlansAndArenas)
     ASSERT_GT(ctx->plans().size(), 0u);
     ASSERT_GT(ctx->planStats().reservedBytes, 0u);
 
+    // Re-setting the active limb batch keeps the plans.
+    const u32 original = ctx->limbBatch();
+    ctx->setLimbBatch(original);
+    EXPECT_GT(ctx->plans().size(), 0u);
+
     // A config change that alters kernel decomposition must drop the
     // plans and give the pinned arenas back.
-    const NttSchedule original = ctx->nttSchedule();
-    const NttSchedule other = original == NttSchedule::Flat
-                                  ? NttSchedule::Radix4
-                                  : NttSchedule::Flat;
-    ctx->setNttSchedule(other);
+    ctx->setLimbBatch(original + 1);
     EXPECT_EQ(ctx->plans().size(), 0u);
     EXPECT_EQ(ctx->planStats().reservedBytes, 0u);
 
-    // Recapture under the new schedule; bits must match that
-    // schedule's own graphs-off golden.
+    // Recapture under the new batch split; bits must match that
+    // split's own graphs-off golden.
     ctx->setGraphEnabled(false);
     Ciphertext golden = boot->bootstrap(ct);
     golden.syncHost();
@@ -203,7 +204,7 @@ TEST_F(BootstrapPlanTest, InvalidationDropsPlansAndArenas)
                        "recapture after invalidation");
     EXPECT_GT(ctx->plans().size(), 0u);
 
-    ctx->setNttSchedule(original);
+    ctx->setLimbBatch(original);
 }
 
 TEST_F(BootstrapPlanTest, WarmBootstrapPinsOnlyPerOpScratch)

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "ckks/context.hpp"
 #include "core/primes.hpp"
@@ -188,10 +189,38 @@ TEST(Context, BackendConfigMutable)
     EXPECT_EQ(ctx.limbBatch(), 3u);
     ctx.setFusion(false);
     EXPECT_FALSE(ctx.fusionEnabled());
-    ctx.setNttSchedule(NttSchedule::Flat);
-    EXPECT_EQ(ctx.nttSchedule(), NttSchedule::Flat);
     ctx.setModMulKind(ModMulKind::Naive);
     EXPECT_EQ(ctx.modMulKind(), ModMulKind::Naive);
+}
+
+TEST(Context, PerfbenchNttShimsRunFlat)
+{
+    // perfbench's NTT probe and its per-setup "ntt segment" line make
+    // exactly these calls; every op runs nttForward / nttInverse.
+    Context ctx(Parameters::testSmall());
+    const NttTables &t = *ctx.prime(0).ntt;
+    const u64 q = ctx.prime(0).value();
+    std::vector<u64> in(ctx.degree());
+    for (std::size_t j = 0; j < in.size(); ++j)
+        in[j] = (j * 0x9E3779B97F4A7C15ULL) % q;
+    std::vector<u64> fwd = in, inv = in;
+    nttForward(fwd.data(), t);
+    nttInverse(inv.data(), t);
+
+    EXPECT_FALSE(ctx.nttStats().tuned);
+    for (std::size_t limbs : {1u, 3u, 64u, 1000u}) {
+        const NttChoice c = ctx.nttChoiceFor(limbs);
+        EXPECT_EQ(c.fwd, NttVariant::Flat) << limbs;
+        EXPECT_EQ(c.inv, NttVariant::Flat) << limbs;
+        EXPECT_STREQ(nttVariantName(c.fwd), "flat");
+        EXPECT_STREQ(nttVariantName(c.inv), "flat");
+        std::vector<u64> buf = in;
+        nttForwardVariant(buf.data(), t, c.fwd, c.fwdColBlock);
+        EXPECT_EQ(buf, fwd) << limbs;
+        buf = in;
+        nttInverseVariant(buf.data(), t, c.inv, c.invColBlock);
+        EXPECT_EQ(buf, inv) << limbs;
+    }
 }
 
 TEST(Context, PaperParameterSetsConstruct)

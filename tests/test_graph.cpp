@@ -189,12 +189,13 @@ TEST(GraphPlan, ExecutionKnobChangesInvalidatePlans)
     m.syncHost();
 }
 
-TEST(GraphPlan, NttScheduleSwitchInvalidatesAndRecapturesIdentically)
+TEST(GraphPlan, LimbBatchSwitchInvalidatesAndRecapturesIdentically)
 {
-    // Switching the NTT schedule is an execution-knob change: the
-    // captured plans baked the old schedule's arena reservations, so
-    // a genuine switch must drop every plan AND release the reserved
-    // arenas; re-setting the active schedule must be a free no-op.
+    // Switching the limb batch is an execution-knob change: the
+    // captured plans baked the old batch split and its arena
+    // reservations, so a genuine switch must drop every plan AND
+    // release the reserved arenas; re-setting the active value must
+    // be a free no-op.
     Fixture f(topologyParams(1, 2));
     auto a = f.encrypt(0.29);
     auto b = f.encrypt(0.31);
@@ -204,17 +205,18 @@ TEST(GraphPlan, NttScheduleSwitchInvalidatesAndRecapturesIdentically)
     ASSERT_EQ(f.ctx.plans().size(), 1u);
     ASSERT_GT(f.ctx.planStats().reservedBytes, 0u);
 
-    // Re-setting the already-active schedule keeps the plans.
-    f.ctx.setNttSchedule(f.ctx.nttSchedule());
+    // Re-setting the already-active limb batch keeps the plans.
+    f.ctx.setLimbBatch(f.ctx.limbBatch());
     EXPECT_EQ(f.ctx.plans().size(), 1u);
 
     // A genuine switch clears the plans and the arena reservations.
-    f.ctx.setNttSchedule(NttSchedule::Radix4);
+    f.ctx.setLimbBatch(f.ctx.limbBatch() + 1);
     EXPECT_EQ(f.ctx.plans().size(), 0u);
     EXPECT_EQ(f.ctx.planStats().reservedBytes, 0u);
 
-    // The fresh capture under the new schedule runs the new kernels
-    // but must be bit-identical: every variant is bit-exact.
+    // The fresh capture under the new split launches different
+    // batches but must be bit-identical: results never depend on the
+    // limb batch.
     Ciphertext m2 = f.eval.multiply(a, b);
     EXPECT_EQ(f.ctx.plans().size(), 1u);
     expectPolyEqual(m1.c0, m2.c0, "recapture c0");

@@ -229,21 +229,5 @@ TEST_F(RnsTest, LimbBatchDoesNotChangeResults)
     }
 }
 
-TEST_F(RnsTest, NttScheduleDoesNotChangeResults)
-{
-    auto a = smallPoly(*ctx, 3, 19, 1ULL << 40);
-    auto b = a.clone();
-    ctx->setNttSchedule(NttSchedule::Flat);
-    kernels::toEval(a);
-    ctx->setNttSchedule(NttSchedule::Hierarchical);
-    kernels::toEval(b);
-    for (std::size_t i = 0; i < a.numLimbs(); ++i) {
-        const u64 *x = a.limb(i).data();
-        const u64 *y = b.limb(i).data();
-        for (std::size_t j = 0; j < ctx->degree(); ++j)
-            ASSERT_EQ(x[j], y[j]);
-    }
-}
-
 } // namespace
 } // namespace fideslib::ckks

@@ -25,8 +25,8 @@ Timing metrics are gated too, with a deliberately generous band
 (TIME_TOLERANCE): ns_per_op and host_dispatch_us must stay within a
 multiple of the committed baseline. The band is wide because CI
 machines differ from the committing machine -- the gate exists to
-catch order-of-magnitude regressions (an NTT schedule pick gone
-pathological, a plan replay falling back to uncached dispatch), not
+catch order-of-magnitude regressions (a kernel falling back to a far
+slower loop, a plan replay falling back to uncached dispatch), not
 single-digit-percent drift.
 
 With a third argument (BENCH_serve.json), the serving-throughput gate
