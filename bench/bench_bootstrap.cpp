@@ -6,14 +6,13 @@
  * arithmetic, no fusion, no limb batching -- the shape of an
  * unoptimized CPU implementation on the same substrate).
  *
- * BM_BootstrapPerOp runs the FIDESlib configuration in the plan-cache
- * steady state: a warmup bootstrap captures the per-op plans, the
- * timed iteration replays them (DESIGN.md §1.10). It reports the host
- * dispatch cost per bootstrap and the plan-cache entries, keys and
- * arena it exercises. BM_BootstrapBaselineSim warms the same way
- * after its knob changes, so both rows time a replay. CI gates
- * plan_keys / host_dispatch_us against the committed
- * BENCH_bootstrap.json baseline (tools/check_launch_regression.py).
+ * BM_BootstrapPerOp runs the FIDESlib configuration after one warmup
+ * bootstrap (which builds the cached stage encodes, DESIGN.md §1.10)
+ * and reports the host dispatch cost per bootstrap.
+ * BM_BootstrapBaselineSim warms the same way after its knob changes.
+ * CI gates host_dispatch_us and the pair's syncs_per_op against the
+ * committed BENCH_bootstrap.json baseline
+ * (tools/check_launch_regression.py).
  *
  * Default: bootstrappable test set at logN=12 with slots
  * {64, 256, 1024}; FIDES_PAPER_SCALE=1 selects the paper's
@@ -29,7 +28,6 @@
 
 #include "bench_common.hpp"
 #include "ckks/bootstrap.hpp"
-#include "ckks/graph.hpp"
 
 namespace
 {
@@ -44,7 +42,7 @@ bootParams()
 {
     // 2 devices x 2 streams: kernel bodies run on stream workers, so
     // the submitting thread's CPU time (host_dispatch_us) is pure
-    // dispatch -- the quantity plan replay shrinks. On the 1x1
+    // dispatch. On the 1x1
     // default the kernels would execute inline on the submitter and
     // drown the signal.
     Parameters p =
@@ -98,8 +96,8 @@ setup(u32 slots)
     return *it->second;
 }
 
-/** The steady-state bootstrap loop: warm capture outside the timer,
- *  replays inside, host dispatch in thread CPU time. */
+/** The steady-state bootstrap loop: one warm bootstrap outside the
+ *  timer, host dispatch in thread CPU time. */
 void
 BM_BootstrapPerOp(benchmark::State &state)
 {
@@ -107,9 +105,6 @@ BM_BootstrapPerOp(benchmark::State &state)
     auto &b = cachedContext("boot", bootParams(), {}, true);
     auto &s = setup(slots);
 
-    // Fresh cache per row so plan_keys / plan_arena_mb describe THIS
-    // slot count alone (keys would otherwise accumulate across rows).
-    b.ctx->invalidatePlans();
     b.ctx->devices().setLaunchOverheadNs(2000);
     {
         auto warm = s.boot->bootstrap(s.ct);
@@ -118,7 +113,6 @@ BM_BootstrapPerOp(benchmark::State &state)
     }
     DeviceSet &devs = b.ctx->devices();
     devs.resetCounters();
-    const u64 entries0 = devs.planReplays() + devs.planCaptures();
     u32 outLevel = 0;
     double dispatchNs = 0;
     for (auto _ : state) {
@@ -133,19 +127,6 @@ BM_BootstrapPerOp(benchmark::State &state)
 
     const double iters =
         static_cast<double>(std::max<u64>(1, state.iterations()));
-    // Plan-cache entries exercised per bootstrap (replays + captures
-    // since the warm run).
-    state.counters["plan_entries_per_boot"] =
-        static_cast<double>(devs.planReplays() + devs.planCaptures()
-                            - entries0) /
-        iters;
-    const kernels::PlanCacheStats ps = b.ctx->planStats();
-    state.counters["plan_keys"] =
-        static_cast<double>(ps.keys.size());
-    state.counters["plan_misses"] = static_cast<double>(ps.misses);
-    state.counters["plan_hits"] = static_cast<double>(ps.hits);
-    state.counters["plan_arena_mb"] =
-        static_cast<double>(ps.reservedBytes) / 1e6;
     state.counters["host_dispatch_us"] = dispatchNs / 1e3 / iters;
     state.counters["slots"] = slots;
     state.counters["levels_remaining"] = outLevel;
@@ -169,9 +150,7 @@ BM_BootstrapBaselineSim(benchmark::State &state)
     // The same simulated launch overhead as BM_BootstrapPerOp, so the
     // rows differ only in the optimizations the baseline turns off.
     devs.setLaunchOverheadNs(2000);
-    // The knob changes above dropped every plan: recapture outside
-    // the timer, so the timed iteration replays like its PerOp
-    // sibling instead of timing a capture pass.
+    // One warm bootstrap outside the timer, like its PerOp sibling.
     {
         auto warm = s.boot->bootstrap(s.ct);
         benchmark::DoNotOptimize(warm.c0.limb(0).data());

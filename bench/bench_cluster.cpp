@@ -5,20 +5,19 @@
  * stats-style requests, a fixed total submitter-thread budget --
  * served by a Router with {1, 2, 4} shards. One shard is the
  * single-node baseline whose submitter contention BENCH_serve.json
- * documents (all submitters share one Context's plan-cache lock,
+ * documents (all submitters share one Context's lazy caches,
  * MemPool and stream locks); each added shard is an independent
  * Context + DeviceSet, so the sweep measures how much of that
  * single-node collapse tenant-affine sharding buys back.
  *
- * Every run is the plan-cache steady state PER SHARD: each tenant's
- * first (warmup, unmeasured) request captures the shard's plans, the
- * measured requests replay them. Routed results are bit-identical
+ * Each tenant's first request is an unmeasured warmup (it builds the
+ * shard's lazy caches). Routed results are bit-identical
  * across shard counts (proven by test_router); this bench measures
  * only the placement schedule.
  *
  * Writes a machine-readable summary to --json_out (default
  * BENCH_cluster.json in the CWD): per-row aggregate req/s and ops/s,
- * p50/p99 latency, summed plan-cache hits, and the scaling ratio
+ * p50/p99 latency, host dispatch per op, and the scaling ratio
  * against the 1-shard row. CI gates the 2-shard ratio via
  * tools/check_launch_regression.py --cluster; like the submitter
  * gate, the ratio applies only on machines with enough cores
@@ -42,7 +41,6 @@
 
 #include "ckks/adapter.hpp"
 #include "ckks/encryptor.hpp"
-#include "ckks/graph.hpp"
 #include "ckks/keygen.hpp"
 #include "serve/router.hpp"
 
@@ -98,9 +96,6 @@ struct RunResult
     double seconds;
     double p50Ms;
     double p99Ms;
-    u64 planHits;
-    std::size_t planKeys;
-    u64 arenaBytes;
     double hostDispatchUs; //!< dispatch-engine CPU per executed op
     std::string metrics;
 };
@@ -120,8 +115,7 @@ runOnce(u32 shards, double targetRps,
     const HostCiphertext hx = adapter::toHost(clientCtx, x);
     const HostCiphertext hy = adapter::toHost(clientCtx, y);
 
-    // Warmup: each tenant's first request captures its shard's
-    // plans; the measured loop below replays only.
+    // Warmup: each tenant's first request runs unmeasured.
     for (u64 t = 1; t <= gTenants; ++t) {
         router.registerTenant(t, wireKeys);
         router.submit(t, statsProgram(router.upload(t, hx),
@@ -140,11 +134,8 @@ runOnce(u32 shards, double targetRps,
         requests.push_back(statsProgram(router.upload(t, hx),
                                         router.upload(t, hy)));
     }
-    u64 hits0 = 0;
-    for (u32 s = 0; s < shards; ++s) {
+    for (u32 s = 0; s < shards; ++s)
         router.shardContext(s).devices().synchronize();
-        hits0 += router.shardContext(s).devices().planReplays();
-    }
     u64 dispatch0 = 0, ops0 = 0;
     for (const auto &ss : router.stats().shards) {
         dispatch0 += ss.serve.dispatchCpuNs;
@@ -182,10 +173,6 @@ runOnce(u32 shards, double targetRps,
                                       t0)
             .count();
 
-    u64 hits1 = 0;
-    for (u32 s = 0; s < shards; ++s)
-        hits1 += router.shardContext(s).devices().planReplays();
-
     std::sort(latencies.begin(), latencies.end());
     auto pct = [&](double p) {
         std::size_t i = static_cast<std::size_t>(
@@ -199,12 +186,9 @@ runOnce(u32 shards, double targetRps,
     r.seconds = seconds;
     r.p50Ms = pct(0.50);
     r.p99Ms = pct(0.99);
-    r.planHits = hits1 - hits0;
     const Router::Stats st = router.stats();
     u64 dispatch1 = 0, ops1 = 0;
     for (const auto &ss : st.shards) {
-        r.planKeys += ss.planKeys;
-        r.arenaBytes += ss.arenaBytes;
         dispatch1 += ss.serve.dispatchCpuNs;
         ops1 += ss.serve.executedOps;
     }
@@ -337,16 +321,11 @@ main(int argc, char **argv)
             "\"requests_per_sec\": %.2f, \"ops_per_sec\": %.2f, "
             "\"p50_ms\": %.3f, \"p99_ms\": %.3f, "
             "\"scaling_vs_1shard\": %.3f, \"host_dispatch_us\": %.3f, "
-            "\"plan_cache_hits\": %llu, "
-            "\"plan_keys\": %zu, \"plan_arena_mb\": %.2f, "
             "\"cores\": %u}%s\n",
             name.c_str(), r.shards,
             std::max(1u, gSubmitters / r.shards), gTenants, r.targetRps, gRequests, kOpsPerRequest, reqPerSec,
             reqPerSec * kOpsPerRequest, r.p50Ms, r.p99Ms, scaling,
-            r.hostDispatchUs,
-            static_cast<unsigned long long>(r.planHits), r.planKeys,
-            static_cast<double>(r.arenaBytes) / 1e6, cores,
-            i + 1 < rows.size() ? "," : "");
+            r.hostDispatchUs, cores, i + 1 < rows.size() ? "," : "");
     }
     std::fprintf(f, "]\n");
     std::fclose(f);

@@ -139,11 +139,6 @@ reportPlatformModel(::benchmark::State &state, u64 iterations,
         static_cast<double>(devs.hostJoins()) / iterations;
     state.counters["kernels_per_op"] =
         static_cast<double>(devs.logicalKernels()) / iterations;
-    // Plan-cache accounting (graph.hpp): replays of captured
-    // execution plans during the measured loop. CI gates on this
-    // staying > 0 for the HMult loop.
-    state.counters["plan_cache_hits"] =
-        static_cast<double>(devs.planReplays());
 }
 
 /**

@@ -17,19 +17,17 @@
  * limb batches round-robin over four streams; per-device launch and
  * traffic counters are reported alongside the aggregate model.
  *
- * The measured loop runs in the plan-cache steady state: a warmup
- * multiply captures the KernelGraph for the configured batch size, so
- * every timed iteration replays it (plan_cache_hits == iterations)
- * and host_dispatch_us reports the replayed per-op host dispatch cost
- * -- hazard derivation, stream picking and the per-launch overhead all
- * collapse into one graph launch (DESIGN.md §1.7).
+ * A warmup multiply runs outside the measured loop, and
+ * host_dispatch_us reports the per-op host dispatch cost of the timed
+ * iterations: hazard derivation, stream picking and the per-launch
+ * overhead of every live launch.
  *
  * Besides the console output, every run (over)writes a machine-
  * readable summary (ns/op, host syncs/op, logical kernels/op,
- * per-device launches, host dispatch us/op, plan-cache hits) to
- * --json_out, defaulting to BENCH_limb_batch.json in the CWD; CI
- * passes the repo-root path, gates on launches/op, syncs/op and
- * plan_cache_hits against the committed baseline
+ * per-device launches, host dispatch us/op) to --json_out, defaulting
+ * to BENCH_limb_batch.json in the CWD; CI passes the repo-root path,
+ * gates on kernels/op, launches/op, syncs/op, ns/op and host
+ * dispatch against the committed baseline
  * (tools/check_launch_regression.py) and uploads the file as a
  * per-commit artifact so the performance trajectory of the
  * asynchronous execution model accumulates across commits.
@@ -46,7 +44,6 @@
 #include "bench_common.hpp"
 
 #include "check/check.hpp"
-#include "ckks/graph.hpp"
 
 namespace
 {
@@ -88,9 +85,7 @@ BM_HMultLimbBatch(benchmark::State &state)
 
     b.ctx->setLimbBatch(batch);
     b.ctx->devices().setLaunchOverheadNs(2000);
-    // Warm the plan cache outside the measured loop (setLimbBatch
-    // invalidated it if the batch changed), so every timed iteration
-    // REPLAYS the captured HMult plan -- the serving steady state.
+    // One warm multiply outside the measured loop.
     {
         auto warm = b.eval->multiply(a, c);
         benchmark::DoNotOptimize(warm.c0.limb(0).data());
@@ -100,7 +95,7 @@ BM_HMultLimbBatch(benchmark::State &state)
     // Host-side dispatch time: multiply() returns once every kernel
     // is submitted (the work itself retires asynchronously), so the
     // submitting thread's CPU time up to the return is exactly the
-    // per-op host dispatch cost the plan cache exists to shrink.
+    // per-op host dispatch cost.
     double dispatchNs = 0;
     for (auto _ : state) {
         const double t0 = threadCpuNs();
@@ -114,21 +109,8 @@ BM_HMultLimbBatch(benchmark::State &state)
     reportPlatformModel(state, state.iterations(), b.ctx->devices());
     reportPerDeviceCounters(state, state.iterations(),
                             b.ctx->devices());
-    // Plan-cache observability (Context::planStats): the number of
-    // live keys and the pinned arena footprint land in the committed
-    // trajectory, so a key-space leak -- a shape change silently
-    // widening the key set, or invalidation leaking arenas -- is
-    // visible across commits next to plan_cache_hits. Sampled BEFORE
-    // the knob restore below, which invalidates the plans and
-    // releases their arenas.
-    const kernels::PlanCacheStats ps = b.ctx->planStats();
-    state.counters["plan_keys"] =
-        static_cast<double>(ps.keys.size());
-    state.counters["plan_misses"] = static_cast<double>(ps.misses);
-    state.counters["plan_arena_mb"] =
-        static_cast<double>(ps.reservedBytes) / 1e6;
     // Hazard-validator overhead observability (check/check.hpp,
-    // DESIGN.md §1.11): the same replayed multiply timed with the
+    // DESIGN.md §1.11): the same multiply timed with the
     // validator on (Report mode) and off, back to back. Both ns/op
     // land in the trajectory, so the cost of a checked run -- and any
     // creep in the cost of the DISABLED hooks, which is the number

@@ -8,10 +8,9 @@
  * ops/s) and per-request latency (p50/p99) as a function of the
  * submitter-thread count.
  *
- * The run is the plan-cache steady state: a warmup request captures
- * every plan, so measured requests replay them; what scales with
- * submitters is exactly the per-request host dispatch the plan cache
- * made cheap, spread over disjoint stream leases. Results are
+ * A warmup request runs first (it builds the Context's lazy caches);
+ * what scales with submitters is the per-request host dispatch,
+ * spread over disjoint stream leases. Results are
  * bit-identical across submitter counts (proven by test_serve); this
  * bench measures only the schedule. --target_rps > 0 adds an
  * open-loop Poisson row (name suffix _open) at the largest submitter
@@ -20,9 +19,9 @@
  * A final "serve_bootstrap" row exercises the long-program path: a
  * refresh chain (input -> bootstrap -> square -> rescale) served
  * through a Server configured with a Bootstrapper, over its own
- * bootstrappable context. Each bootstrap replays the per-op plans of
- * its ops (DESIGN.md §1.10), so the row records the serving cost of a
- * ~40-op program that dispatches as a few hundred graph replays.
+ * bootstrappable context, so the row records the serving cost of a
+ * program whose bootstrap dispatches a few thousand launches
+ * (DESIGN.md §1.10).
  *
  * Writes a machine-readable summary to --json_out (default
  * BENCH_serve.json in the CWD). CI gates multi-submitter scaling
@@ -32,8 +31,7 @@
  * extra submitters to be physically able to add wall-clock
  * throughput over the kernel compute one request already pipelines.
  * The serve_bootstrap row is exempt from the scaling gate (it is a
- * latency row, not a throughput sweep) but shares the
- * plan_cache_hits >= 1 floor: served bootstraps must replay.
+ * latency row, not a throughput sweep).
  */
 
 #include <algorithm>
@@ -47,7 +45,6 @@
 
 #include "ckks/bootstrap.hpp"
 #include "ckks/encryptor.hpp"
-#include "ckks/graph.hpp"
 #include "ckks/keygen.hpp"
 #include "serve/server.hpp"
 
@@ -90,7 +87,6 @@ struct RunResult
     double seconds;
     double p50Ms;
     double p99Ms;
-    u64 planHits;
     double hostDispatchUs; //!< worker CPU us per homomorphic op
     double launchesPerOp;
     double kernelsPerOp;
@@ -125,7 +121,6 @@ runOnce(const Context &ctx, const KeyBundle &keys,
     for (u32 i = 0; i < gRequests; ++i)
         requests.push_back(statsProgram(x.clone(), y.clone()));
     ctx.devices().synchronize();
-    const u64 hits0 = ctx.devices().planReplays();
     const u64 launches0 = totalLaunches(ctx.devices());
     const u64 kernels0 = ctx.devices().logicalKernels();
 
@@ -175,7 +170,6 @@ runOnce(const Context &ctx, const KeyBundle &keys,
             seconds,
             pct(0.50),
             pct(0.99),
-            ctx.devices().planReplays() - hits0,
             static_cast<double>(st.dispatchCpuNs) / 1e3 / ops,
             static_cast<double>(totalLaunches(ctx.devices()) -
                                 launches0) /
@@ -240,14 +234,12 @@ writeBootstrapRow(std::FILE *f, u32 cores)
     opt.submitters = kBootSubmitters;
     opt.bootstrapper = &boot;
 
-    // Warm: the first bootstrap captures the per-op plans; the
-    // measured requests replay them.
+    // Warm: the first bootstrap builds the cached stage encodes.
     {
         Server warm(ctx, keys, opt);
         warm.submit(refreshProgram()).get();
     }
     ctx.devices().synchronize();
-    const u64 hits0 = ctx.devices().planReplays();
 
     std::vector<Request> requests;
     requests.reserve(kBootRequests);
@@ -277,10 +269,8 @@ writeBootstrapRow(std::FILE *f, u32 cores)
             q * static_cast<double>(latencies.size() - 1));
         return latencies[i];
     };
-    const u64 planHits = ctx.devices().planReplays() - hits0;
     const double reqPerSec =
         static_cast<double>(kBootRequests) / seconds;
-    const kernels::PlanCacheStats ps = ctx.planStats();
 
     std::printf("  bootstrap (%u submitters)  %6.2f req/s  "
                 "p50 %7.1f ms  p99 %7.1f ms\n",
@@ -290,13 +280,9 @@ writeBootstrapRow(std::FILE *f, u32 cores)
         "  {\"name\": \"serve_bootstrap\", \"submitters\": %u, "
         "\"requests\": %u, \"ops_per_request\": %u, "
         "\"requests_per_sec\": %.4f, \"ops_per_sec\": %.4f, "
-        "\"p50_ms\": %.3f, \"p99_ms\": %.3f, "
-        "\"plan_cache_hits\": %llu, \"plan_keys\": %zu, "
-        "\"plan_arena_mb\": %.2f, \"cores\": %u}\n",
+        "\"p50_ms\": %.3f, \"p99_ms\": %.3f, \"cores\": %u}\n",
         kBootSubmitters, kBootRequests, kBootOpsPerRequest, reqPerSec,
-        reqPerSec * kBootOpsPerRequest, pct(0.50), pct(0.99),
-        static_cast<unsigned long long>(planHits), ps.keys.size(),
-        static_cast<double>(ps.reservedBytes) / 1e6, cores);
+        reqPerSec * kBootOpsPerRequest, pct(0.50), pct(0.99), cores);
 }
 
 void
@@ -374,7 +360,7 @@ main(int argc, char **argv)
     ctx.setLimbBatch(4);
     ctx.devices().setLaunchOverheadNs(2000);
 
-    // Warm the plan cache: the measured loops replay.
+    // One warm request builds the Context's lazy caches.
     {
         Server warm(ctx, keys);
         warm.submit(statsProgram(x.clone(), y.clone())).get();
@@ -397,7 +383,6 @@ main(int argc, char **argv)
         rows.push_back(runOnce(ctx, keys, x, y, s, gTargetRps));
     }
 
-    kernels::PlanCacheStats ps = ctx.planStats();
     std::FILE *f = std::fopen(gJsonOut.c_str(), "w");
     if (!f)
         fatal("cannot write %.200s", gJsonOut.c_str());
@@ -423,16 +408,12 @@ main(int argc, char **argv)
             "\"requests_per_sec\": %.2f, \"ops_per_sec\": %.2f, "
             "\"p50_ms\": %.3f, \"p99_ms\": %.3f, "
             "\"host_dispatch_us\": %.3f, \"launches_per_op\": %.3f, "
-            "\"kernels_per_op\": %.3f, "
-            "\"plan_cache_hits\": %llu, \"plan_keys\": %zu, "
-            "\"plan_arena_mb\": %.2f, \"cores\": %u}%s\n",
+            "\"kernels_per_op\": %.3f, \"cores\": %u}%s\n",
             name.c_str(), r.submitters, r.targetRps,
             gRequests, kOpsPerRequest, reqPerSec,
             reqPerSec * kOpsPerRequest, r.p50Ms, r.p99Ms,
-            r.hostDispatchUs, r.launchesPerOp, r.kernelsPerOp,
-            static_cast<unsigned long long>(r.planHits),
-            ps.keys.size(),
-            static_cast<double>(ps.reservedBytes) / 1e6, cores, ",");
+            r.hostDispatchUs, r.launchesPerOp, r.kernelsPerOp, cores,
+            ",");
     }
     writeBootstrapRow(f, cores);
     std::fprintf(f, "]\n");

@@ -21,7 +21,6 @@
 
 #include "ckks/adapter.hpp"
 #include "ckks/encryptor.hpp"
-#include "ckks/graph.hpp"
 #include "ckks/keygen.hpp"
 #include "ckks/serial.hpp"
 #include "serve/router.hpp"
@@ -176,12 +175,11 @@ main()
     const Router::Stats st = router.stats();
     for (u32 s = 0; s < router.numShards(); ++s)
         std::printf("%s: %zu tenant(s), %llu request(s) served, "
-                    "%llu failed, %zu cached plan(s)\n",
+                    "%llu failed\n",
                     router.shardContext(s).shardLabel().c_str(),
                     st.shards[s].tenants,
                     (unsigned long long)st.shards[s].serve.completed,
-                    (unsigned long long)st.shards[s].serve.failed,
-                    st.shards[s].planKeys);
+                    (unsigned long long)st.shards[s].serve.failed);
 
     // The same numbers, scrape-ready (Router::metricsText dumps every
     // shard's /metrics samples; the head is enough for a demo).

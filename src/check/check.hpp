@@ -1,13 +1,13 @@
 /**
  * @file
  * Hazard validator: a compute-sanitizer-style racecheck / declcheck /
- * initcheck / lifetime analysis layer over the stream/event/plan
+ * initcheck / lifetime analysis layer over the stream/event
  * execution stack (DESIGN.md §1.11).
  *
  * The execution model rests on an honor-system invariant: every
  * kernels::forBatches launch declares the limbs it touches via its
- * Dep list, and event chaining, plan-edge derivation and deferred
- * frees are all derived from those declarations. An undeclared access
+ * Dep list, and event chaining and deferred frees are both derived
+ * from those declarations. An undeclared access
  * is a real (logical) GPU race, yet the simulated worker-thread
  * streams often serialize accidentally, so tests pass and TSan sees
  * nothing -- the host threads are correctly synchronized; it is the
@@ -194,12 +194,12 @@ std::shared_ptr<void> makeEventClock(const Stream *st);
 
 /** Event::ready()/synchronize(): the calling thread observed the
  *  event complete, so it joins the event's clock -- this is how
- *  ready-skip fast paths (waitHazards, writeEventsOf, replay wait
- *  pruning) stay visible to the happens-before relation. */
+ *  ready-skip fast paths (waitHazards, writeEventsOf) stay visible
+ *  to the happens-before relation. */
 void onEventObserved(const std::shared_ptr<void> &clock);
 
-/** Stream::wait(e) and the replay engine's combined waiter: work
- *  submitted to @p st after this point happens-after @p e. Sound on
+/** Stream::wait(e): work submitted to @p st after this point
+ *  happens-after @p e. Sound on
  *  every Stream::wait fast path (ready / same-stream), so it is
  *  called unconditionally at entry. */
 void onStreamWait(const Stream *st, const Event &e);

@@ -6,13 +6,12 @@
  * registered Stream, or a host thread that executes kernel bodies
  * inline / observes event completions. Every launch takes a fresh
  * epoch on its stream's component; Event::record snapshots the
- * stream clock; Stream::wait (and the replay engine's combined
- * waiter) joins the event clock into the waiting stream; a host
+ * stream clock; Stream::wait joins the event clock into the
+ * waiting stream; a host
  * thread that observes an event complete joins the event clock into
  * its thread-local clock, and every launch it submits joins that
  * thread clock -- which is what keeps the dispatcher's ready-skip
- * fast paths (waitHazards, writeEventsOf, replay wait pruning) part
- * of the relation.
+ * fast paths (waitHazards, writeEventsOf) part of the relation.
  *
  * Shadow state is one record per device buffer (limb base pointer):
  * the last write and the last read per actor, each with the full

@@ -2,8 +2,8 @@
 
 #include <cstring>
 #include <memory>
+#include <optional>
 
-#include "ckks/graph.hpp"
 #include "ckks/kernels.hpp"
 #include "core/logging.hpp"
 
@@ -110,11 +110,9 @@ noteConvAccesses(const std::shared_ptr<check::LaunchRecord> &rec,
  * the launches retire. With a single stream the product runs inline
  * and no events are returned.
  *
- * Participates in plan capture/replay (graph.hpp) through symbolic
- * operand bindings: @p srcPoly / @p srcPos name the partition
- * positions behind the raw @p src pointers, @p dstPoly / @p dstPos
- * those behind @p dst. Replays take stream choice and hazards from
- * the captured plan and skip per-launch dispatch.
+ * @p srcPoly / @p srcPos name the partition positions behind the raw
+ * @p src pointers, @p dstPoly / @p dstPos those behind @p dst: the
+ * validator's view of the accesses.
  */
 std::vector<ConvLaunch>
 dispatchConvert(const Context &ctx, const ConvTables &tables,
@@ -134,13 +132,6 @@ dispatchConvert(const Context &ctx, const ConvTables &tables,
     std::vector<std::vector<u32>> byDevice(devs.numDevices());
     for (u32 t = 0; t < nt; ++t)
         byDevice[ctx.deviceFor(tables.targetIdx[t]).id()].push_back(t);
-
-    kernels::GraphReplay *replay = ctx.replaySession();
-    kernels::GraphCapture *capture = ctx.captureSession();
-    if (replay)
-        replay->beginCustomCall(srcPoly, dstPoly);
-    else if (capture)
-        capture->beginCustomCall(srcPoly, dstPoly);
 
     // Validator wiring: convertTargets works on raw pointers, so each
     // launch reports its exact access set explicitly (body-time, via
@@ -165,16 +156,11 @@ dispatchConvert(const Context &ctx, const ConvTables &tables,
         return w;
     };
 
-    // The write positions of one launch: the dstPos entries its
-    // target selection covers.
-    auto writePositions = [&dstPos](const std::vector<u32> &sel) {
-        std::vector<u32> writes;
-        writes.reserve(sel.size());
-        for (u32 t : sel)
-            writes.push_back(dstPos[t]);
-        return writes;
-    };
-
+    // Multi-stream launches are submission work on this thread
+    // (dispatchEngineNs); a single stream runs the product inline.
+    std::optional<kernels::DispatchTimer> timer;
+    if (devs.numStreams() > 1)
+        timer.emplace();
     std::vector<ConvLaunch> launches;
     const StreamLease &leased = ctx.streamLease();
     std::vector<u32> rr(devs.numDevices(), 0);
@@ -188,42 +174,8 @@ dispatchConvert(const Context &ctx, const ConvTables &tables,
         const u64 bw = sel.size() * n * kWord;
         const u64 ops = sel.size() * n * (2 * ns + 2);
 
-        if (replay) {
-            Stream *st = replay->customNode(br, bw, ops);
-            if (!st) {
-                auto rec = check::enabled()
-                               ? check::beginLaunch(nullptr, {})
-                               : nullptr;
-                convertTargets(ctx, tables, src, dst, sel);
-                if (rec)
-                    noteConvAccesses(rec, *convReads,
-                                     *writeAccesses(sel));
-                continue;
-            }
-            auto rec = check::enabled() ? check::beginLaunch(st, {})
-                                        : nullptr;
-            auto wAcc = writeAccesses(sel);
-            std::vector<u32> selCopy = sel;
-            st->submit([&ctx, &tables, src, dst,
-                        sel = std::move(selCopy), keep, rec, convReads,
-                        wAcc] {
-                convertTargets(ctx, tables, src, dst, sel);
-                if (rec)
-                    noteConvAccesses(rec, *convReads, *wAcc);
-            });
-            Event ev = st->record();
-            replay->noteCustomEvent(ev);
-            launches.push_back({std::move(ev), std::move(sel)});
-            continue;
-        }
-
         devs.device(d).launch(br, bw, ops);
         if (devs.numStreams() == 1) {
-            if (capture) {
-                capture->recordCustomNode(0, br, bw, ops, srcPos,
-                                          writePositions(sel),
-                                          Event());
-            }
             auto rec = check::enabled()
                            ? check::beginLaunch(nullptr, {})
                            : nullptr;
@@ -246,10 +198,6 @@ dispatchConvert(const Context &ctx, const ConvTables &tables,
                 noteConvAccesses(rec, *convReads, *wAcc);
         });
         Event ev = st.record();
-        if (capture) {
-            capture->recordCustomNode(st.id(), br, bw, ops, srcPos,
-                                      writePositions(sel), ev);
-        }
         launches.push_back({std::move(ev), std::move(sel)});
     }
     return launches;

@@ -226,9 +226,8 @@ Bootstrapper::bootstrap(const Ciphertext &ct) const
         eval_.addInPlace(raised, rot);
     }
 
-    // Every homomorphic op below replays its own per-op plan; the
-    // stage encodes (cached across calls) run live, outside any plan
-    // scope. A widened stage reads its s-periodic input at 2s slots.
+    // The stage encodes are cached across calls. A widened stage
+    // reads its s-periodic input at 2s slots.
     auto applyStage = [&](Ciphertext &x, bool s2c, u32 idx) {
         x.slots = (s2c ? s2c_ : c2s_)[idx].slots();
         x = applyEncoded(eval_, x, encodedStage(s2c, idx, x.level()));

@@ -17,17 +17,12 @@ namespace
 Context *gCurrent = nullptr;
 
 /**
- * Per-thread execution state bound to one Context: the active
- * capture/replay session and the installed stream lease. Sessions are
- * strictly scoped (PlanScope RAII on one thread), so a single slot
- * per thread suffices; the owning-context tag keeps a stale slot from
+ * Per-thread execution state bound to one Context: the installed
+ * stream lease. The owning-context tag keeps a stale slot from
  * leaking into another Context's ops.
  */
 struct ThreadExecState
 {
-    const Context *ctx = nullptr;
-    kernels::GraphCapture *capture = nullptr;
-    kernels::GraphReplay *replay = nullptr;
     const Context *leaseCtx = nullptr;
     const StreamLease *lease = nullptr;
 };
@@ -56,9 +51,7 @@ Context::Context(const Parameters &params)
       prng_(params.seed),
       limbBatch_(params.limbBatch),
       fusion_(params.fusion),
-      modMul_(params.modMul),
-      graphEnabled_(std::getenv("FIDES_NO_GRAPH") == nullptr),
-      plans_(std::make_unique<kernels::PlanCache>())
+      modMul_(params.modMul)
 {
     params_.validate();
     // Hazard-validator escape hatch (check/check.hpp): FIDES_VALIDATE
@@ -106,42 +99,6 @@ Context::~Context()
         gCurrent = nullptr;
 }
 
-kernels::GraphCapture *
-Context::captureSession() const
-{
-    return tExec.ctx == this ? tExec.capture : nullptr;
-}
-
-kernels::GraphReplay *
-Context::replaySession() const
-{
-    return tExec.ctx == this ? tExec.replay : nullptr;
-}
-
-void
-Context::setCaptureSession(kernels::GraphCapture *c) const
-{
-    if (c) {
-        tExec.ctx = this;
-        tExec.capture = c;
-        tExec.replay = nullptr;
-    } else if (tExec.ctx == this) {
-        tExec.capture = nullptr;
-    }
-}
-
-void
-Context::setReplaySession(kernels::GraphReplay *r) const
-{
-    if (r) {
-        tExec.ctx = this;
-        tExec.replay = r;
-        tExec.capture = nullptr;
-    } else if (tExec.ctx == this) {
-        tExec.replay = nullptr;
-    }
-}
-
 const StreamLease &
 Context::streamLease() const
 {
@@ -168,29 +125,10 @@ Context::setThreadLease(const StreamLease *lease) const
     }
 }
 
-void
-Context::invalidatePlans()
-{
-    // A plan must never die under an op that is capturing or
-    // replaying it; the execution knobs are only mutated between ops
-    // (PlanCache::clear asserts no session is active on ANY thread).
-    FIDES_ASSERT(captureSession() == nullptr &&
-                 replaySession() == nullptr);
-    plans_->clear();
-    // The cleared plans' scratch arenas must not stay parked on the
-    // pool free lists: a config sweep (the limb-batch bench) would
-    // otherwise accrete one dead arena per configuration.
-    for (u32 d = 0; d < devices_->numDevices(); ++d)
-        devices_->device(d).pool().unreserve();
-}
-
 kernels::PlanCacheStats
 Context::planStats() const
 {
-    kernels::PlanCacheStats stats = plans_->stats();
-    for (u32 d = 0; d < devices_->numDevices(); ++d)
-        stats.reservedBytes += devices_->device(d).pool().bytesReserved();
-    return stats;
+    return {};
 }
 
 void

@@ -12,7 +12,6 @@
 
 #pragma once
 
-#include <atomic>
 #include <complex>
 #include <map>
 #include <memory>
@@ -32,9 +31,6 @@ namespace fideslib::ckks
 
 namespace kernels
 {
-class GraphCapture;
-class GraphReplay;
-class PlanCache;
 struct PlanCacheStats;
 } // namespace kernels
 
@@ -213,45 +209,24 @@ class Context
         return devices_->device(d < nd ? d : nd - 1);
     }
 
-    // Backend execution configuration (mutable for the benches).
-    // Every knob that shapes the launch schedule or the kernel bodies
-    // invalidates the captured plans: a KernelGraph bakes in the
-    // batch split, the fused-vs-unfused call sequence and the
-    // arithmetic configuration of the op it recorded.
+    // Backend execution configuration (mutable for the benches). Every
+    // op reads these at dispatch, so a change applies to the next op.
     u32 limbBatch() const { return limbBatch_; }
-    void
-    setLimbBatch(u32 b)
-    {
-        if (b != limbBatch_)
-            invalidatePlans();
-        limbBatch_ = b;
-    }
+    void setLimbBatch(u32 b) { limbBatch_ = b; }
     bool fusionEnabled() const { return fusion_; }
-    void
-    setFusion(bool f)
-    {
-        if (f != fusion_)
-            invalidatePlans();
-        fusion_ = f;
-    }
+    void setFusion(bool f) { fusion_ = f; }
     /** NttChoice{} for any limb count: every op runs nttForward /
      *  nttInverse. Kept because perfbench calls it. */
     NttChoice nttChoiceFor(std::size_t) const { return {}; }
     /** NttStats{}. Kept because perfbench calls it. */
     NttStats nttStats() const { return {}; }
     ModMulKind modMulKind() const { return modMul_; }
-    void
-    setModMulKind(ModMulKind k)
-    {
-        if (k != modMul_)
-            invalidatePlans();
-        modMul_ = k;
-    }
+    void setModMulKind(ModMulKind k) { modMul_ = k; }
 
     // Hazard validator (check/check.hpp). -----------------------------
     /**
      * Sets the hazard-validation mode: the racecheck / declcheck /
-     * initcheck / lifetime layer over the stream/event/plan stack
+     * initcheck / lifetime layer over the stream/event stack
      * (DESIGN.md §1.11). Fatal panics on the first finding; Report
      * logs and counts. Process-wide -- the validator watches the
      * execution layer itself, not one context -- but kept here, next
@@ -262,56 +237,9 @@ class Context
     static void setValidation(check::Mode m) { check::setMode(m); }
     static check::Mode validation() { return check::mode(); }
 
-    // Capture-and-replay plan cache (graph.hpp). ----------------------
-    /** False when the FIDES_NO_GRAPH environment variable is set (the
-     *  escape hatch) or setGraphEnabled(false) was called: every op
-     *  then runs the uncached dispatch path. */
-    bool graphEnabled() const { return graphEnabled_; }
-    void setGraphEnabled(bool e) { graphEnabled_ = e; }
-    /** The per-context store of captured execution plans (thread-safe
-     *  with single-flight capture; see PlanCache). */
-    kernels::PlanCache &plans() const { return *plans_; }
-    /**
-     * Drops every cached plan AND releases their reserved MemPool
-     * arenas (configuration changes call this). Must not race active
-     * captures/replays: execution knobs are mutated only between ops,
-     * never while a server is mid-request.
-     */
-    void invalidatePlans();
-    /**
-     * Per-key hit/miss counts plus the reserved-arena footprint
-     * summed over the device pools -- the plan-cache observability
-     * hook benches report so a key-space leak (a shape change
-     * silently widening the key set) shows up in the committed
-     * trajectory.
-     */
+    /** Always empty: no op captures a plan. Kept because perfbench
+     *  calls it. */
     kernels::PlanCacheStats planStats() const;
-    /**
-     * How many submitters may replay a plan concurrently: plan
-     * storage reserves (multiplier x footprint) arena blocks so
-     * every concurrent replay is served from pool hits. Set by
-     * serve::Server to its submitter count; 1 outside serving.
-     */
-    u32 planArenaMultiplier() const
-    {
-        return planArenaMultiplier_.load(std::memory_order_relaxed);
-    }
-    void setPlanArenaMultiplier(u32 m) const
-    {
-        planArenaMultiplier_.store(m ? m : 1,
-                                   std::memory_order_relaxed);
-    }
-    /**
-     * The CALLING THREAD's active capture/replay session, if any --
-     * per-submitter execution state consulted by kernels::forBatches
-     * and the base-conversion dispatcher. Thread-local (each serving
-     * submitter captures or replays independently); managed
-     * exclusively by kernels::PlanScope.
-     */
-    kernels::GraphCapture *captureSession() const;
-    kernels::GraphReplay *replaySession() const;
-    void setCaptureSession(kernels::GraphCapture *c) const;
-    void setReplaySession(kernels::GraphReplay *r) const;
 
     // Per-shard key-bundle registry (serve::Router placement). --------
     /**
@@ -385,9 +313,6 @@ class Context
     bool fusion_;
     ModMulKind modMul_;
 
-    bool graphEnabled_;
-    std::unique_ptr<kernels::PlanCache> plans_;
-    mutable std::atomic<u32> planArenaMultiplier_{1};
     std::unique_ptr<StreamLease> defaultLease_;
 };
 

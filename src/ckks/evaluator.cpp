@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "ckks/basechange.hpp"
-#include "ckks/graph.hpp"
 #include "ckks/kernels.hpp"
 #include "core/logging.hpp"
 
@@ -108,13 +107,6 @@ Evaluator::multiply(const Ciphertext &a, const Ciphertext &b) const
     const Context &ctx = *ctx_;
     const u32 level = a.level();
 
-    // The whole op -- tensor, relinearization key switch, final
-    // accumulate -- is one execution plan: first call at this level
-    // captures, later calls replay (graph.hpp). multiply(x, x)
-    // aliases the operand slots, so it keys a separate plan.
-    kernels::PlanScope plan(ctx, kernels::PlanOp::HMult, level,
-                            &a == &b ? 1u : 0u);
-
     // Tensor: d0 = a0 b0, d1 = a0 b1 + a1 b0, d2 = a1 b1 -- one fused
     // launch per limb batch: the four products share one read of the
     // operand limbs (Section III-F5).
@@ -144,7 +136,6 @@ Evaluator::square(const Ciphertext &a) const
 {
     const Context &ctx = *ctx_;
     const u32 level = a.level();
-    kernels::PlanScope plan(ctx, kernels::PlanOp::HSquare, level);
 
     // HSquare saves one of the four tensor multiplications; the
     // remaining products fuse into one launch per limb batch.
@@ -208,8 +199,6 @@ void
 Evaluator::rescaleInPlace(Ciphertext &a) const
 {
     const u64 ql = ctx_->qMod(a.level()).value;
-    kernels::PlanScope plan(*ctx_, kernels::PlanOp::Rescale,
-                            a.level());
     rescale(a.c0);
     rescale(a.c1);
     a.scale /= static_cast<long double>(ql);
@@ -244,10 +233,6 @@ Evaluator::applyRotation(const Ciphertext &a, const RaisedDigits &raised,
                          u64 galois) const
 {
     const Context &ctx = *ctx_;
-    // One plan per level serves EVERY rotation step and the
-    // conjugation: the launch topology is galois-independent (only
-    // the permutation baked into the replayed bodies differs).
-    kernels::PlanScope plan(ctx, kernels::PlanOp::KSApply, a.level());
     const auto &perm = ctx.automorphPerm(galois);
     auto [u0, u1] = keySwitchAccumulate(raised, galoisKey(galois),
                                         &perm);

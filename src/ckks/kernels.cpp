@@ -1,6 +1,8 @@
 #include "ckks/kernels.hpp"
 
-#include "ckks/graph.hpp"
+#include <chrono>
+#include <ctime>
+
 #include "core/logging.hpp"
 
 namespace fideslib::ckks::kernels
@@ -10,6 +12,42 @@ namespace
 {
 
 constexpr u64 kWord = sizeof(u64);
+
+thread_local u64 tlDispatchNs = 0;
+
+/** The calling thread's CPU clock (steady clock off Linux). */
+u64
+threadCpuNs()
+{
+#ifdef __linux__
+    timespec ts;
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return static_cast<u64>(ts.tv_sec) * 1000000000ull +
+           static_cast<u64>(ts.tv_nsec);
+#else
+    return static_cast<u64>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now().time_since_epoch())
+            .count());
+#endif
+}
+
+/** The validator's view of one batch's Dep list: the limb buffers
+ *  batch [lo, hi) resolves to (depLimbRange). */
+std::vector<check::DeclaredAccess>
+declaredAccesses(const std::vector<Dep> &deps, std::size_t lo,
+                 std::size_t hi)
+{
+    std::vector<check::DeclaredAccess> out;
+    for (const Dep &d : deps) {
+        const auto [b, e] = depLimbRange(d, lo, hi);
+        const LimbPartition &p = d.poly->partition();
+        for (std::size_t i = b; i < e; ++i)
+            out.push_back({p[i].data(), p[i].primeIdx(),
+                           d.mode == Access::Write});
+    }
+    return out;
+}
 
 /** Pointwise modular multiply with the configured reduction. */
 inline void
@@ -138,6 +176,16 @@ noteBatch(const std::vector<Dep> &deps, std::size_t lo,
 
 } // namespace
 
+DispatchTimer::DispatchTimer() : t0_(threadCpuNs()) {}
+
+DispatchTimer::~DispatchTimer() { tlDispatchNs += threadCpuNs() - t0_; }
+
+u64
+dispatchEngineNs()
+{
+    return tlDispatchNs;
+}
+
 void
 forBatches(const Context &ctx, std::size_t numLimbs,
            u64 bytesReadPerLimb, u64 bytesWrittenPerLimb,
@@ -175,14 +223,6 @@ forBatches(const Context &ctx, std::size_t numLimbs,
     const u32 numStreams = devs.numStreams();
     devs.noteLogicalKernel();
 
-    // Replay mode: a captured plan supplies the batch split, stream
-    // assignment, launch counters and hazard edges; only the body is
-    // rebuilt (it closes over THIS call's polynomials). No hazard
-    // derivation, no stream picking, no per-launch dispatch overhead.
-    if (GraphReplay *replay = ctx.replaySession()) {
-        replay->replayCall(numLimbs, fn, deps, recorded);
-        return;
-    }
     // The modelled cost of batch [lo, hi): the sum of its limbs.
     auto costOf = [&costAt](std::size_t lo, std::size_t hi) {
         LimbCost c;
@@ -194,13 +234,6 @@ forBatches(const Context &ctx, std::size_t numLimbs,
         }
         return c;
     };
-    // Capture mode: execute live below, additionally recording every
-    // launch (stream, batch range, counters) and deriving the hazard
-    // structure symbolically from the Dep list.
-    GraphCapture *capture = ctx.captureSession();
-    if (capture)
-        capture->beginCall(numLimbs, deps);
-
     if (numStreams == 1) {
         // A single stream is in-order by construction: run the
         // batches eagerly on the submitting thread. No events are
@@ -214,11 +247,6 @@ forBatches(const Context &ctx, std::size_t numLimbs,
             const LimbCost c = costOf(lo, hi);
             devs.stream(0).device().launch(c.bytesRead, c.bytesWritten,
                                            c.intOps);
-            if (capture) {
-                capture->recordNode(0, lo, hi, c.bytesRead,
-                                    c.bytesWritten, c.intOps, deps,
-                                    extraWaits, Event());
-            }
             if (check::enabled()) {
                 check::BodyScope scope(check::beginLaunch(
                     nullptr, declaredAccesses(deps, lo, hi)));
@@ -233,7 +261,9 @@ forBatches(const Context &ctx, std::size_t numLimbs,
     // Asynchronous multi-stream dispatch. The body is copied once and
     // shared by every batch; each queued task also holds the operand
     // partitions alive so a temporary polynomial may be destroyed
-    // while its kernels are still in flight.
+    // while its kernels are still in flight. Everything from here on
+    // is submission work on this thread (dispatchEngineNs).
+    DispatchTimer timer;
     auto body = std::make_shared<
         const std::function<void(std::size_t, std::size_t)>>(fn);
     std::vector<std::shared_ptr<LimbPartition>> keep;
@@ -267,11 +297,6 @@ forBatches(const Context &ctx, std::size_t numLimbs,
         }
         Event ev = st.record();
         noteBatch(deps, lo, hi, ev);
-        if (capture) {
-            capture->recordNode(st.id(), lo, hi, c.bytesRead,
-                                c.bytesWritten, c.intOps, deps,
-                                extraWaits, ev);
-        }
         if (recorded)
             recorded->push_back(std::move(ev));
     };

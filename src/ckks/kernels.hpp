@@ -14,15 +14,6 @@
  * the operand limbs, and returns without joining the host. The only
  * host barriers left in the library are genuine host reads
  * (RNSPoly::syncHost callers).
- *
- * Inside a plan scope (graph.hpp) forBatches additionally CAPTURES
- * its launches -- stream pick, batch split, hazard structure derived
- * symbolically from the Dep list -- into the Context's plan cache, or
- * REPLAYS a previously captured plan: batches go straight onto their
- * recorded streams waiting only on precomputed edges, with no hazard
- * derivation and no per-launch dispatch overhead. Replay is invisible
- * here except for speed; the Dep contract below is what makes the
- * symbolic recording possible.
  */
 
 #pragma once
@@ -102,8 +93,8 @@ rdSpan(const RNSPoly &p, std::size_t first, std::size_t count)
 }
 
 /** The limb range of @p d that batch [lo, hi) touches (empty when a
- *  span dependency lies outside the batch). Live hazard tracking,
- *  plan capture and the validator's declared sets all use it. */
+ *  span dependency lies outside the batch). Hazard tracking and the
+ *  validator's declared sets both use it. */
 inline std::pair<std::size_t, std::size_t>
 depLimbRange(const Dep &d, std::size_t lo, std::size_t hi)
 {
@@ -171,8 +162,8 @@ void forBatches(const Context &ctx, std::size_t numLimbs,
  * @p costAt gives the modelled cost of limb position i, and each
  * launch is accounted the sum over its batch (ModUp's copy-or-NTT
  * kernel bills copied limbs as copies, not transforms). @p costAt is
- * only called before this returns; replays bill the counters
- * recorded at capture. Otherwise identical to the uniform form above.
+ * only called before this returns. Otherwise identical to the
+ * uniform form above.
  */
 void forBatches(const Context &ctx, std::size_t numLimbs,
                 const std::function<LimbCost(std::size_t)> &costAt,
@@ -181,6 +172,37 @@ void forBatches(const Context &ctx, std::size_t numLimbs,
                 const std::vector<Dep> &deps = {},
                 const std::vector<Event> &extraWaits = {},
                 std::vector<Event> *recorded = nullptr);
+
+/**
+ * Cumulative thread CPU the CALLING thread has spent submitting
+ * multi-stream work: launch accounting (including the simulated
+ * per-launch overhead spin), hazard waits, task submission and event
+ * records, in forBatches' multi-stream path and base conversion's
+ * per-device launches. Single-stream execution runs kernel bodies
+ * inline on the submitting thread and is not timed. Monotone
+ * per-thread counter; callers take deltas around a region (the
+ * serving layer's host-dispatch-per-op metric).
+ */
+u64 dispatchEngineNs();
+
+/**
+ * Adds the thread CPU time of its enclosing scope to
+ * dispatchEngineNs. CPU time rather than wall time: submission runs
+ * concurrently with the stream threads executing earlier work, so on
+ * small machines wall deltas would mostly measure preemption.
+ */
+class DispatchTimer
+{
+  public:
+    DispatchTimer();
+    ~DispatchTimer();
+
+    DispatchTimer(const DispatchTimer &) = delete;
+    DispatchTimer &operator=(const DispatchTimer &) = delete;
+
+  private:
+    u64 t0_;
+};
 
 /**
  * Kernel-fusion builder (paper Sections III-F1/III-F5): records a

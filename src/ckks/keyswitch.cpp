@@ -1,7 +1,6 @@
 #include "ckks/keyswitch.hpp"
 
 #include "ckks/basechange.hpp"
-#include "ckks/graph.hpp"
 #include "ckks/kernels.hpp"
 #include "core/logging.hpp"
 
@@ -15,11 +14,6 @@ decomposeAndModUp(const RNSPoly &dEval)
     FIDES_ASSERT(dEval.format() == Format::Eval);
     FIDES_ASSERT(dEval.numSpecial() == 0);
     const u32 level = dEval.level();
-
-    // Hoisted rotations replay this plan once and the KSApply plan
-    // per step; inside an HMult scope it is captured into the outer
-    // graph instead (nested scopes are inert).
-    kernels::PlanScope plan(ctx, kernels::PlanOp::KSDecompose, level);
 
     // Conv needs coefficient form; each digit's own limbs are copied
     // straight from the eval-form input instead.

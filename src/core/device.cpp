@@ -33,21 +33,6 @@ platformTable()
 
 // --- MemPool ---------------------------------------------------------------
 
-namespace
-{
-
-/**
- * Per-thread allocation traces, keyed by pool. Plan capture traces
- * every device pool for the duration of one op on ONE thread;
- * thread-locality keeps concurrent captures of distinct keys (and
- * unrelated allocations by other submitters) out of each other's
- * histograms without taking the pool mutex on the trace path.
- */
-thread_local std::map<const MemPool *, std::map<std::size_t, u32>>
-    tAllocTraces;
-
-} // namespace
-
 MemPool::~MemPool()
 {
     // The destructor is the only host-blocking reclamation point:
@@ -71,11 +56,6 @@ MemPool::~MemPool()
 void *
 MemPool::allocate(std::size_t bytes)
 {
-    if (!tAllocTraces.empty()) {
-        auto it = tAllocTraces.find(this);
-        if (it != tAllocTraces.end())
-            ++it->second[bytes];
-    }
     std::lock_guard<std::mutex> lock(m_);
     if (!deferred_.empty())
         sweepDeferredLocked();
@@ -161,9 +141,6 @@ MemPool::trim()
 {
     std::lock_guard<std::mutex> lock(m_);
     sweepDeferredLocked();
-    // An explicit trim overrides the plan-arena pins: the caller
-    // wants the memory back (teardown does).
-    reserved_.clear();
     trimLocked();
 }
 
@@ -186,16 +163,10 @@ MemPool::evictLocked(u64 targetBytes)
 {
     // Largest size classes first: big blocks shed the most bytes per
     // eviction and are the least likely to be recycled verbatim.
-    // Plan-reserved floors are spared -- a cache spill must not
-    // silently break the zero-malloc replay invariant -- so eviction
-    // may leave the cache above the target when pins dominate.
     for (auto it = freeLists_.rbegin();
          it != freeLists_.rend() && bytesCached_ > targetBytes; ++it) {
         auto &[sz, list] = *it;
-        std::size_t keep = 0;
-        if (auto r = reserved_.find(sz); r != reserved_.end())
-            keep = r->second;
-        while (list.size() > keep && bytesCached_ > targetBytes) {
+        while (!list.empty() && bytesCached_ > targetBytes) {
             std::free(list.back());
             list.pop_back();
             bytesCached_ -= sz;
@@ -261,71 +232,6 @@ MemPool::cacheBound() const
     return cacheBound_;
 }
 
-void
-MemPool::beginAllocTrace()
-{
-    tAllocTraces[this].clear();
-}
-
-std::map<std::size_t, u32>
-MemPool::endAllocTrace()
-{
-    auto it = tAllocTraces.find(this);
-    FIDES_ASSERT(it != tAllocTraces.end());
-    std::map<std::size_t, u32> trace = std::move(it->second);
-    tAllocTraces.erase(it);
-    return trace;
-}
-
-void
-MemPool::reserve(const std::map<std::size_t, u32> &histogram)
-{
-    std::lock_guard<std::mutex> lock(m_);
-    for (const auto &[bytes, count] : histogram) {
-        auto &list = freeLists_[bytes];
-        while (list.size() < count) {
-            void *p = std::malloc(bytes);
-            FIDES_ASSERT(p != nullptr);
-            list.push_back(p);
-            bytesCached_ += bytes;
-        }
-        u32 &pinned = reserved_[bytes];
-        pinned = std::max(pinned, count);
-    }
-}
-
-void
-MemPool::unreserve()
-{
-    std::lock_guard<std::mutex> lock(m_);
-    // Free exactly the blocks the pins were holding parked (fewer if
-    // some are allocated out right now -- those return through the
-    // normal cache-bound release path once their owners die). The
-    // unpinned remainder of the cache is left alone.
-    for (const auto &[bytes, count] : reserved_) {
-        auto it = freeLists_.find(bytes);
-        if (it == freeLists_.end())
-            continue;
-        auto &list = it->second;
-        for (u32 i = 0; i < count && !list.empty(); ++i) {
-            std::free(list.back());
-            list.pop_back();
-            bytesCached_ -= bytes;
-        }
-    }
-    reserved_.clear();
-}
-
-u64
-MemPool::bytesReserved() const
-{
-    std::lock_guard<std::mutex> lock(m_);
-    u64 total = 0;
-    for (const auto &[bytes, count] : reserved_)
-        total += bytes * count;
-    return total;
-}
-
 // --- Device ----------------------------------------------------------------
 
 void
@@ -340,16 +246,6 @@ Device::launch(u64 bytesRead, u64 bytesWritten, u64 intOps)
     }
     if (launchOverheadNs_)
         spinNs(launchOverheadNs_);
-}
-
-void
-Device::launchReplayed(u64 bytesRead, u64 bytesWritten, u64 intOps)
-{
-    std::lock_guard<std::mutex> lock(countersMutex_);
-    ++counters_.launches;
-    counters_.bytesRead += bytesRead;
-    counters_.bytesWritten += bytesWritten;
-    counters_.intOps += intOps;
 }
 
 KernelCounters
@@ -544,8 +440,6 @@ DeviceSet::resetCounters()
         d->resetCounters();
     hostJoins_.store(0, std::memory_order_relaxed);
     logicalKernels_.store(0, std::memory_order_relaxed);
-    planCaptures_.store(0, std::memory_order_relaxed);
-    planReplays_.store(0, std::memory_order_relaxed);
 }
 
 void

@@ -44,11 +44,6 @@
  *                 counts; a roofline model over the platform table
  *                 (paper Table IV) converts the counters into modelled
  *                 times for the four GPU platforms.
- *  - KernelGraph  a captured execution plan (the CUDA Graphs
- *                 analogue): per-launch records with fixed stream
- *                 assignment, precomputed hazard edges and symbolic
- *                 operand slots, replayed by the kernel layer with no
- *                 per-launch dispatch cost (DESIGN.md 1.7).
  *
  * All kernel bodies are real computation -- only the execution
  * substrate is simulated (see DESIGN.md, substitution #1).
@@ -161,12 +156,6 @@ class Event
         return st_ == o.st_;
     }
 
-    /** Stable identity token (the shared completion state): hashable
-     *  key for capture-side event -> producer-node maps, where an
-     *  O(nodes) sameAs scan would make capture quadratic. Null events
-     *  share the null identity. */
-    const void *identity() const { return st_.get(); }
-
     /** The validator clock snapshot taken at record() (null when
      *  validation was off, or for null events). */
     std::shared_ptr<void>
@@ -192,114 +181,6 @@ class Event
     explicit Event(std::shared_ptr<State> st) : st_(std::move(st)) {}
 
     std::shared_ptr<State> st_;
-};
-
-// --- Capture-and-replay execution plans ------------------------------
-//
-// Real CKKS-on-GPU libraries amortize host dispatch with CUDA Graphs:
-// the launch topology of a hot op (HMult, Rescale, KeySwitch) at a
-// given level is identical every time, so hazards, stream picks and
-// scratch allocation are derived once at capture and replayed
-// thereafter. KernelGraph is the plan data those replays walk; the
-// capture/replay engine itself lives in the kernel layer
-// (src/ckks/graph.hpp), which knows polynomials and dependency lists.
-// Operands are recorded symbolically -- a slot id assigned in order of
-// first appearance plus a limb offset, never a raw buffer pointer --
-// so one captured plan re-binds to fresh polynomials of the same
-// shape on every replay.
-
-/** One captured kernel launch: the batch range, the stream it was
- *  assigned, its counters, and its precomputed hazards. */
-struct GraphNode
-{
-    static constexpr u32 kNone = 0xffffffffu;
-
-    u32 streamId = 0;        //!< fixed stream assignment
-    std::size_t lo = 0;      //!< limb batch range of the owning call
-    std::size_t hi = 0;
-    u64 bytesRead = 0;       //!< summed launch counters
-    u64 bytesWritten = 0;
-    u64 intOps = 0;
-
-    /**
-     * True when some later node's edge or an exit note references
-     * this node's completion event. Unobserved nodes are transitively
-     * covered by an observed successor (the last writer/readers of
-     * every limb are exit notes, and every predecessor is ordered
-     * before them), so replays skip recording their events entirely
-     * -- the same bookkeeping economy a real graph replay enjoys.
-     */
-    bool observed = false;
-
-    /** Precomputed RAW/WAR/WAW edges: indices of earlier nodes whose
-     *  completion events this node waits on (cross-stream only --
-     *  same-stream ordering is free, so those edges are pruned at
-     *  capture). */
-    std::vector<u32> waits;
-
-    /**
-     * First-touch external hazard: the graph reads (or writes) limbs
-     * [lo, hi) of operand slot @p slot before any in-graph kernel has
-     * written them, so a replay must wait on whatever events the
-     * *bound* polynomial carries at that moment (work enqueued before
-     * the replay began). Once an in-graph node writes a limb, later
-     * nodes chain through `waits` edges and need no external check.
-     */
-    struct ExtCheck
-    {
-        u32 slot;
-        u32 lo, hi; //!< limb positions [lo, hi) of the slot
-        bool write; //!< writes also wait on external readers (WAR)
-    };
-    std::vector<ExtCheck> extChecks;
-};
-
-/** One logical kernel (a forBatches call) or custom dispatch of the
- *  captured op, with its operand-position -> slot mapping. */
-struct GraphCall
-{
-    u32 firstNode = 0;
-    u32 numNodes = 0;
-    std::size_t numLimbs = 0;  //!< forBatches extent (0 for custom)
-    bool custom = false;       //!< base-conversion style dispatch
-    /** Slot id per operand position (GraphNode::kNone = untracked,
-     *  e.g. a host-scratch target). Replays bind fresh polynomials to
-     *  slots in this order and assert the binding stays consistent. */
-    std::vector<u32> depSlots;
-};
-
-/** Final event of one (slot, limb) after the graph retires: what a
- *  replay notes back onto the bound polynomial so downstream
- *  un-graphed kernels chain off the replayed work correctly. */
-struct GraphExitNote
-{
-    u32 slot;
-    u32 limb;
-    u32 node;   //!< last in-graph writer / reader of the limb
-    bool write;
-};
-
-/**
- * A captured execution plan: the node list, the per-call structure,
- * the exit events, and the scratch footprint. Immutable once stored
- * in a Context's plan cache; replays only read it.
- */
-class KernelGraph
-{
-  public:
-    std::vector<GraphCall> calls;
-    std::vector<GraphNode> nodes;
-    /** Writes first, then reads, so applying in order reproduces the
-     *  noteWrite-then-noteRead tracking of live execution. */
-    std::vector<GraphExitNote> exits;
-    u32 numSlots = 0;
-    /**
-     * Per-device size-class histogram of every pool allocation the
-     * captured op performed -- the plan's scratch footprint. Handing
-     * it to MemPool::reserve pre-populates the free lists so replays
-     * never touch the host allocator.
-     */
-    std::vector<std::map<std::size_t, u32>> scratch;
 };
 
 /** Aggregate work counters reported by every kernel launch. */
@@ -387,47 +268,6 @@ class MemPool
     /** Returns cached blocks to the host allocator. */
     void trim();
 
-    // Graph capture support. ------------------------------------------
-    /**
-     * Starts recording the size-class histogram of allocate() calls
-     * made by the CALLING THREAD (used by plan capture). Traces are
-     * thread-local so concurrent captures of distinct plan keys --
-     * and allocations by other submitter threads replaying unrelated
-     * plans -- never pollute each other's footprint.
-     */
-    void beginAllocTrace();
-    /** Stops the calling thread's recording and returns the histogram. */
-    std::map<std::size_t, u32> endAllocTrace();
-    /**
-     * Pre-populates the free lists so that at least @p histogram
-     * blocks of each size class are available: the arena reservation
-     * a captured plan installs so its replays are served entirely
-     * from pool hits -- zero host-allocator calls.
-     *
-     * The histogram counts every allocate() call of the captured op
-     * (total, not peak outstanding) deliberately: stream-ordered
-     * deferred frees return blocks at event-dependent times, so the
-     * total is the bound that holds under any replay timing; since
-     * reservations top up (never add up) across plans, the floor is
-     * bounded by the single largest op. Reserved counts are PINNED:
-     * cache-bound eviction never sheds them (a spill must not
-     * silently break the zero-malloc replay invariant); an explicit
-     * trim() drops the pins and frees everything.
-     */
-    void reserve(const std::map<std::size_t, u32> &histogram);
-
-    /**
-     * Releases every plan-arena pin and frees the pinned cached
-     * blocks (up to the pinned count per size class; blocks currently
-     * allocated out return through the normal cache-bound path).
-     * Called by plan invalidation: a cleared plan cache must not keep
-     * its reserved arenas parked on the free lists forever.
-     */
-    void unreserve();
-
-    /** Bytes pinned by plan-arena reservations (sum over classes). */
-    u64 bytesReserved() const;
-
     /**
      * Reclaims deferred frees whose events have all signalled. Called
      * by Stream::synchronize() / DeviceSet::synchronize() so a device
@@ -452,9 +292,6 @@ class MemPool
     mutable std::mutex m_;
     std::map<std::size_t, std::vector<void *>> freeLists_;
     std::vector<DeferredFree> deferred_;
-    //! Per-size-class floor eviction must not sink below (plan
-    //! arenas); cleared by an explicit trim().
-    std::map<std::size_t, u32> reserved_;
     u64 bytesInUse_ = 0;
     u64 bytesPeak_ = 0;
     u64 bytesCached_ = 0;
@@ -494,16 +331,6 @@ class Device
      * before the kernel body is handed to a stream.
      */
     void launch(u64 bytesRead, u64 bytesWritten, u64 intOps);
-
-    /**
-     * Accounts a replayed kernel launch: counters identical to
-     * launch() -- the device still executes the same kernel, so the
-     * roofline model and launches/op are unchanged -- but the
-     * per-launch CPU overhead is NOT paid. A captured plan amortizes
-     * host dispatch the way cudaGraphLaunch does: one overhead per
-     * whole-graph launch (paid by the replay scope), none per node.
-     */
-    void launchReplayed(u64 bytesRead, u64 bytesWritten, u64 intOps);
 
   private:
     u32 id_;
@@ -641,12 +468,9 @@ class DeviceSet
     void noteLogicalKernel() { logicalKernels_.fetch_add(1, std::memory_order_relaxed); }
     u64 logicalKernels() const { return logicalKernels_.load(std::memory_order_relaxed); }
 
-    /** Plan-cache accounting: one capture per (op, shape) miss, one
-     *  replay per hit. planReplays() is the bench's plan_cache_hits. */
-    void notePlanCapture() { planCaptures_.fetch_add(1, std::memory_order_relaxed); }
-    u64 planCaptures() const { return planCaptures_.load(std::memory_order_relaxed); }
-    void notePlanReplay() { planReplays_.fetch_add(1, std::memory_order_relaxed); }
-    u64 planReplays() const { return planReplays_.load(std::memory_order_relaxed); }
+    /** Always 0: no op replays a plan. Kept because perfbench reads
+     *  it. */
+    u64 planReplays() const { return 0; }
 
   private:
     std::vector<std::unique_ptr<Device>> devices_;
@@ -654,8 +478,6 @@ class DeviceSet
     u32 streamsPerDevice_ = 1;
     std::atomic<u64> hostJoins_{0};
     std::atomic<u64> logicalKernels_{0};
-    std::atomic<u64> planCaptures_{0};
-    std::atomic<u64> planReplays_{0};
 };
 
 /**
@@ -668,13 +490,6 @@ class DeviceSet
  * of the dispatch layer hold unchanged, and cross-request ordering
  * needs no events at all because requests share no mutable operands
  * (key material is read-only).
- *
- * Captured plans record the global ids of whatever lease streams the
- * capturing thread held; `remap()` folds a recorded id onto the
- * replaying thread's lease (same device, slot modulo the lease width),
- * so one plan serves every lease geometry. For the full-set lease the
- * remap is the identity, preserving the single-submitter schedule
- * bit-for-bit.
  */
 class StreamLease
 {
@@ -709,17 +524,6 @@ class StreamLease
     {
         const u32 nd = devs_->numDevices();
         return streamOfDevice(i % nd, (i / nd) % slots_);
-    }
-
-    /** Folds a plan-recorded global stream id onto this lease: same
-     *  device, recorded slot modulo the lease width. Identity when
-     *  the lease covers the whole set. */
-    Stream &
-    remap(u32 recordedStreamId) const
-    {
-        const u32 nd = devs_->numDevices();
-        return streamOfDevice(recordedStreamId % nd,
-                              recordedStreamId / nd);
     }
 
   private:

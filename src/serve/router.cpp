@@ -6,7 +6,6 @@
 
 #include "ckks/bootstrap.hpp"
 #include "ckks/context.hpp"
-#include "ckks/graph.hpp"
 #include "ckks/keys.hpp"
 #include "ckks/serial.hpp"
 #include "core/logging.hpp"
@@ -324,11 +323,6 @@ Router::Stats Router::stats() const
         ShardStats &ss = out.shards[s];
         ss.serve = shards_[s].server->stats();
         ss.tenants = shards_[s].server->tenants();
-        const auto ps = shards_[s].ctx->planStats();
-        ss.planKeys = ps.keys.size();
-        ss.planHits = ps.hits;
-        ss.planMisses = ps.misses;
-        ss.arenaBytes = ps.reservedBytes;
     }
     std::lock_guard<std::mutex> lock(m_);
     out.migrations = migrations_;

@@ -3,7 +3,7 @@
  * Cluster-scale serving (DESIGN.md §1.12): a Router front door that
  * shards the serving layer across N independent Contexts -- each
  * shard is a Server wrapping its own Context + DeviceSet (a simulated
- * GPU node), so shards share NO plan cache, MemPool, stream locks or
+ * GPU node), so shards share NO MemPool, stream locks, lazy caches or
  * key material. One shared Context is the single-node ceiling
  * (BENCH_serve.json's contention collapse from 1 to 4 submitters);
  * replicating the execution context and routing by tenant is how the
@@ -77,10 +77,6 @@ class Router
     {
         Server::Stats serve;        //!< accepted/completed/failed/queued
         std::size_t tenants = 0;    //!< tenants placed on this shard
-        std::size_t planKeys = 0;   //!< shard plan-cache key count
-        u64 planHits = 0;           //!< shard plan-cache replay hits
-        u64 planMisses = 0;         //!< shard plan-cache captures
-        u64 arenaBytes = 0;         //!< reserved plan arenas (bytes)
     };
     struct Stats
     {

@@ -6,7 +6,7 @@
 
 #include "check/check.hpp"
 #include "ckks/bootstrap.hpp"
-#include "ckks/graph.hpp"
+#include "ckks/kernels.hpp"
 #include "core/logging.hpp"
 
 namespace fideslib::serve
@@ -129,16 +129,6 @@ Server::Server(const ckks::Context &ctx, Options opt)
     : ctx_(&ctx), capacity_(opt.queueCapacity)
 {
     numWorkers_ = opt.submitters ? opt.submitters : 1;
-    // Partitioned arenas: every plan stored from now on reserves
-    // enough scratch for all submitters to replay it at once -- and
-    // plans captured BEFORE this server existed (warmup, sequential
-    // reference runs) get their reservations topped up to the same
-    // multiple, so no concurrent replay ever falls off the reserved
-    // pool onto the host allocator.
-    if (ctx.planArenaMultiplier() < numWorkers_) {
-        ctx.setPlanArenaMultiplier(numWorkers_);
-        ctx.plans().reserveScratch(ctx.devices(), numWorkers_);
-    }
     workers_.reserve(numWorkers_);
     for (u32 i = 0; i < numWorkers_; ++i)
         workers_.emplace_back(&Server::workerLoop, this, i);
@@ -248,7 +238,7 @@ Server::metricsText(const std::string &label) const
 {
     // /metrics-style text (ROADMAP observability slice): counters
     // first, then the cumulative latency histogram, then the
-    // Context's plan-cache stats. Samples carry a shard label when
+    // dispatch totals. Samples carry a shard label when
     // the caller (Router) provides one, so shard dumps concatenate
     // into one scrape.
     const std::string tag =
@@ -316,13 +306,6 @@ Server::metricsText(const std::string &label) const
          static_cast<double>(st.dispatchCpuNs));
     emit("fides_serve_executed_ops_total",
          static_cast<double>(st.executedOps));
-
-    const ckks::kernels::PlanCacheStats ps = ctx_->planStats();
-    emit("fides_plan_keys", static_cast<double>(ps.keys.size()));
-    emit("fides_plan_hits_total", static_cast<double>(ps.hits));
-    emit("fides_plan_misses_total", static_cast<double>(ps.misses));
-    emit("fides_plan_arena_reserved_bytes",
-         static_cast<double>(ps.reservedBytes));
     return out;
 }
 
@@ -332,7 +315,7 @@ Server::executeJob(Job &job)
     const std::size_t numOps = job.req.ops().size();
     std::exception_ptr error;
     std::optional<ckks::Ciphertext> result;
-    // Dispatch-engine CPU of this job (plan-replay submission).
+    // Submission CPU of this job (multi-stream launches).
     // Thread-local counter, and the whole job executes on this worker
     // thread, so a delta around it is exact.
     const u64 dispatch0 = ckks::kernels::dispatchEngineNs();

@@ -15,13 +15,8 @@
  * streams when submitters outnumber slots) and builds an Evaluator
  * per job, so the single-submitter invariants of the dispatch layer
  * hold per thread while requests from different submitters
- * interleave on the devices.
- * Replayed execution plans are shared through the Context's
- * single-flight PlanCache: the first request of a shape captures, the
- * rest replay with recorded streams folded onto their own lease --
- * per-request host dispatch is the ~one-graph-launch cost the plan
- * cache was built to deliver, now amortized over many concurrent
- * ciphertexts ("heavy traffic" in the paper's MLaaS setting).
+ * interleave on the devices. Every op dispatches live on the
+ * submitter's own lease; nothing is cached between requests.
  *
  * Synchronization points that remain per-request: the submitter
  * executes its program's ops in order (chained stream-side through
@@ -116,9 +111,7 @@ class Server
         std::size_t queueCapacity = 0;
         /** Enables Bootstrap ops: a shared (thread-safe) engine built
          *  over the same Context/keys. The caller keeps it alive for
-         *  the server's lifetime. The first bootstrap captures the
-         *  per-op plans of its ladders; every later one (any
-         *  submitter) replays them on its own lease. */
+         *  the server's lifetime. */
         const ckks::Bootstrapper *bootstrapper = nullptr;
     };
 
@@ -132,14 +125,14 @@ class Server
         u64 batchedRequests = 0;
         //! Every retired request; perfbench's Totals::add reads it.
         u64 soloRequests = 0;
-        //! Host CPU nanoseconds the executing workers spent on the
-        //! simulated device-API surface
-        //! (ckks::kernels::dispatchEngineNs): the plan replays'
-        //! launch-overhead spins plus their per-node
-        //! wait/submit/record queue traffic. Graph-walk bookkeeping
-        //! (operand binding, wait gathering) is excluded, so with
-        //! executedOps this yields a host-dispatch-per-op ratio
-        //! (perfbench's serve.server.dispatch_us_per_op).
+        //! Thread CPU nanoseconds the executing workers spent
+        //! submitting multi-stream work
+        //! (ckks::kernels::dispatchEngineNs): launch accounting with
+        //! its simulated overhead spin, hazard waits, task
+        //! submission and event records. Inline single-stream
+        //! execution is not counted. With executedOps this yields a
+        //! host-dispatch-per-op ratio (perfbench's
+        //! serve.server.dispatch_us_per_op).
         u64 dispatchCpuNs = 0;
         u64 executedOps = 0; //!< total program ops executed
     };
@@ -212,10 +205,9 @@ class Server
 
     Stats stats() const;
     /**
-     * Prometheus-style text dump: serving counters, queue depth, the
-     * per-request latency histogram, and the Context's plan-cache
-     * stats (keys/hits/misses/arena bytes). @p label is prepended as
-     * a `shard="..."` label on every sample when non-empty.
+     * Prometheus-style text dump: serving counters, queue depth and
+     * the per-request latency histogram. @p label is prepended as a
+     * `shard="..."` label on every sample when non-empty.
      */
     std::string metricsText(const std::string &label = {}) const;
 

@@ -1,17 +1,12 @@
 /**
  * @file
- * Bootstrap plan tests: a bootstrap replays the per-op plans of its
- * HMult / HSquare / Rescale / key-switch ops (DESIGN.md §1.10), and
- * that must be a pure dispatch optimization. Uncached, capture and
- * replay runs must agree bit-for-bit on ciphertext limbs; replays
- * must serve fresh inputs without new captures; invalidation must
- * drop the plans and release their arenas; a warm bootstrap must pin
- * only per-op scratch; and a Bootstrap op must flow through the
- * serve::Server from concurrent submitters with sequential-identical
- * results (the ServeBootstrapTest suite runs under TSan in CI via the
- * Serve* filter; BootstrapPlanTest deliberately does not -- it re-runs
- * the same numeric pipeline several times and would dominate the TSan
- * budget without adding concurrency coverage).
+ * Bootstrap dispatch tests: how much work a warm sparse bootstrap
+ * dispatches on a multi-device topology (one shared EvalMod), and a
+ * Bootstrap op flowing through the serve::Server from concurrent
+ * submitters with sequential-identical results. The
+ * ServeBootstrapTest suite runs under TSan in CI via the Serve*
+ * filter; BootstrapDispatchTest deliberately does not -- it adds no
+ * concurrency coverage.
  */
 
 #include <gtest/gtest.h>
@@ -22,7 +17,6 @@
 
 #include "ckks/bootstrap.hpp"
 #include "ckks/encryptor.hpp"
-#include "ckks/graph.hpp"
 #include "ckks/keygen.hpp"
 #include "serve/server.hpp"
 
@@ -58,10 +52,8 @@ expectBitIdentical(const Ciphertext &want, const Ciphertext &got,
 }
 
 /** Bootstrap-capable fixture on a non-trivial topology (2 devices x
- *  2 streams, limbBatch 2), shared across the suite: testBoot key
- *  generation is the expensive part and every test here wants the
- *  same ladders. */
-class BootstrapPlanTest : public ::testing::Test
+ *  2 streams, limbBatch 2). */
+class BootstrapDispatchTest : public ::testing::Test
 {
   protected:
     static constexpr u32 kSlots = 64;
@@ -95,15 +87,6 @@ class BootstrapPlanTest : public ::testing::Test
         ctx = nullptr;
     }
 
-    void
-    TearDown() override
-    {
-        // Leave the shared fixture in its default config for the
-        // next test, with a cold cache.
-        ctx->setGraphEnabled(true);
-        ctx->invalidatePlans();
-    }
-
     static Ciphertext
     encryptAtBottom(double seed)
     {
@@ -123,115 +106,30 @@ class BootstrapPlanTest : public ::testing::Test
     static Bootstrapper *boot;
 };
 
-Context *BootstrapPlanTest::ctx = nullptr;
-KeyGen *BootstrapPlanTest::keygen = nullptr;
-KeyBundle *BootstrapPlanTest::keys = nullptr;
-Evaluator *BootstrapPlanTest::eval = nullptr;
-Bootstrapper *BootstrapPlanTest::boot = nullptr;
+Context *BootstrapDispatchTest::ctx = nullptr;
+KeyGen *BootstrapDispatchTest::keygen = nullptr;
+KeyBundle *BootstrapDispatchTest::keys = nullptr;
+Evaluator *BootstrapDispatchTest::eval = nullptr;
+Bootstrapper *BootstrapDispatchTest::boot = nullptr;
 
-TEST_F(BootstrapPlanTest, ReplayMatchesCaptureAndUncached)
-{
-    Ciphertext ct = encryptAtBottom(0.37);
-
-    // Golden: graphs fully off, every kernel dispatched live.
-    ctx->setGraphEnabled(false);
-    Ciphertext golden = boot->bootstrap(ct);
-    golden.syncHost();
-    ctx->setGraphEnabled(true);
-
-    // First pass captures the per-op plans, second pass replays them.
-    Ciphertext captured = boot->bootstrap(ct);
-    expectBitIdentical(golden, captured, "capture pass");
-    EXPECT_GT(ctx->planStats().keys.size(), 0u);
-
-    const u64 captures = ctx->devices().planCaptures();
-    const u64 replays = ctx->devices().planReplays();
-    Ciphertext replayed = boot->bootstrap(ct);
-    expectBitIdentical(golden, replayed, "replay pass");
-    EXPECT_EQ(ctx->devices().planCaptures(), captures)
-        << "a warm bootstrap must not capture";
-    EXPECT_GT(ctx->devices().planReplays(), replays);
-}
-
-TEST_F(BootstrapPlanTest, ReplaysAcrossDistinctCiphertexts)
-{
-    // Replays rebind operand slots by position: a different input
-    // ciphertext must ride the same plans and still match its own
-    // golden run.
-    Ciphertext warm = encryptAtBottom(0.11);
-    boot->bootstrap(warm).syncHost(); // capture pass
-    const u64 capturesAfterWarm = ctx->devices().planCaptures();
-
-    Ciphertext ct = encryptAtBottom(0.73);
-    ctx->setGraphEnabled(false);
-    Ciphertext golden = boot->bootstrap(ct);
-    golden.syncHost();
-    ctx->setGraphEnabled(true);
-
-    Ciphertext replayed = boot->bootstrap(ct);
-    expectBitIdentical(golden, replayed, "replay on fresh input");
-    EXPECT_EQ(ctx->devices().planCaptures(), capturesAfterWarm)
-        << "the second input must not trigger new captures";
-}
-
-TEST_F(BootstrapPlanTest, InvalidationDropsPlansAndArenas)
-{
-    Ciphertext ct = encryptAtBottom(0.52);
-    Ciphertext before = boot->bootstrap(ct);
-    before.syncHost();
-    ASSERT_GT(ctx->plans().size(), 0u);
-    ASSERT_GT(ctx->planStats().reservedBytes, 0u);
-
-    // Re-setting the active limb batch keeps the plans.
-    const u32 original = ctx->limbBatch();
-    ctx->setLimbBatch(original);
-    EXPECT_GT(ctx->plans().size(), 0u);
-
-    // A config change that alters kernel decomposition must drop the
-    // plans and give the pinned arenas back.
-    ctx->setLimbBatch(original + 1);
-    EXPECT_EQ(ctx->plans().size(), 0u);
-    EXPECT_EQ(ctx->planStats().reservedBytes, 0u);
-
-    // Recapture under the new batch split; bits must match that
-    // split's own graphs-off golden.
-    ctx->setGraphEnabled(false);
-    Ciphertext golden = boot->bootstrap(ct);
-    golden.syncHost();
-    ctx->setGraphEnabled(true);
-    Ciphertext recaptured = boot->bootstrap(ct);
-    expectBitIdentical(golden, recaptured,
-                       "recapture after invalidation");
-    EXPECT_GT(ctx->plans().size(), 0u);
-
-    ctx->setLimbBatch(original);
-}
-
-TEST_F(BootstrapPlanTest, WarmBootstrapPinsOnlyPerOpScratch)
-{
-    // Each stored plan pins its op's cumulative scratch trace, so a
-    // plan spanning a whole bootstrap ladder would pin ~1.2 GB here;
-    // per-op plans keep it to one HMult or key switch (~10 MB in all).
-    Ciphertext ct = encryptAtBottom(0.29);
-    boot->bootstrap(ct).syncHost(); // capture pass
-    boot->bootstrap(ct).syncHost(); // replay pass
-    EXPECT_LT(ctx->planStats().reservedBytes, u64{32} * 1000 * 1000);
-}
-
-TEST_F(BootstrapPlanTest, WarmSparseBootstrapRunsOneEvalMod)
+TEST_F(BootstrapDispatchTest, WarmSparseBootstrapRunsOneEvalMod)
 {
     // Re and Im share one 2s-slot ApproxModEval. On this fixture a
-    // warm bootstrap replays 384 plan entries when each part runs its
-    // own EvalMod, and 160 with the shared one.
-    constexpr u64 kTwoEvalModEntries = 384;
+    // warm bootstrap dispatches 1910 logical kernels (forBatches
+    // calls). Forcing the full-packing split of
+    // Bootstrapper::bootstrap -- Re and Im each through their own
+    // EvalMod, plus the two monomial multiplies -- reads 3254. The
+    // bound is the midpoint, (1910 + 3254) / 2 = 2582: a second
+    // EvalMod alone adds over 1200 kernels and breaks it.
+    constexpr u64 kOneEvalMod = 1910;
+    constexpr u64 kTwoEvalMods = 3254;
     Ciphertext ct = encryptAtBottom(0.61);
-    boot->bootstrap(ct).syncHost(); // capture pass
+    boot->bootstrap(ct).syncHost(); // warms the stage encodes
     DeviceSet &devs = ctx->devices();
-    const u64 before = devs.planReplays() + devs.planCaptures();
+    const u64 before = devs.logicalKernels();
     boot->bootstrap(ct).syncHost();
-    const u64 entries =
-        devs.planReplays() + devs.planCaptures() - before;
-    EXPECT_LE(entries * 10, kTwoEvalModEntries * 6);
+    const u64 kernels = devs.logicalKernels() - before;
+    EXPECT_LE(2 * kernels, kOneEvalMod + kTwoEvalMods);
 }
 
 } // namespace
@@ -330,16 +228,13 @@ TEST_F(ServeBootstrapTest, ConcurrentBootstrapMatchesSequential)
     for (double s : seeds)
         reqs.push_back(refreshProgram(s));
 
-    // Sequential reference on the client thread (this also captures
-    // the plans, so the server's submitters replay).
+    // Sequential reference on the client thread.
     std::vector<Ciphertext> want;
     for (const Request &r : reqs) {
         want.push_back(executeProgram(*eval, boot, r.clone()));
         want.back().syncHost();
     }
 
-    const u64 captures = ctx->devices().planCaptures();
-    const u64 replays = ctx->devices().planReplays();
     Server::Options opt;
     opt.submitters = 2;
     opt.bootstrapper = boot;
@@ -356,9 +251,6 @@ TEST_F(ServeBootstrapTest, ConcurrentBootstrapMatchesSequential)
     EXPECT_EQ(st.accepted, kRequests);
     EXPECT_EQ(st.completed, kRequests);
     EXPECT_EQ(st.failed, 0u);
-    EXPECT_EQ(ctx->devices().planCaptures(), captures)
-        << "served bootstraps must replay the reference run's plans";
-    EXPECT_GT(ctx->devices().planReplays(), replays);
 }
 
 TEST(ServeBootstrapDeathTest, BootstrapOpWithoutEngineAborts)

@@ -11,6 +11,10 @@
 #include <vector>
 
 #include "ckks/context.hpp"
+#include "ckks/encryptor.hpp"
+#include "ckks/evaluator.hpp"
+#include "ckks/graph.hpp"
+#include "ckks/keygen.hpp"
 #include "core/primes.hpp"
 
 namespace fideslib::ckks
@@ -221,6 +225,33 @@ TEST(Context, PerfbenchNttShimsRunFlat)
         nttInverseVariant(buf.data(), t, c.inv, c.invColBlock);
         EXPECT_EQ(buf, inv) << limbs;
     }
+}
+
+TEST(Context, PerfbenchPlanShimsReadZero)
+{
+    // perfbench's plan metrics make exactly these calls. Every op
+    // dispatches live, so after repeated HMults they still read 0.
+    Parameters p = Parameters::testSmall();
+    p.numDevices = 2;
+    p.streamsPerDevice = 2;
+    Context ctx(p);
+    KeyGen keygen(ctx);
+    KeyBundle keys = keygen.makeBundle({});
+    Evaluator eval(ctx, keys);
+    Encoder enc(ctx);
+    Encryptor encr(ctx, keys.pk);
+    const u32 slots = static_cast<u32>(ctx.degree() / 2);
+    std::vector<std::complex<double>> z(slots, {0.5, 0.25});
+    Ciphertext x = encr.encrypt(enc.encode(z, slots, ctx.maxLevel()));
+    for (int i = 0; i < 2; ++i)
+        eval.multiply(x, x).syncHost();
+
+    EXPECT_EQ(ctx.devices().planReplays(), 0u);
+    EXPECT_EQ(ctx.planStats().misses, 0u);
+    const kernels::PlanCacheStats ps = ctx.planStats();
+    EXPECT_EQ(ps.keys.size(), 0u);
+    EXPECT_EQ(ps.reservedBytes, 0u);
+    EXPECT_EQ(ps.hits, 0u);
 }
 
 TEST(Context, PaperParameterSetsConstruct)

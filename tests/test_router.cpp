@@ -22,7 +22,6 @@
 
 #include "ckks/adapter.hpp"
 #include "ckks/encryptor.hpp"
-#include "ckks/graph.hpp"
 #include "ckks/keygen.hpp"
 #include "ckks/serial.hpp"
 #include "serve/router.hpp"
@@ -349,8 +348,8 @@ TEST(RouterTest, RebalanceMovesBusiestTenantOffHotShard)
     const u64 tenant = tenantOnShard(router, client.wireKeys, 0);
     const u32 home = router.shardOf(tenant);
 
-    // Warm the plan cache, then make every kernel launch expensive so
-    // a burst reliably queues on the single submitter.
+    // Serve one request cheaply, then make every kernel launch
+    // expensive so a burst reliably queues on the single submitter.
     Ciphertext x = client.encrypt(0.5);
     Ciphertext y = client.encrypt(1.5);
     auto submitOne = [&] {
@@ -435,7 +434,7 @@ TEST(RouterTest, MetricsTextExposesShardAndRouterSamples)
          {"fides_router_shards 2", "fides_router_migrations_total 0",
           "fides_serve_accepted_total{shard=\"shard0\"}",
           "fides_serve_latency_ms_bucket{shard=\"shard1\",le=\"+Inf\"}",
-          "fides_plan_hits_total{shard=\"shard0\"}",
+          "fides_serve_executed_ops_total{shard=\"shard0\"}",
           "fides_serve_queue_depth{shard=\"shard1\"} 0"})
         EXPECT_NE(std::string::npos, text.find(needle))
             << "missing sample: " << needle;

@@ -5,9 +5,9 @@
  * programs run sequentially, across random (devices, streams,
  * limbBatch, submitters) topologies -- concurrency must be a pure
  * scheduling optimization. The rest pin down the protocol pieces:
- * single-flight plan capture under a same-key race, plan invalidation
- * releasing the reserved MemPool arenas, settled results out of
- * Handle::get(), and queue/stats discipline. Run under TSan in CI.
+ * submitters racing a cold Context's lazy caches, settled results out
+ * of Handle::get(), queue/stats discipline, and the host-dispatch
+ * counter. Run under TSan in CI.
  */
 
 #include <gtest/gtest.h>
@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "ckks/encryptor.hpp"
-#include "ckks/graph.hpp"
 #include "ckks/keygen.hpp"
 #include "serve/server.hpp"
 
@@ -81,7 +80,7 @@ statsProgram(Ciphertext x, Ciphertext y)
     return r;
 }
 
-/** Mult-free program: add + rotate + sub (different plan keys). */
+/** Mult-free program: add + rotate + sub (a second request shape). */
 Request
 mixProgram(Ciphertext x, Ciphertext y)
 {
@@ -150,8 +149,7 @@ TEST(Serve, ConcurrentMatchesSequentialAcrossTopologies)
                                                 std::move(y)));
         }
 
-        // Sequential reference on the same context (this also warms
-        // the plan cache, so the server run below replays).
+        // Sequential reference on the same context.
         std::vector<Ciphertext> want;
         for (const Request &r : programs)
             want.push_back(executeProgram(f.eval, r.clone()));
@@ -167,7 +165,6 @@ TEST(Serve, ConcurrentMatchesSequentialAcrossTopologies)
             SCOPED_TRACE(::testing::Message() << "request " << i);
             expectCiphertextEqual(want[i], got, "server result");
         }
-        EXPECT_GT(f.ctx.devices().planReplays(), 0u);
         Server::Stats st = server.stats();
         EXPECT_EQ(st.accepted, kRequests);
         EXPECT_EQ(st.completed, kRequests);
@@ -175,97 +172,67 @@ TEST(Serve, ConcurrentMatchesSequentialAcrossTopologies)
     }
 }
 
-TEST(Serve, SameKeyCaptureRaceIsSingleFlight)
+TEST(Serve, ColdContextRaceMatchesSequential)
 {
-    // Many submitters race the SAME cold plan keys: exactly one
-    // capture per key may happen (concurrent same-key submitters
-    // block, then replay), and every result must equal the others
-    // (identical inputs -> identical outputs, bit for bit).
+    // Many submitters race the same program on a COLD Context: its
+    // lazy caches (the rotation's automorphism permutation) are built
+    // on first use by whichever submitter gets there first. Every
+    // result must equal a sequential run of the same program, bit for
+    // bit.
     Fixture f(topologyParams(2, 2));
     auto x = f.encrypt(0.23);
     auto y = f.encrypt(0.71);
 
-    Server::Options opt;
-    opt.submitters = 4;
-    Server server(f.ctx, f.keys, opt);
     constexpr u32 kRequests = 8;
     std::vector<Handle> handles;
-    for (u32 i = 0; i < kRequests; ++i)
-        handles.push_back(
-            server.submit(statsProgram(x.clone(), y.clone())));
-
-    std::vector<Ciphertext> results;
-    for (Handle &h : handles)
-        results.push_back(h.get());
-    for (u32 i = 1; i < kRequests; ++i) {
-        SCOPED_TRACE(::testing::Message() << "request " << i);
-        expectCiphertextEqual(results[0], results[i], "race result");
+    {
+        Server::Options opt;
+        opt.submitters = 4;
+        Server server(f.ctx, f.keys, opt);
+        for (u32 i = 0; i < kRequests; ++i)
+            handles.push_back(
+                server.submit(statsProgram(x.clone(), y.clone())));
+        server.drain();
     }
 
-    // Single-flight: captures == distinct plan keys, never more
-    // (without it, racing submitters would each capture the cold
-    // keys and the counts would exceed the key count).
+    const Ciphertext want =
+        executeProgram(f.eval, statsProgram(x.clone(), y.clone()));
+    for (u32 i = 0; i < kRequests; ++i) {
+        SCOPED_TRACE(::testing::Message() << "request " << i);
+        expectCiphertextEqual(want, handles[i].get(), "race result");
+    }
+}
+
+TEST(Serve, DispatchCpuCoversLaunchOverhead)
+{
+    // With two or more streams every launch is submitted from the
+    // worker thread and pays the simulated launch overhead there, so
+    // Stats::dispatchCpuNs must cover the spins. Half of launches x
+    // overhead leaves room for preemption during a spin (the spin
+    // waits on the wall clock; the counter reads thread CPU).
+    constexpr u64 kOverheadNs = 20000;
+    constexpr u32 kRequests = 4;
+    Fixture f(topologyParams(1, 2));
+    auto x = f.encrypt(0.37);
+    auto y = f.encrypt(0.53);
+    std::vector<Request> programs;
+    for (u32 i = 0; i < kRequests; ++i)
+        programs.push_back(statsProgram(x.clone(), y.clone()));
     DeviceSet &devs = f.ctx.devices();
-    EXPECT_EQ(devs.planCaptures(), f.ctx.plans().size());
-    EXPECT_GT(devs.planReplays(), 0u);
-}
-
-TEST(Serve, InvalidationReleasesReservedArenas)
-{
-    // Plan invalidation must release the reserved MemPool arenas:
-    // before this fix the pins survived PlanCache::clear, so a config
-    // sweep accreted one dead arena per configuration (and bytes
-    // stayed parked on the free lists forever).
-    Fixture f(topologyParams(1, 2));
-    auto a = f.encrypt(0.31);
-    auto b = f.encrypt(0.47);
-    const MemPool &pool = f.ctx.devices().device(0).pool();
-    f.ctx.devices().synchronize();
-    const u64 inUseBaseline = pool.bytesInUse();
-
-    (void)f.eval.multiply(a, b); // capture + arena reservation
-    f.ctx.devices().synchronize();
-    EXPECT_GT(pool.bytesReserved(), 0u);
-    EXPECT_GT(f.ctx.plans().size(), 0u);
-
-    f.ctx.setLimbBatch(3); // genuine change: invalidates
-    EXPECT_EQ(f.ctx.plans().size(), 0u);
-    EXPECT_EQ(pool.bytesReserved(), 0u)
-        << "invalidation leaked the reserved arenas";
-    EXPECT_EQ(pool.bytesInUse(), inUseBaseline);
-
-    // The cache still works after the release.
-    auto m = f.eval.multiply(a, b);
-    (void)f.eval.multiply(a, b);
-    EXPECT_GT(f.ctx.devices().planReplays(), 0u);
-    EXPECT_GT(pool.bytesReserved(), 0u);
-    m.syncHost();
-}
-
-TEST(Serve, ArenaMultiplierCoversAllSubmitters)
-{
-    // A server must scale plan-arena reservations to its submitter
-    // count so N concurrent replays are all pool hits -- INCLUDING
-    // plans captured before the server existed (warmup / sequential
-    // reference runs at multiplier 1), whose pins must be topped up
-    // at construction.
-    Fixture f(topologyParams(1, 2));
-    EXPECT_EQ(f.ctx.planArenaMultiplier(), 1u);
-    auto a = f.encrypt(0.19);
-    auto b = f.encrypt(0.43);
-    (void)f.eval.multiply(a, b); // pre-server capture at 1x
-    f.ctx.devices().synchronize();
-    const MemPool &pool = f.ctx.devices().device(0).pool();
-    const u64 reserved1x = pool.bytesReserved();
-    ASSERT_GT(reserved1x, 0u);
+    devs.synchronize();
+    const u64 launches0 = devs.aggregateCounters().launches;
+    devs.setLaunchOverheadNs(kOverheadNs);
 
     Server::Options opt;
-    opt.submitters = 4;
+    opt.submitters = 2;
     Server server(f.ctx, f.keys, opt);
-    EXPECT_EQ(f.ctx.planArenaMultiplier(), 4u);
-    EXPECT_EQ(server.submitters(), 4u);
-    EXPECT_EQ(pool.bytesReserved(), 4 * reserved1x)
-        << "pre-captured plan's arena not topped up to 4 submitters";
+    for (Request &r : programs)
+        server.submit(std::move(r));
+    server.drain();
+
+    const u64 launches = devs.aggregateCounters().launches - launches0;
+    ASSERT_GT(launches, 0u);
+    EXPECT_GE(2 * server.stats().dispatchCpuNs, launches * kOverheadNs);
 }
 
 TEST(Serve, HandleYieldsSettledCorrectResult)
@@ -329,29 +296,6 @@ TEST(Serve, BoundedQueueBackpressureAndStats)
     EXPECT_EQ(st.failed, 0u);
     for (Handle &h : handles)
         EXPECT_TRUE(h.ready());
-}
-
-TEST(Serve, PlanStatsReportPerKeyHitsAndArenaFootprint)
-{
-    // The observability hook: per-key hit/miss counts and the
-    // reserved-arena footprint benches put into the committed
-    // trajectory (a key-space leak shows up as keys growing while
-    // hits stay flat).
-    Fixture f(topologyParams(1, 2));
-    auto a = f.encrypt(0.53);
-    auto b = f.encrypt(0.67);
-    (void)f.eval.multiply(a, b);
-    (void)f.eval.multiply(a, b);
-    (void)f.eval.multiply(a, b);
-
-    kernels::PlanCacheStats ps = f.ctx.planStats();
-    ASSERT_EQ(ps.keys.size(), 1u);
-    EXPECT_EQ(ps.keys[0].misses, 1u);
-    EXPECT_EQ(ps.keys[0].hits, 2u);
-    EXPECT_EQ(ps.hits, 2u);
-    EXPECT_EQ(ps.misses, 1u);
-    EXPECT_GT(ps.reservedBytes, 0u);
-    f.ctx.devices().synchronize();
 }
 
 // --- metrics conformance ---------------------------------------------
