@@ -315,13 +315,13 @@ modDown(RNSPoly &a)
     FIDES_ASSERT(a.numSpecial() == ctx.numSpecial());
     const u32 level = a.level();
     const u32 K = ctx.numSpecial();
-    const std::size_t n = ctx.degree();
     const ConvTables &tables = ctx.modDownTables(level);
     LimbPartition &ap = a.partition();
 
     // iNTT the special limbs to coefficient form.
-    kernels::forBatches(ctx, K, 2 * n * kWord, 2 * n * kWord,
-                        5 * n * ctx.logDegree(),
+    const kernels::LimbCost intt = kernels::nttLimbCost(ctx);
+    kernels::forBatches(ctx, K, intt.bytesRead, intt.bytesWritten,
+                        intt.intOps,
                         [&ctx, &ap, level](std::size_t lo,
                                            std::size_t hi) {
         for (std::size_t k = lo; k < hi; ++k) {
@@ -401,8 +401,9 @@ rescale(RNSPoly &a)
     // host read: the buffer is only consumed by downstream kernels).
     auto last = std::make_shared<std::vector<u64>>(n);
     std::vector<Event> lastDone;
-    kernels::forBatches(ctx, 1, 2 * n * kWord, 2 * n * kWord,
-                        5 * n * ctx.logDegree(),
+    const kernels::LimbCost intt = kernels::nttLimbCost(ctx);
+    kernels::forBatches(ctx, 1, intt.bytesRead, intt.bytesWritten,
+                        intt.intOps,
                         [&ctx, &ap, last, l, n](std::size_t,
                                                 std::size_t) {
         std::memcpy(last->data(), ap[l].read(), n * sizeof(u64));

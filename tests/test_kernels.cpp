@@ -11,6 +11,7 @@
 #include <complex>
 #include <cstring>
 
+#include "ckks/basechange.hpp"
 #include "ckks/encryptor.hpp"
 #include "ckks/evaluator.hpp"
 #include "ckks/kernels.hpp"
@@ -417,6 +418,49 @@ TEST_F(KernelTest, ByteAccountingIsPlausible)
     const u64 limbBytes = ctx->degree() * sizeof(u64) * a.numLimbs();
     EXPECT_EQ(devs.aggregateCounters().bytesRead, 2 * limbBytes);
     EXPECT_EQ(devs.aggregateCounters().bytesWritten, limbBytes);
+}
+
+TEST_F(KernelTest, RescaleAndModDownBillInttAtNttLimbCost)
+{
+    // The bytes one rescale and one modDown bill, summed over their
+    // launches. Every iNTT limb (rescale's dropped limb, modDown's K
+    // special limbs) costs nttLimbCost, as in toCoeff. The fused
+    // epilogues are single pass (FusedChainSinglePassTrafficAndSummedOps):
+    // rescale's reads the dropped limb's coefficient copy and the
+    // input and writes the output; modDown's reads the Conv output
+    // and the input and writes the output. modDown's Conv (one
+    // device, one launch) reads the K special limbs and writes the
+    // level + 1 output limbs.
+    ASSERT_TRUE(ctx->fusionEnabled());
+    ASSERT_EQ(ctx->devices().numDevices(), 1u);
+    auto &devs = ctx->devices();
+    const u64 limb = ctx->degree() * sizeof(u64);
+    const kernels::LimbCost intt = kernels::nttLimbCost(*ctx);
+    constexpr u32 kLevel = 3;
+
+    auto r = randomPoly(kLevel, 41);
+    devs.resetCounters();
+    rescale(r);
+    KernelCounters c = devs.aggregateCounters();
+    EXPECT_EQ(c.bytesRead, intt.bytesRead + 2 * kLevel * limb);
+    EXPECT_EQ(c.bytesWritten, intt.bytesWritten + kLevel * limb);
+
+    const u64 K = ctx->numSpecial();
+    RNSPoly m(*ctx, kLevel, Format::Eval, ctx->numSpecial());
+    Prng prng(42);
+    for (std::size_t i = 0; i < m.numLimbs(); ++i) {
+        const u64 q = ctx->prime(m.primeIdxAt(i)).value();
+        u64 *x = m.limb(i).data();
+        for (std::size_t j = 0; j < ctx->degree(); ++j)
+            x[j] = prng.uniform(q);
+    }
+    devs.resetCounters();
+    modDown(m);
+    c = devs.aggregateCounters();
+    EXPECT_EQ(c.bytesRead,
+              K * intt.bytesRead + K * limb + 2 * (kLevel + 1) * limb);
+    EXPECT_EQ(c.bytesWritten,
+              K * intt.bytesWritten + 2 * (kLevel + 1) * limb);
 }
 
 } // namespace

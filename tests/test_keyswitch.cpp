@@ -269,8 +269,10 @@ TEST(KeySwitchKernels, ModDownAndRescaleCountersArePinned)
 {
     // testSmall (logN 10, levels 0..4, K = 3) on 1x1 / limbBatch 2 and
     // 2x2 / limbBatch 3. Each epilogue limb reads `a` plus one
-    // converted limb and writes the result; a change to these numbers
-    // moves the modelled time of every key switch and rescale.
+    // converted limb and writes the result, and every iNTT limb is
+    // billed at nttLimbCost (5 passes of n words each way at logN
+    // 10); a change to these numbers moves the modelled time of every
+    // key switch and rescale.
     struct Row
     {
         u32 topology;
@@ -279,22 +281,22 @@ TEST(KeySwitchKernels, ModDownAndRescaleCountersArePinned)
         OpCounters modDown, rescale;
     };
     const Row rows[] = {
-        {0, true, 4, {6, 2, 155648, 131072, 471040},
-         {3, 2, 81920, 49152, 280576}},
-        {0, true, 1, {4, 2, 106496, 81920, 280576},
-         {2, 2, 32768, 24576, 108544}},
-        {0, false, 4, {9, 3, 237568, 212992, 471040},
-         {7, 4, 180224, 147456, 280576}},
-        {0, false, 1, {5, 3, 139264, 114688, 280576},
-         {4, 4, 57344, 49152, 108544}},
-        {1, true, 4, {6, 2, 180224, 131072, 471040},
-         {3, 2, 81920, 49152, 280576}},
-        {1, true, 1, {3, 2, 106496, 81920, 280576},
-         {2, 2, 32768, 24576, 108544}},
-        {1, false, 4, {9, 3, 262144, 212992, 471040},
-         {7, 4, 180224, 147456, 280576}},
-        {1, false, 1, {4, 3, 139264, 114688, 280576},
-         {4, 4, 57344, 49152, 108544}},
+        {0, true, 4, {6, 2, 229376, 204800, 471040},
+         {3, 2, 106496, 73728, 280576}},
+        {0, true, 1, {4, 2, 180224, 155648, 280576},
+         {2, 2, 57344, 49152, 108544}},
+        {0, false, 4, {9, 3, 311296, 286720, 471040},
+         {7, 4, 204800, 172032, 280576}},
+        {0, false, 1, {5, 3, 212992, 188416, 280576},
+         {4, 4, 81920, 73728, 108544}},
+        {1, true, 4, {6, 2, 253952, 204800, 471040},
+         {3, 2, 106496, 73728, 280576}},
+        {1, true, 1, {3, 2, 180224, 155648, 280576},
+         {2, 2, 57344, 49152, 108544}},
+        {1, false, 4, {9, 3, 335872, 286720, 471040},
+         {7, 4, 204800, 172032, 280576}},
+        {1, false, 1, {4, 3, 212992, 188416, 280576},
+         {4, 4, 81920, 73728, 108544}},
     };
     const Parameters base = Parameters::testSmall();
     const Parameters topologies[] = {
