@@ -237,8 +237,7 @@ class Context
     static void setValidation(check::Mode m) { check::setMode(m); }
     static check::Mode validation() { return check::mode(); }
 
-    /** Always empty: no op captures a plan. Kept because perfbench
-     *  calls it. */
+    /** Always {}: no op captures a plan. Kept because perfbench calls it. */
     kernels::PlanCacheStats planStats() const;
 
     // Per-shard key-bundle registry (serve::Router placement). --------

@@ -1,8 +1,8 @@
 /**
  * @file
- * The plan-cache statistics type perfbench reads. Every op dispatches
- * live through kernels::forBatches; no plan is ever captured, so the
- * statistics are always empty (Context::planStats returns {}).
+ * Plan-cache statistics that perfbench still reads. No op captures a
+ * plan -- every op dispatches live through kernels::forBatches -- so
+ * Context::planStats() always returns {}.
  */
 
 #pragma once
@@ -14,14 +14,12 @@
 namespace fideslib::ckks::kernels
 {
 
-/** Element of PlanCacheStats::keys (always empty). Kept because
- *  perfbench reads PlanCacheStats::keys.size(). */
+/** Element of PlanCacheStats::keys. Kept because perfbench reads it. */
 struct PlanKeyStats
 {
 };
 
-/** What Context::planStats returns: always zero. Kept because
- *  perfbench reads it. */
+/** Always zero (Context::planStats). Kept because perfbench reads it. */
 struct PlanCacheStats
 {
     std::vector<PlanKeyStats> keys;

@@ -468,8 +468,7 @@ class DeviceSet
     void noteLogicalKernel() { logicalKernels_.fetch_add(1, std::memory_order_relaxed); }
     u64 logicalKernels() const { return logicalKernels_.load(std::memory_order_relaxed); }
 
-    /** Always 0: no op replays a plan. Kept because perfbench reads
-     *  it. */
+    /** Always 0: no op replays a plan. Kept because perfbench reads it. */
     u64 planReplays() const { return 0; }
 
   private:

@@ -18,6 +18,7 @@
 #include <sstream>
 #include <vector>
 
+#include "ckks/adapter.hpp"
 #include "ckks/encryptor.hpp"
 #include "ckks/keygen.hpp"
 #include "serve/server.hpp"
@@ -174,29 +175,40 @@ TEST(Serve, ConcurrentMatchesSequentialAcrossTopologies)
 
 TEST(Serve, ColdContextRaceMatchesSequential)
 {
-    // Many submitters race the same program on a COLD Context: its
-    // lazy caches (the rotation's automorphism permutation) are built
-    // on first use by whichever submitter gets there first. Every
-    // result must equal a sequential run of the same program, bit for
-    // bit.
-    Fixture f(topologyParams(2, 2));
-    auto x = f.encrypt(0.23);
-    auto y = f.encrypt(0.71);
+    // Many submitters race the same program on a COLD server Context:
+    // keys and inputs arrive in wire form, so no op has run on it and
+    // its lazy caches (the rotation's automorphism permutation) are
+    // built by whichever submitter gets there first. Every result must
+    // equal a sequential run of the same program, bit for bit.
+    Fixture client(topologyParams(2, 2));
+    const HostKeyBundle wireKeys =
+        adapter::toHost(client.ctx, client.keys);
+    const HostCiphertext hx =
+        adapter::toHost(client.ctx, client.encrypt(0.23));
+    const HostCiphertext hy =
+        adapter::toHost(client.ctx, client.encrypt(0.71));
 
+    Context ctx(topologyParams(2, 2));
+    const KeyBundle keys = adapter::toDevice(ctx, wireKeys);
+    auto program = [&] {
+        return statsProgram(adapter::toDevice(ctx, hx),
+                            adapter::toDevice(ctx, hy));
+    };
     constexpr u32 kRequests = 8;
+    std::vector<Request> programs;
+    for (u32 i = 0; i < kRequests; ++i)
+        programs.push_back(program());
     std::vector<Handle> handles;
     {
         Server::Options opt;
         opt.submitters = 4;
-        Server server(f.ctx, f.keys, opt);
-        for (u32 i = 0; i < kRequests; ++i)
-            handles.push_back(
-                server.submit(statsProgram(x.clone(), y.clone())));
+        Server server(ctx, keys, opt);
+        for (Request &r : programs)
+            handles.push_back(server.submit(std::move(r)));
         server.drain();
     }
 
-    const Ciphertext want =
-        executeProgram(f.eval, statsProgram(x.clone(), y.clone()));
+    const Ciphertext want = executeProgram(Evaluator(ctx, keys), program());
     for (u32 i = 0; i < kRequests; ++i) {
         SCOPED_TRACE(::testing::Message() << "request " << i);
         expectCiphertextEqual(want, handles[i].get(), "race result");
