@@ -65,48 +65,40 @@ def closed_loop(row):
 
 
 def band(tolerance, timed=False):
-    def rule(gate, rows, baseline, opts):
-        metric = gate["metric"]
+    def rule(name, metric, rows, baseline, opts):
         if timed and not opts["time_gate"]:
-            return [("SKIP", f"{gate['file']} {metric}: "
-                     "--skip-time-gate", None)]
+            return [("SKIP", f"{name} {metric}: --skip-time-gate")]
         out = []
-        for name, row in sorted(rows.items()):
-            base = baseline.get(name)
+        for row_name, row in sorted(rows.items()):
+            base = baseline.get(row_name)
             if base is None or metric not in row or metric not in base:
                 continue
             got, want = row[metric], base[metric]
-            limit = want * tolerance
-            ok = got <= limit
+            verdict = "OK" if got <= want * tolerance else "FAIL"
             if timed:
-                label = (f"{name} {metric}: {got:.0f} (baseline "
-                         f"{want:.0f}, band {tolerance}x)")
+                out.append((verdict, f"{row_name} {metric}: {got:.0f} "
+                            f"(baseline {want:.0f}, band {tolerance}x)"))
             else:
-                label = f"{name} {metric}: {got:.2f} (baseline {want:.2f})"
-            out.append(("OK" if ok else "FAIL", label,
-                        None if ok else (name, metric, got, limit)))
+                out.append((verdict, f"{row_name} {metric}: {got:.2f} "
+                            f"(baseline {want:.2f})"))
         return out
     rule.needs_baseline = True
     return rule
 
 
 def equal_by(key):
-    def rule(gate, rows, baseline, opts):
-        metric = gate["metric"]
+    def rule(name, metric, rows, baseline, opts):
         groups = {}
-        for name, row in sorted(rows.items()):
+        for row_name, row in sorted(rows.items()):
             if key in row and metric in row:
                 groups.setdefault(row[key], []).append(
-                    (name, row[metric]))
+                    (row_name, row[metric]))
         out = []
         for value, members in sorted(groups.items()):
-            distinct = sorted({v for _, v in members})
+            distinct = {v for _, v in members}
             listed = ", ".join(f"{n} {v:g}" for n, v in members)
-            ok = len(distinct) == 1
-            out.append(("OK" if ok else "FAIL",
-                        f"{key}={value:g} rows {metric}: {listed}",
-                        None if ok else (f"{value:g} {key}", metric,
-                                         distinct, "equal")))
+            out.append(("OK" if len(distinct) == 1 else "FAIL",
+                        f"{key}={value:g} rows {metric}: {listed}"))
         return out
     rule.needs_baseline = False
     return rule
@@ -115,31 +107,25 @@ def equal_by(key):
 def scaling(key, floor, pair=None):
     """@p pair fixes the (base, peak) key values and requires both
     rows; without it the smallest and largest values are compared."""
-    def rule(gate, rows, baseline, opts):
-        metric = gate["metric"]
+    def rule(name, metric, rows, baseline, opts):
         by_key = {row[key]: row for _, row in sorted(rows.items())}
-        what = f"{gate['file']} {key} scaling"
+        what = f"{name} {key} scaling"
         if pair is not None:
             if not all(k in by_key for k in pair):
-                return [("FAIL", f"{what}: need the {key} "
-                         f"{pair[0]} and {pair[1]} rows",
-                         (gate["file"], "rows", sorted(by_key),
-                          list(pair)))]
+                return [("FAIL", f"{what}: need the {key} {pair[0]} "
+                         f"and {pair[1]} rows")]
             lo, hi = pair
         else:
             if len(by_key) < 2:
                 return [("SKIP", f"{what}: need rows for >= 2 {key} "
-                         "counts", None)]
+                         "counts")]
             lo, hi = min(by_key), max(by_key)
         ratio = by_key[hi][metric] / by_key[lo][metric]
         label = (f"{what}: {hi} at {ratio:.2f}x of {lo} "
                  f"(floor {floor}x)")
         if opts["skip"]:
-            return [("SKIP", f"{label} -- {opts['skip']}", None)]
-        ok = ratio >= floor
-        return [("OK" if ok else "FAIL", label,
-                 None if ok else (by_key[hi]["name"],
-                                  f"{metric} scaling", ratio, floor))]
+            return [("SKIP", f"{label} -- {opts['skip']}")]
+        return [("OK" if ratio >= floor else "FAIL", label)]
     rule.needs_baseline = False
     return rule
 
@@ -196,16 +182,16 @@ def main():
         if not fresh[name]:
             sys.exit("FAIL: no benchmark rows in " + path)
 
-    baselines = {}
-    failures = []
+    failures = 0
     for name in sorted(fresh):
         gates = [g for g in GATES if g[0] == name]
+        baseline = {}
         if any(g[3].needs_baseline for g in gates):
-            baselines[name] = load(os.path.join(baseline_dir, name))
+            baseline = load(os.path.join(baseline_dir, name))
             for row in sorted(fresh[name]):
-                if row not in baselines[name]:
+                if row not in baseline:
                     print(f"NEW  {row}: no baseline row, skipping")
-        for path, select, metric, rule, min_cores in gates:
+        for _, select, metric, rule, min_cores in gates:
             rows = {n: r for n, r in fresh[name].items() if select(r)}
             skip = None
             if min_cores and rows:
@@ -215,16 +201,14 @@ def main():
                 if cores < min_cores:
                     skip = (f"{cores} core(s) < {min_cores}, "
                             "wall-clock scaling not expressible")
-            gate = {"file": name, "metric": metric}
             opts = {"time_gate": time_gate, "skip": skip}
-            for verdict, label, failure in rule(
-                    gate, rows, baselines.get(name, {}), opts):
+            for verdict, label in rule(name, metric, rows, baseline,
+                                       opts):
                 print(f"{verdict:<4} {label}")
-                if failure is not None:
-                    failures.append(failure)
+                failures += verdict == "FAIL"
 
     if failures:
-        sys.exit(f"FAIL: {len(failures)} regression(s) against the "
+        sys.exit(f"FAIL: {failures} regression(s) against the "
                  "committed gates")
     print("launch economy: no regressions")
 
