@@ -19,7 +19,7 @@
  * BENCH_cluster.json in the CWD): per-row aggregate req/s and ops/s,
  * p50/p99 latency, host dispatch per op, and the scaling ratio
  * against the 1-shard row. CI gates the 2-shard ratio via
- * tools/check_launch_regression.py --cluster; like the submitter
+ * tools/check_launch_regression.py; like the submitter
  * gate, the ratio applies only on machines with enough cores
  * (reported in the "cores" field) for a second shard's submitters to
  * add wall-clock throughput. Ends with a Router::metricsText() smoke
