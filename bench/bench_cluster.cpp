@@ -4,11 +4,11 @@
  * (serve/router.hpp): the SAME total workload -- T tenants x R
  * stats-style requests, a fixed total submitter-thread budget --
  * served by a Router with {1, 2, 4} shards. One shard is the
- * single-node baseline whose submitter contention BENCH_serve.json
- * documents (all submitters share one Context's lazy caches,
- * MemPool and stream locks); each added shard is an independent
- * Context + DeviceSet, so the sweep measures how much of that
- * single-node collapse tenant-affine sharding buys back.
+ * single-node baseline; each added shard is an independent Context +
+ * DeviceSet (a simulated GPU node), so the sweep measures what
+ * splitting the same submitters over more nodes gains. Every shard
+ * still runs on the host's cores, and on a 4-core host one warm
+ * shard already fills them: there the ratios read about 1x.
  *
  * Each tenant's first request is an unmeasured warmup (it builds the
  * shard's lazy caches). Routed results are bit-identical

@@ -55,12 +55,11 @@ struct HostEvalKey
 };
 
 /**
- * Client-side evaluation-key bundle -- the registry form the serving
- * layer's tenant placement keeps (serve::Router). A tenant registers
- * its keys once in this host form; installing them on a shard is
+ * Client-side evaluation-key bundle -- the wire form a tenant hands
+ * to serve::Router::registerTenant. Installing it on a shard is
  * adapter::toDevice under THAT shard's Context, so the same bundle
- * can be re-materialized on any shard a rebalance moves the tenant
- * to. Device-resident KeyBundles never cross a shard boundary.
+ * can be materialized on whichever shard the ring picks.
+ * Device-resident KeyBundles never cross a shard boundary.
  */
 struct HostKeyBundle
 {

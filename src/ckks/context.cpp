@@ -315,26 +315,12 @@ Context::registerKeyBundle(u64 tenant,
     keyRegistry_[tenant] = std::move(keys);
 }
 
-void
-Context::unregisterKeyBundle(u64 tenant) const
-{
-    std::lock_guard<std::mutex> lock(keyRegistryMutex_);
-    keyRegistry_.erase(tenant);
-}
-
 std::shared_ptr<const KeyBundle>
 Context::keyBundle(u64 tenant) const
 {
     std::lock_guard<std::mutex> lock(keyRegistryMutex_);
     auto it = keyRegistry_.find(tenant);
     return it == keyRegistry_.end() ? nullptr : it->second;
-}
-
-std::size_t
-Context::keyBundleCount() const
-{
-    std::lock_guard<std::mutex> lock(keyRegistryMutex_);
-    return keyRegistry_.size();
 }
 
 void

@@ -242,25 +242,18 @@ class Context
 
     // Per-shard key-bundle registry (serve::Router placement). --------
     /**
-     * Installs @p keys as tenant @p tenant's evaluation keys ON THIS
-     * CONTEXT. A sharded deployment gives every shard its own Context
-     * (simulated GPU node), and a tenant's device-resident keys live
-     * exactly on the shard that owns it: the Router re-materializes
-     * them from the host-side registry form (adapter::HostKeyBundle)
-     * when a tenant is placed or migrated. shared_ptr ownership lets
-     * in-flight requests outlive an unregistration (they hold a ref;
-     * the bundle dies when the last request retires). Thread-safe.
+     * Records @p keys as tenant @p tenant's evaluation keys ON THIS
+     * CONTEXT; serve::Router::registerTenant calls it on the owning
+     * shard, replacing any earlier bundle. The Server keeps its own
+     * reference for every request, so nothing in the library reads
+     * the registry: it is kept because perfbench's RouterRig::probe
+     * reads keyBundle(). Thread-safe.
      */
     void registerKeyBundle(u64 tenant,
                            std::shared_ptr<const KeyBundle> keys) const;
-    /** Drops tenant @p tenant's keys from this shard (migration's
-     *  source-side step). No-op if absent. */
-    void unregisterKeyBundle(u64 tenant) const;
-    /** The registered bundle, or null -- the Server's per-request key
-     *  lookup. */
+    /** The registered bundle, or null. Kept because perfbench's
+     *  RouterRig::probe reads it. */
     std::shared_ptr<const KeyBundle> keyBundle(u64 tenant) const;
-    /** Registered tenants on this shard (observability). */
-    std::size_t keyBundleCount() const;
 
     /**
      * Shard label for aggregate observability (metricsText): set by

@@ -191,16 +191,6 @@ Encoder::encode(const std::vector<std::complex<double>> &values,
     return pt;
 }
 
-Plaintext
-Encoder::encodeReal(const std::vector<double> &values, u32 slots,
-                    u32 level, long double scale) const
-{
-    std::vector<std::complex<double>> z(values.size());
-    for (std::size_t i = 0; i < values.size(); ++i)
-        z[i] = {values[i], 0.0};
-    return encode(z, slots, level, scale);
-}
-
 std::vector<std::complex<double>>
 Encoder::decode(const Plaintext &pt) const
 {

@@ -50,10 +50,6 @@ class Encoder
     Plaintext encode(const std::vector<std::complex<double>> &values,
                      u32 slots, u32 level, long double scale = 0) const;
 
-    /** Real-vector convenience overload. */
-    Plaintext encodeReal(const std::vector<double> &values, u32 slots,
-                         u32 level, long double scale = 0) const;
-
     /** Decodes a plaintext back to complex slot values. */
     std::vector<std::complex<double>> decode(const Plaintext &pt) const;
 

@@ -339,18 +339,6 @@ Evaluator::addC(const Ciphertext &a, const Ciphertext &b) const
 }
 
 Ciphertext
-Evaluator::subC(const Ciphertext &a, const Ciphertext &b) const
-{
-    Ciphertext x = a.clone();
-    Ciphertext y = b.clone();
-    u32 l = std::min(x.level(), y.level());
-    toCanonicalLevel(x, l);
-    toCanonicalLevel(y, l);
-    subInPlace(x, y);
-    return x;
-}
-
-Ciphertext
 Evaluator::multiplyPlainC(const Ciphertext &a,
                           const std::vector<Cplx> &values) const
 {

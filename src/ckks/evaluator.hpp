@@ -106,7 +106,6 @@ class Evaluator
     Ciphertext squareC(const Ciphertext &a) const;
     /** Canonical add (aligns levels first). */
     Ciphertext addC(const Ciphertext &a, const Ciphertext &b) const;
-    Ciphertext subC(const Ciphertext &a, const Ciphertext &b) const;
     /** Canonical plaintext multiply: encode at Delta_l and rescale. */
     Ciphertext multiplyPlainC(const Ciphertext &a,
                               const std::vector<Cplx> &values) const;

@@ -16,7 +16,7 @@ RNSPoly::RNSPoly(const Context &ctx, u32 level, Format fmt,
     FIDES_ASSERT(level <= ctx.maxLevel());
     FIDES_ASSERT(specialLimbs <= ctx.numSpecial());
     // Reserve the maximum capacity once: limb addresses stay stable
-    // across appendSpecialLimbs/dropLimb while kernels are in flight.
+    // while kernels are in flight (LimbPartition).
     part_->reserve(ctx.maxLevel() + 1 + ctx.numSpecial());
     for (u32 i = 0; i <= level; ++i)
         part_->push(Limb(ctx, i));
@@ -88,18 +88,6 @@ RNSPoly::dropLimb()
     }
     part_->pop();
     --level_;
-}
-
-void
-RNSPoly::appendSpecialLimbs()
-{
-    FIDES_ASSERT(special_ == 0);
-    for (u32 k = 0; k < ctx_->numSpecial(); ++k) {
-        Limb l(*ctx_, ctx_->specialIdx(k));
-        std::memset(l.data(), 0, l.size() * sizeof(u64));
-        part_->push(std::move(l));
-    }
-    special_ = ctx_->numSpecial();
 }
 
 void

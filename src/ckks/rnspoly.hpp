@@ -353,9 +353,6 @@ class RNSPoly
      *  under them. */
     void dropLimb();
 
-    /** Appends zeroed special limbs (pre-ModUp working form). */
-    void appendSpecialLimbs();
-
     /** Removes the special limbs (post-ModDown). Joins like
      *  dropLimb; the hot ModDown path avoids this by building a
      *  fresh result polynomial instead. */

@@ -12,15 +12,6 @@ BigInt::trim()
         words_.pop_back();
 }
 
-u32
-BigInt::bitLength() const
-{
-    u64 top = words_.back();
-    if (top == 0)
-        return 0;
-    return (words_.size() - 1) * 64 + log2Floor(top) + 1;
-}
-
 void
 BigInt::mulWord(u64 m)
 {

@@ -35,9 +35,6 @@ class BigInt
 
     bool isZero() const { return words_.size() == 1 && words_[0] == 0; }
 
-    /** Approximate bit length (exact for normalized values). */
-    u32 bitLength() const;
-
     /** this *= m (single word). */
     void mulWord(u64 m);
     /** this += other. */

@@ -59,7 +59,6 @@ MemPool::allocate(std::size_t bytes)
     std::lock_guard<std::mutex> lock(m_);
     if (!deferred_.empty())
         sweepDeferredLocked();
-    ++allocCalls_;
     bytesInUse_ += bytes;
     bytesPeak_ = std::max(bytesPeak_, bytesInUse_);
     auto it = freeLists_.find(bytes);
@@ -189,13 +188,6 @@ MemPool::bytesPeak() const
 }
 
 u64
-MemPool::allocCalls() const
-{
-    std::lock_guard<std::mutex> lock(m_);
-    return allocCalls_;
-}
-
-u64
 MemPool::poolHits() const
 {
     std::lock_guard<std::mutex> lock(m_);
@@ -223,13 +215,6 @@ MemPool::setCacheBound(u64 bytes)
     cacheBound_ = bytes;
     if (bytesCached_ > cacheBound_)
         evictLocked(cacheBound_);
-}
-
-u64
-MemPool::cacheBound() const
-{
-    std::lock_guard<std::mutex> lock(m_);
-    return cacheBound_;
 }
 
 // --- Device ----------------------------------------------------------------

@@ -250,7 +250,6 @@ class MemPool
 
     u64 bytesInUse() const;
     u64 bytesPeak() const;
-    u64 allocCalls() const;
     u64 poolHits() const;
     u64 deferredFrees() const;
     /** Bytes sitting on the free lists, available for recycling. */
@@ -263,7 +262,6 @@ class MemPool
      * sheds only the excess instead of flushing the whole cache.
      */
     void setCacheBound(u64 bytes);
-    u64 cacheBound() const;
 
     /** Returns cached blocks to the host allocator. */
     void trim();
@@ -296,7 +294,6 @@ class MemPool
     u64 bytesPeak_ = 0;
     u64 bytesCached_ = 0;
     u64 cacheBound_ = 4ULL << 30;
-    u64 allocCalls_ = 0;
     u64 poolHits_ = 0;
     u64 deferredFrees_ = 0;
 };

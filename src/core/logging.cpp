@@ -9,11 +9,12 @@ namespace fideslib
 namespace
 {
 
+enum class LogLevel { Warn, Fatal, Panic };
+
 const char *
 levelTag(LogLevel level)
 {
     switch (level) {
-      case LogLevel::Inform: return "info";
       case LogLevel::Warn:   return "warn";
       case LogLevel::Fatal:  return "fatal";
       case LogLevel::Panic:  return "panic";
@@ -21,8 +22,10 @@ levelTag(LogLevel level)
     return "?";
 }
 
+/** Formats and emits one message to stderr. Fatal exits with code 1,
+ *  Panic aborts. */
 void
-vlogMessage(LogLevel level, const char *fmt, va_list ap)
+emitMessage(LogLevel level, const char *fmt, va_list ap)
 {
     std::fprintf(stderr, "[fideslib:%s] ", levelTag(level));
     std::vfprintf(stderr, fmt, ap);
@@ -36,29 +39,11 @@ vlogMessage(LogLevel level, const char *fmt, va_list ap)
 } // namespace
 
 void
-logMessage(LogLevel level, const char *fmt, ...)
-{
-    va_list ap;
-    va_start(ap, fmt);
-    vlogMessage(level, fmt, ap);
-    va_end(ap);
-}
-
-void
-inform(const char *fmt, ...)
-{
-    va_list ap;
-    va_start(ap, fmt);
-    vlogMessage(LogLevel::Inform, fmt, ap);
-    va_end(ap);
-}
-
-void
 warn(const char *fmt, ...)
 {
     va_list ap;
     va_start(ap, fmt);
-    vlogMessage(LogLevel::Warn, fmt, ap);
+    emitMessage(LogLevel::Warn, fmt, ap);
     va_end(ap);
 }
 
@@ -67,7 +52,7 @@ fatal(const char *fmt, ...)
 {
     va_list ap;
     va_start(ap, fmt);
-    vlogMessage(LogLevel::Fatal, fmt, ap);
+    emitMessage(LogLevel::Fatal, fmt, ap);
     va_end(ap);
     std::abort(); // unreachable; silences [[noreturn]] warnings
 }
@@ -77,7 +62,7 @@ panic(const char *fmt, ...)
 {
     va_list ap;
     va_start(ap, fmt);
-    vlogMessage(LogLevel::Panic, fmt, ap);
+    emitMessage(LogLevel::Panic, fmt, ap);
     va_end(ap);
     std::abort();
 }

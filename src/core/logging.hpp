@@ -2,8 +2,8 @@
  * @file
  * Minimal status/error reporting helpers, following the gem5 convention:
  * panic() for internal invariant violations (library bugs), fatal() for
- * unrecoverable user errors (bad parameters), warn()/inform() for
- * non-fatal diagnostics.
+ * unrecoverable user errors (bad parameters), warn() for non-fatal
+ * diagnostics.
  */
 
 #pragma once
@@ -13,20 +13,6 @@
 
 namespace fideslib
 {
-
-/** Severity used by logMessage(). */
-enum class LogLevel { Inform, Warn, Fatal, Panic };
-
-/**
- * Formats and emits one message to stderr. Fatal exits with code 1,
- * Panic aborts. Not intended to be called directly; use the helpers.
- */
-[[gnu::format(printf, 2, 3)]]
-void logMessage(LogLevel level, const char *fmt, ...);
-
-/** User-facing status message. */
-[[gnu::format(printf, 1, 2)]]
-void inform(const char *fmt, ...);
 
 /** Suspicious-but-survivable condition. */
 [[gnu::format(printf, 1, 2)]]

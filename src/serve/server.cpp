@@ -120,8 +120,7 @@ struct Server::Job
     Request req;
     std::shared_ptr<Handle::State> state;
     //! Key material resolved at submit time: the job keeps the
-    //! bundle alive even if the tenant is unregistered mid-flight
-    //! (migration's source-side drain).
+    //! bundle alive even if the tenant re-registers mid-flight.
     Tenant tenant;
 };
 
@@ -140,11 +139,13 @@ Server::Server(const ckks::Context &ctx, const ckks::KeyBundle &keys,
 {
     // The single-bundle front door: caller-owned keys (aliased, not
     // owned -- the caller keeps them alive for the server's lifetime,
-    // as before multi-tenant registration existed).
-    registerTenant(kDefaultTenant,
-                   std::shared_ptr<const ckks::KeyBundle>(
-                       std::shared_ptr<const ckks::KeyBundle>(), &keys),
-                   opt.bootstrapper);
+    // as before multi-tenant registration existed) and the optional
+    // Bootstrapper built over them.
+    std::lock_guard<std::mutex> lock(m_);
+    tenants_[kDefaultTenant] =
+        Tenant{std::shared_ptr<const ckks::KeyBundle>(
+                   std::shared_ptr<const ckks::KeyBundle>(), &keys),
+               opt.bootstrapper};
 }
 
 Server::~Server()
@@ -161,19 +162,11 @@ Server::~Server()
 
 void
 Server::registerTenant(u64 tenant,
-                       std::shared_ptr<const ckks::KeyBundle> keys,
-                       const ckks::Bootstrapper *boot)
+                       std::shared_ptr<const ckks::KeyBundle> keys)
 {
     FIDES_ASSERT(keys != nullptr);
     std::lock_guard<std::mutex> lock(m_);
-    tenants_[tenant] = Tenant{std::move(keys), boot};
-}
-
-void
-Server::unregisterTenant(u64 tenant)
-{
-    std::lock_guard<std::mutex> lock(m_);
-    tenants_.erase(tenant);
+    tenants_[tenant] = Tenant{std::move(keys), nullptr};
 }
 
 std::size_t

@@ -7,8 +7,7 @@
  * threads. Requests are keyed by tenant: each job resolves its
  * tenant's evaluation keys at submit time (the single-bundle
  * constructors register one default tenant), which is what lets a
- * serve::Router shard tenants across many Servers and migrate them
- * between shards (DESIGN.md §1.12).
+ * serve::Router shard tenants across many Servers (DESIGN.md §1.12).
  *
  * Each submitter owns one StreamLease for its whole lifetime (a
  * contiguous slot range on every device; leases wrap and share
@@ -168,21 +167,14 @@ class Server
     Server &operator=(const Server &) = delete;
 
     /**
-     * Registers @p tenant's evaluation keys (and optional bootstrap
-     * engine) for submit(tenant, req). Re-registering replaces the
-     * previous entry; in-flight requests keep the bundle they
-     * resolved at submit time alive. Thread-safe.
+     * Registers @p tenant's evaluation keys for submit(tenant, req).
+     * Re-registering replaces the previous entry; in-flight requests
+     * keep the bundle they resolved at submit time alive. Only the
+     * single-bundle constructors' tenant can run Bootstrap ops
+     * (Options::bootstrapper). Thread-safe.
      */
     void registerTenant(u64 tenant,
-                        std::shared_ptr<const ckks::KeyBundle> keys,
-                        const ckks::Bootstrapper *boot = nullptr);
-    /**
-     * Removes @p tenant (migration's source-side hook). Queued or
-     * executing requests of the tenant finish normally -- their jobs
-     * hold the key bundle; only NEW submits fatal. Call drain()
-     * first when the migration needs the tenant's work settled.
-     */
-    void unregisterTenant(u64 tenant);
+                        std::shared_ptr<const ckks::KeyBundle> keys);
     /** Registered tenant count (observability). */
     std::size_t tenants() const;
 

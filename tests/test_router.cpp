@@ -7,14 +7,15 @@
  * results bit-identical to the same programs run directly against a
  * single client-side Evaluator. Cross-shard ciphertext moves round
  * trip bit-exactly under concurrent submitters on both shards, a
- * tenant migrated mid-workload matches its never-migrated reference,
- * rebalance() moves the busiest tenant off an overloaded shard, and
- * routing an unregistered tenant dies. Run under TSan in CI via the
- * Router* filter.
+ * tenant re-registered with new keys while its requests are in
+ * flight keeps its shard and serves each request under the keys it
+ * was submitted with, and routing an unregistered tenant dies. Run
+ * under TSan in CI via the Router* filter.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -70,11 +71,17 @@ struct Client
     Ciphertext
     encrypt(double seed)
     {
+        return encrypt(encr, seed);
+    }
+    /** Encrypts under @p with, e.g. a second bundle's public key. */
+    Ciphertext
+    encrypt(const Encryptor &with, double seed)
+    {
         const u32 slots = static_cast<u32>(ctx.degree() / 2);
         std::vector<std::complex<double>> z(slots);
         for (u32 i = 0; i < slots; ++i)
             z[i] = {std::cos(seed * (i + 1)), std::sin(seed + i)};
-        return encr.encrypt(enc.encode(z, slots, ctx.maxLevel()));
+        return with.encrypt(enc.encode(z, slots, ctx.maxLevel()));
     }
 };
 
@@ -219,7 +226,6 @@ TEST(RouterTest, RoutedMatchesDirectAcrossShards)
     }
     EXPECT_EQ(cases.size(), accepted);
     EXPECT_EQ(cases.size(), completed);
-    EXPECT_EQ(0u, st.migrations);
 }
 
 TEST(RouterTest, CrossShardMoveRoundTripsBitExactUnderLoad)
@@ -264,124 +270,83 @@ TEST(RouterTest, CrossShardMoveRoundTripsBitExactUnderLoad)
                                             away);
     expectCiphertextEqual(orig, back, "cross-shard round trip");
 
-    // transfer() with matching source shard is the identity move.
-    Ciphertext same = router.transfer(t0, 0, orig);
-    expectCiphertextEqual(orig, same, "same-shard transfer");
-
     for (Handle &h : handles)
         EXPECT_TRUE(h.get().c0.numLimbs() > 0);
 }
 
-TEST(RouterTest, MigrateMidWorkloadMatchesReference)
+TEST(RouterTest, ReRegistrationRollsKeysUnderLoad)
 {
     Client client(clusterParams());
+
+    // Bundle B: a second KeyGen on the client Context draws a fresh
+    // secret, so B's keys differ from A's (the client's own bundle).
+    KeyGen keygenB(client.ctx);
+    const KeyBundle keysB = keygenB.makeBundle({1, 2});
+    const Evaluator evalB(client.ctx, keysB);
+    const Encryptor encrB(client.ctx, keysB.pk);
+    const HostKeyBundle wireB = adapter::toHost(client.ctx, keysB);
+    ASSERT_NE(client.wireKeys.pkB.limbs, wireB.pkB.limbs);
+    ASSERT_NE(client.wireKeys.relin.b.front().limbs,
+              wireB.relin.b.front().limbs);
 
     Router::Options opt;
     opt.shards = 2;
     opt.submittersPerShard = 1;
     Router router(clusterParams(), opt);
-
-    const u64 tenant = tenantOnShard(router, client.wireKeys, 0);
-    const u32 home = router.shardOf(tenant);
-    const u32 away = 1 - home;
-
-    constexpr u32 kRequests = 6;
-    std::vector<Ciphertext> xs, ys, want;
-    for (u32 i = 0; i < kRequests; ++i) {
-        xs.push_back(client.encrypt(0.2 + 0.11 * i));
-        ys.push_back(client.encrypt(5.0 + 0.07 * i));
-        want.push_back(executeProgram(
-            client.eval,
-            statsProgram(xs.back().clone(), ys.back().clone())));
-    }
-
-    auto submit = [&](u32 i) {
-        return router.submit(
-            tenant,
-            statsProgram(
-                router.upload(tenant,
-                              adapter::toHost(client.ctx, xs[i])),
-                router.upload(tenant,
-                              adapter::toHost(client.ctx, ys[i]))));
-    };
-
-    std::vector<Handle> handles;
-    for (u32 i = 0; i < kRequests / 2; ++i)
-        handles.push_back(submit(i));
-
-    // Mid-workload move: drains the home shard, re-materializes the
-    // keys on the other one, re-routes.
-    EXPECT_EQ(away, router.migrate(tenant, away));
-    EXPECT_EQ(away, router.shardOf(tenant));
-
-    for (u32 i = kRequests / 2; i < kRequests; ++i)
-        handles.push_back(submit(i));
-
-    for (u32 i = 0; i < kRequests; ++i) {
-        Ciphertext got = handles[i].get();
-        expectCiphertextEqual(want[i], got, "migrated tenant result");
-    }
-
-    const Router::Stats st = router.stats();
-    EXPECT_EQ(1u, st.migrations);
-    EXPECT_GE(st.shards[away].serve.accepted, kRequests / 2);
-    // The tenant left its home shard entirely.
-    EXPECT_EQ(0u, st.shards[home].tenants);
-
-    // Migrating back also works (and to the same shard is a no-op).
-    EXPECT_EQ(home, router.migrate(tenant, home));
-    EXPECT_EQ(home, router.migrate(tenant, home));
-    EXPECT_EQ(2u, router.stats().migrations);
-}
-
-TEST(RouterTest, RebalanceMovesBusiestTenantOffHotShard)
-{
-    Client client(clusterParams());
-
-    Router::Options opt;
-    opt.shards = 2;
-    opt.submittersPerShard = 1;
-    opt.rebalanceSkew = 2.0;
-    opt.rebalanceMinLoad = 2;
-    Router router(clusterParams(), opt);
-
     const u64 tenant = tenantOnShard(router, client.wireKeys, 0);
     const u32 home = router.shardOf(tenant);
 
-    // Serve one request cheaply, then make every kernel launch
-    // expensive so a burst reliably queues on the single submitter.
-    Ciphertext x = client.encrypt(0.5);
-    Ciphertext y = client.encrypt(1.5);
-    auto submitOne = [&] {
-        return router.submit(
-            tenant,
-            statsProgram(
-                router.upload(tenant,
-                              adapter::toHost(client.ctx, x)),
-                router.upload(tenant,
-                              adapter::toHost(client.ctx, y))));
+    // Each case is encrypted under, and referenced against, its own
+    // bundle, so a request served under the other bundle's keys
+    // cannot match.
+    struct Case
+    {
+        Request req;
+        Ciphertext want;
+        Handle handle;
     };
-    submitOne().get();
+    auto prepare = [&](const Evaluator &eval, const Encryptor &encr,
+                       double seed) {
+        Ciphertext x = client.encrypt(encr, seed);
+        Ciphertext y = client.encrypt(encr, seed + 4.0);
+        Ciphertext want =
+            executeProgram(eval, statsProgram(x.clone(), y.clone()));
+        return Case{
+            statsProgram(
+                router.upload(tenant, adapter::toHost(client.ctx, x)),
+                router.upload(tenant, adapter::toHost(client.ctx, y))),
+            std::move(want), Handle{}};
+    };
+    constexpr u32 kRequests = 4;
+    std::vector<Case> underA, underB;
+    for (u32 i = 0; i < kRequests; ++i) {
+        underA.push_back(prepare(client.eval, client.encr, 0.25 + 0.1 * i));
+        underB.push_back(prepare(evalB, encrB, 2.5 + 0.1 * i));
+    }
+
+    // Slow every launch on the home shard (set while its submitter is
+    // idle) so A's requests are still queued or executing when B
+    // replaces the keys.
     router.shardContext(home).devices().setLaunchOverheadNs(100000);
+    for (Case &c : underA)
+        c.handle = router.submit(tenant, std::move(c.req));
+    EXPECT_TRUE(std::any_of(underA.begin(), underA.end(),
+                            [](const Case &c) {
+                                return !c.handle.ready();
+                            }))
+        << "every request under A settled before the rollover";
 
-    std::vector<Handle> handles;
-    for (u32 i = 0; i < 12; ++i)
-        handles.push_back(submitOne());
+    EXPECT_EQ(home, router.registerTenant(tenant, wireB));
+    for (Case &c : underB)
+        c.handle = router.submit(tenant, std::move(c.req));
 
-    // The hot shard has a backlog, the other shard is idle: one
-    // rebalance step migrates the tenant (draining the backlog
-    // first, under the old placement).
-    EXPECT_EQ(1u, router.rebalance());
-    EXPECT_EQ(1 - home, router.shardOf(tenant));
-    EXPECT_EQ(1u, router.stats().migrations);
-    // Balanced again: a second step is a no-op.
-    EXPECT_EQ(0u, router.rebalance());
-
-    for (Handle &h : handles)
-        EXPECT_TRUE(h.get().c0.numLimbs() > 0);
-    // Post-migration submits serve from the new shard.
-    submitOne().get();
-    EXPECT_GT(router.stats().shards[1 - home].serve.completed, 0u);
+    for (Case &c : underA)
+        expectCiphertextEqual(c.want, c.handle.get(), "result under A");
+    for (Case &c : underB)
+        expectCiphertextEqual(c.want, c.handle.get(), "result under B");
+    EXPECT_EQ(home, router.shardOf(tenant));
+    EXPECT_EQ(u64{2 * kRequests},
+              router.stats().shards[home].serve.completed);
 }
 
 TEST(RouterTest, ConsistentHashingIsDeterministicAndSpreads)
@@ -431,13 +396,16 @@ TEST(RouterTest, MetricsTextExposesShardAndRouterSamples)
 
     const std::string text = router.metricsText();
     for (const char *needle :
-         {"fides_router_shards 2", "fides_router_migrations_total 0",
+         {"fides_router_shards 2",
           "fides_serve_accepted_total{shard=\"shard0\"}",
           "fides_serve_latency_ms_bucket{shard=\"shard1\",le=\"+Inf\"}",
           "fides_serve_executed_ops_total{shard=\"shard0\"}",
           "fides_serve_queue_depth{shard=\"shard1\"} 0"})
         EXPECT_NE(std::string::npos, text.find(needle))
             << "missing sample: " << needle;
+    EXPECT_NE(std::string::npos,
+              text.find("fides_router_tenants " +
+                        std::to_string(router.tenants()) + "\n"));
 
     // The tenantless shard Server also dumps unlabeled metrics.
     const std::string solo = router.shard(0).metricsText();
