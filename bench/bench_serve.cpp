@@ -8,8 +8,11 @@
  * ops/s) and per-request latency (p50/p99) as a function of the
  * submitter-thread count.
  *
- * A warmup request runs first (it builds the Context's lazy caches);
- * what scales with submitters is the per-request host dispatch,
+ * The measured program first runs untimed for a fixed 2 s at the
+ * widest submitter count: that builds the Context's lazy caches and
+ * warms the host, whose ramp out of idle would otherwise fall inside
+ * the first rows (a few hundred ms each) and halve their ops/s.
+ * What scales with submitters is the per-request host dispatch,
  * spread over disjoint stream leases. Results are
  * bit-identical across submitter counts (proven by test_serve); this
  * bench measures only the schedule. --target_rps > 0 adds an
@@ -63,6 +66,7 @@ double gTargetRps = 0; //!< >0: add an open-loop Poisson row
 std::string gJsonOut = "BENCH_serve.json";
 
 constexpr u32 kOpsPerRequest = 6; //!< statsProgram's homomorphic ops
+constexpr auto kWarmUp = std::chrono::seconds(2); //!< untimed, first
 
 /** The measured program: encrypted_stats' hot chain. */
 Request
@@ -360,10 +364,22 @@ main(int argc, char **argv)
     ctx.setLimbBatch(4);
     ctx.devices().setLaunchOverheadNs(2000);
 
-    // One warm request builds the Context's lazy caches.
+    // Warm the caches and the host: closed-loop rounds of the measured
+    // program at the widest submitter count, untimed, for kWarmUp.
     {
-        Server warm(ctx, keys);
-        warm.submit(statsProgram(x.clone(), y.clone())).get();
+        Server::Options opt;
+        opt.submitters =
+            *std::max_element(gSubmitters.begin(), gSubmitters.end());
+        Server warm(ctx, keys, opt);
+        const auto until = std::chrono::steady_clock::now() + kWarmUp;
+        while (std::chrono::steady_clock::now() < until) {
+            std::vector<Handle> round;
+            for (u32 i = 0; i < opt.submitters; ++i)
+                round.push_back(
+                    warm.submit(statsProgram(x.clone(), y.clone())));
+            for (Handle &h : round)
+                (void)h.get();
+        }
     }
 
     const u32 cores = std::max(1u, std::thread::hardware_concurrency());

@@ -5,9 +5,10 @@
  * execution stack (DESIGN.md §1.11).
  *
  * The execution model rests on an honor-system invariant: every
- * kernels::forBatches launch declares the limbs it touches via its
- * Dep list, and event chaining and deferred frees are both derived
- * from those declarations. An undeclared access
+ * launch of the kernel engine (kernels::launchBatches, behind
+ * forBatches) declares the limbs it touches via its Dep list, and
+ * event chaining and deferred frees are both derived from those
+ * declarations. An undeclared access
  * is a real (logical) GPU race, yet the simulated worker-thread
  * streams often serialize accidentally, so tests pass and TSan sees
  * nothing -- the host threads are correctly synchronized; it is the
@@ -124,7 +125,8 @@ class ScopedLabel
 
 // --- Launch protocol --------------------------------------------------
 
-/** One declared (or explicitly reported) limb-buffer access. */
+/** One declared limb-buffer access of a launch (kernels::Dep, resolved
+ *  to the limb buffers one batch touches). */
 struct DeclaredAccess
 {
     const void *buffer; //!< limb device-buffer base pointer
@@ -144,14 +146,6 @@ struct LaunchRecord; // opaque: defined by the validator
  */
 std::shared_ptr<LaunchRecord>
 beginLaunch(const Stream *st, std::vector<DeclaredAccess> declared);
-
-/**
- * Processes one access attributed to @p rec without declcheck (used
- * by custom launch paths that report their exact access set instead
- * of instrumenting the body). No-op when @p rec is null.
- */
-void noteAccess(const std::shared_ptr<LaunchRecord> &rec,
-                const void *buffer, uint32_t limb, bool write);
 
 /**
  * RAII: installs @p rec as the calling thread's active kernel body,
@@ -193,9 +187,9 @@ void markInitialized(const void *buffer);
 std::shared_ptr<void> makeEventClock(const Stream *st);
 
 /** Event::ready()/synchronize(): the calling thread observed the
- *  event complete, so it joins the event's clock -- this is how
- *  ready-skip fast paths (waitHazards, writeEventsOf) stay visible
- *  to the happens-before relation. */
+ *  event complete, so it joins the event's clock -- this is how the
+ *  ready-skip fast path (waitHazards) stays visible to the
+ *  happens-before relation. */
 void onEventObserved(const std::shared_ptr<void> &clock);
 
 /** Stream::wait(e): work submitted to @p st after this point

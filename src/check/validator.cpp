@@ -11,7 +11,7 @@
  * thread that observes an event complete joins the event clock into
  * its thread-local clock, and every launch it submits joins that
  * thread clock -- which is what keeps the dispatcher's ready-skip
- * fast paths (waitHazards, writeEventsOf) part of the relation.
+ * fast path (waitHazards) part of the relation.
  *
  * Shadow state is one record per device buffer (limb base pointer):
  * the last write and the last read per actor, each with the full
@@ -94,7 +94,6 @@ struct LaunchRecord
     uint32_t streamId; //!< global stream id, kNoActor for host
     std::string label; //!< joined ScopedLabel stack at submission
     std::unordered_map<const void *, Decl> declared;
-    bool declcheck; //!< enforce the declared map on body accesses
 };
 
 namespace
@@ -325,38 +324,35 @@ processAccessLocked(Central &c, const LaunchRecord &rec,
 /** Declcheck + shadow processing for one instrumented access. */
 void
 processAccess(const LaunchRecord &rec, const void *buffer,
-              uint32_t limb, bool write, bool declcheck)
+              uint32_t limb, bool write)
 {
     uint64_t Stats::*counter = nullptr;
     std::string msg;
 
-    if (declcheck && rec.declcheck) {
-        auto it = rec.declared.find(buffer);
-        if (it == rec.declared.end()) {
-            counter = &Stats::undeclared;
-            msg = std::string("declcheck (undeclared access): ") +
-                  rec.label + " [" + describeStream(rec.streamId) +
-                  "] " + (write ? "writes" : "reads") + " limb " +
-                  std::to_string(limb) +
-                  " without declaring it; missing Dep {" +
-                  (write ? "Write" : "Read") + ", limb " +
-                  std::to_string(limb) + "}";
-        } else if (write && !it->second.write) {
-            counter = &Stats::undeclared;
-            msg = std::string("declcheck (write through Read Dep): ") +
-                  rec.label + " [" + describeStream(rec.streamId) +
-                  "] writes limb " + std::to_string(limb) +
-                  " declared only as Read; the Dep must be {Write, "
-                  "limb " +
-                  std::to_string(limb) + "}";
-        }
-        if (counter) {
-            report(counter, msg);
-            // Fall through: still feed the shadow below so a single
-            // mis-declaration does not cascade (Report mode).
-            counter = nullptr;
-            msg.clear();
-        }
+    auto it = rec.declared.find(buffer);
+    if (it == rec.declared.end()) {
+        counter = &Stats::undeclared;
+        msg = std::string("declcheck (undeclared access): ") +
+              rec.label + " [" + describeStream(rec.streamId) + "] " +
+              (write ? "writes" : "reads") + " limb " +
+              std::to_string(limb) +
+              " without declaring it; missing Dep {" +
+              (write ? "Write" : "Read") + ", limb " +
+              std::to_string(limb) + "}";
+    } else if (write && !it->second.write) {
+        counter = &Stats::undeclared;
+        msg = std::string("declcheck (write through Read Dep): ") +
+              rec.label + " [" + describeStream(rec.streamId) +
+              "] writes limb " + std::to_string(limb) +
+              " declared only as Read; the Dep must be {Write, limb " +
+              std::to_string(limb) + "}";
+    }
+    if (counter) {
+        report(counter, msg);
+        // Fall through: still feed the shadow below so a single
+        // mis-declaration does not cascade (Report mode).
+        counter = nullptr;
+        msg.clear();
     }
 
     Central &c = central();
@@ -437,7 +433,6 @@ beginLaunch(const Stream *st, std::vector<DeclaredAccess> declared)
     auto rec = std::make_shared<LaunchRecord>();
     rec->label = joinedLabel();
     rec->streamId = st ? st->id() : kNoActor;
-    rec->declcheck = true;
     rec->declared.reserve(declared.size());
     for (const DeclaredAccess &d : declared) {
         auto [it, inserted] =
@@ -470,15 +465,6 @@ beginLaunch(const Stream *st, std::vector<DeclaredAccess> declared)
     return rec;
 }
 
-void
-noteAccess(const std::shared_ptr<LaunchRecord> &rec,
-           const void *buffer, uint32_t limb, bool write)
-{
-    if (!rec)
-        return;
-    processAccess(*rec, buffer, limb, write, /*declcheck=*/false);
-}
-
 BodyScope::BodyScope(std::shared_ptr<LaunchRecord> rec)
     : rec_(std::move(rec)), prev_(tTls.body)
 {
@@ -496,8 +482,7 @@ recordRead(const void *buffer, uint32_t limb)
     if (!enabled())
         return;
     if (const LaunchRecord *rec = tTls.body)
-        processAccess(*rec, buffer, limb, /*write=*/false,
-                      /*declcheck=*/true);
+        processAccess(*rec, buffer, limb, /*write=*/false);
     // Host-side reads outside any kernel body are not checked: the
     // host synchronizes via syncHost() before touching data, and the
     // encoder/serializer read paths are not hazard-relevant.
@@ -509,8 +494,7 @@ recordWrite(const void *buffer, uint32_t limb)
     if (!enabled())
         return;
     if (const LaunchRecord *rec = tTls.body) {
-        processAccess(*rec, buffer, limb, /*write=*/true,
-                      /*declcheck=*/true);
+        processAccess(*rec, buffer, limb, /*write=*/true);
         return;
     }
     markInitialized(buffer);

@@ -2,7 +2,6 @@
 
 #include <cstring>
 #include <memory>
-#include <optional>
 
 #include "ckks/kernels.hpp"
 #include "core/logging.hpp"
@@ -17,20 +16,19 @@ constexpr std::size_t kConvBlock = 512; //!< coefficient tile size
 constexpr u64 kWord = sizeof(u64);
 
 /**
- * Computes the selected target limbs of the Conv matrix product
+ * Computes target limbs [tLo, tHi) of the Conv matrix product
  * (Equation (1)): a limb-wise scaling by sHatInv followed by a
  * modular dot product per target, tiled over coefficients so the
  * scaled source values stay hot (the shared-memory caching of the
- * paper's kernel). @p targetSel selects which rows of the target
- * basis to produce -- each simulated device computes its own share,
- * re-scaling the sources itself (the paper's replicated multi-GPU
- * partitioning of Conv).
+ * paper's kernel). Each simulated device computes its own share of
+ * the targets, re-scaling the sources itself (the paper's replicated
+ * multi-GPU partitioning of Conv).
  */
 void
 convertTargets(const Context &ctx, const ConvTables &tables,
                const std::vector<const u64 *> &src,
-               const std::vector<u64 *> &dst,
-               const std::vector<u32> &targetSel)
+               const std::vector<u64 *> &dst, std::size_t tLo,
+               std::size_t tHi)
 {
     const std::size_t n = ctx.degree();
     const std::size_t ns = tables.sourceIdx.size();
@@ -49,7 +47,7 @@ convertTargets(const Context &ctx, const ConvTables &tables,
             for (std::size_t j = 0; j < cnt; ++j)
                 o[j] = mulModShoup(s[j], w, ws, p);
         }
-        for (u32 t : targetSel) {
+        for (std::size_t t = tLo; t < tHi; ++t) {
             // Sources outer, coefficients inner, into a 128-bit tile:
             // every multiply-add is independent instead of one serial
             // chain per coefficient. Reduced once per coefficient; the
@@ -73,147 +71,52 @@ convertTargets(const Context &ctx, const ConvTables &tables,
     }
 }
 
-/** One stream-dispatched Conv launch: the completion event and the
- *  target rows it produced. */
-struct ConvLaunch
-{
-    Event ev;
-    std::vector<u32> targets;
-};
-
-/** One limb-buffer access of a Conv launch, for the validator. */
-struct ConvAccess
-{
-    const void *buf;
-    u32 limb;
-};
-
-/** Reports a Conv launch's access set against @p rec (no-op when
- *  validation is off: @p rec is null). */
-void
-noteConvAccesses(const std::shared_ptr<check::LaunchRecord> &rec,
-                 const std::vector<ConvAccess> &reads,
-                 const std::vector<ConvAccess> &writes)
-{
-    for (const ConvAccess &a : reads)
-        check::noteAccess(rec, a.buf, a.limb, false);
-    for (const ConvAccess &a : writes)
-        check::noteAccess(rec, a.buf, a.limb, true);
-}
-
 /**
- * Dispatches the Conv matrix product stream-ordered: one launch per
- * device that owns target limbs, each reading all (peer-accessible)
- * source limbs and producing its own share of the targets, matching
- * the paper's multi-GPU partitioning. Every launch waits device-side
- * on @p srcWaits; @p keep holds the source/target storage alive until
- * the launches retire. With a single stream the product runs inline
- * and no events are returned.
- *
- * @p srcPoly / @p srcPos name the partition positions behind the raw
- * @p src pointers, @p dstPoly / @p dstPos those behind @p dst: the
- * validator's view of the accesses.
+ * Launches Conv on the kernel engine. The sources are limbs
+ * [srcFirst, srcFirst + ns) of @p from, read by every launch (a fixed
+ * range). Target t lands in limb t of @p to, skipping the @p holeLen
+ * limbs that start at @p holeAt (ModUp's digit keeps its own limbs),
+ * so the targets are declared as positional write spans around the
+ * hole. Batch 0: one launch per device that owns targets, whatever
+ * the limb batch -- each launch re-scales every source, so smaller
+ * batches would only repeat that work. Each launch bills ns words
+ * read and its targets' words written per coefficient, and
+ * 2 ns + 2 integer ops per target coefficient. Conv counts no logical
+ * kernel.
  */
-std::vector<ConvLaunch>
-dispatchConvert(const Context &ctx, const ConvTables &tables,
-                std::vector<const u64 *> src, std::vector<u64 *> dst,
-                const std::vector<Event> &srcWaits,
-                std::vector<std::shared_ptr<const void>> keep,
-                const RNSPoly &srcPoly, const std::vector<u32> &srcPos,
-                const RNSPoly &dstPoly, const std::vector<u32> &dstPos)
+void
+launchConv(const ConvTables &tables, const RNSPoly &from,
+           std::size_t srcFirst, RNSPoly &to, std::size_t holeAt,
+           std::size_t holeLen)
 {
-    DeviceSet &devs = ctx.devices();
-    const std::size_t n = ctx.degree();
-    const std::size_t ns = src.size();
-    const std::size_t nt = tables.targetIdx.size();
-    FIDES_ASSERT(ns == tables.sourceIdx.size() && dst.size() == nt);
-
-    // Target rows grouped by owning device.
-    std::vector<std::vector<u32>> byDevice(devs.numDevices());
-    for (u32 t = 0; t < nt; ++t)
-        byDevice[ctx.deviceFor(tables.targetIdx[t]).id()].push_back(t);
-
-    // Validator wiring: convertTargets works on raw pointers, so each
-    // launch reports its exact access set explicitly (body-time, via
-    // noteAccess) instead of instrumenting the body. Source limbs are
-    // shared by every launch; the written target limbs are per-launch.
     check::ScopedLabel lbl("conv");
-    auto convReads = std::make_shared<std::vector<ConvAccess>>();
-    if (check::enabled()) {
-        const LimbPartition &p = srcPoly.partition();
-        for (u32 pos : srcPos)
-            convReads->push_back({p[pos].data(), p[pos].primeIdx()});
-    }
-    auto writeAccesses = [&](const std::vector<u32> &sel) {
-        auto w = std::make_shared<std::vector<ConvAccess>>();
-        if (check::enabled()) {
-            const LimbPartition &p = dstPoly.partition();
-            for (u32 t : sel) {
-                const Limb &l = p[dstPos[t]];
-                w->push_back({l.data(), l.primeIdx()});
-            }
-        }
-        return w;
-    };
-
-    // Multi-stream launches are submission work on this thread
-    // (dispatchEngineNs); a single stream runs the product inline.
-    std::optional<kernels::DispatchTimer> timer;
-    if (devs.numStreams() > 1)
-        timer.emplace();
-    std::vector<ConvLaunch> launches;
-    const StreamLease &leased = ctx.streamLease();
-    std::vector<u32> rr(devs.numDevices(), 0);
-    for (u32 d = 0; d < devs.numDevices(); ++d) {
-        std::vector<u32> &sel = byDevice[d];
-        if (sel.empty())
-            continue;
-        // One launch per involved device (compute bound): reads all
-        // sources, writes this device's targets.
-        const u64 br = ns * n * kWord;
-        const u64 bw = sel.size() * n * kWord;
-        const u64 ops = sel.size() * n * (2 * ns + 2);
-
-        devs.device(d).launch(br, bw, ops);
-        if (devs.numStreams() == 1) {
-            auto rec = check::enabled()
-                           ? check::beginLaunch(nullptr, {})
-                           : nullptr;
-            convertTargets(ctx, tables, src, dst, sel);
-            if (rec)
-                noteConvAccesses(rec, *convReads, *writeAccesses(sel));
-            continue;
-        }
-        Stream &st = leased.streamOfDevice(d, rr[d]++);
-        for (const Event &e : srcWaits)
-            st.wait(e);
-        auto rec = check::enabled() ? check::beginLaunch(&st, {})
-                                    : nullptr;
-        auto wAcc = writeAccesses(sel);
-        std::vector<u32> selCopy = sel;
-        st.submit([&ctx, &tables, src, dst, sel = std::move(selCopy),
-                   keep, rec, convReads, wAcc] {
-            convertTargets(ctx, tables, src, dst, sel);
-            if (rec)
-                noteConvAccesses(rec, *convReads, *wAcc);
-        });
-        Event ev = st.record();
-        launches.push_back({std::move(ev), std::move(sel)});
-    }
-    return launches;
-}
-
-/** Pending-write events of the limbs behind @p src pointers. */
-std::vector<Event>
-writeEventsOf(const LimbPartition &p, const std::vector<u32> &positions)
-{
-    std::vector<Event> evs;
-    for (u32 pos : positions) {
-        Event w = p[pos].lastWrite();
-        if (!w.ready())
-            evs.push_back(std::move(w));
-    }
-    return evs;
+    const Context &ctx = from.context();
+    const u64 n = ctx.degree();
+    const std::size_t ns = tables.sourceIdx.size();
+    const std::size_t nt = tables.targetIdx.size();
+    FIDES_ASSERT(holeAt <= nt && nt + holeLen == to.numLimbs());
+    const LimbPartition &sp = from.partition();
+    LimbPartition &tp = to.partition();
+    std::vector<kernels::Dep> deps = {
+        kernels::rdFixed(from, srcFirst, ns),
+        kernels::wrSpan(to, 0, holeAt)};
+    if (holeAt < nt)
+        deps.push_back(kernels::wrSpan(to, holeAt, nt - holeAt, holeLen));
+    kernels::launchBatches(ctx, nt, 0,
+                           [n, ns](std::size_t lo, std::size_t hi) {
+        const u64 targets = hi - lo;
+        return kernels::LimbCost{ns * n * kWord, targets * n * kWord,
+                                 targets * n * (2 * ns + 2)};
+    }, [&ctx, &tables, &sp, &tp, srcFirst, holeAt, holeLen, ns,
+        nt](std::size_t lo, std::size_t hi) {
+        std::vector<const u64 *> src(ns);
+        for (std::size_t i = 0; i < ns; ++i)
+            src[i] = sp[srcFirst + i].read();
+        std::vector<u64 *> dst(nt);
+        for (std::size_t t = lo; t < hi; ++t)
+            dst[t] = tp[t < holeAt ? t : t + holeLen].write();
+        convertTargets(ctx, tables, src, dst, lo, hi);
+    }, [&tables](std::size_t t) { return tables.targetIdx[t]; }, deps);
 }
 
 } // namespace
@@ -224,10 +127,7 @@ convert(const Context &ctx, const std::vector<const u64 *> &src,
 {
     FIDES_ASSERT(src.size() == tables.sourceIdx.size() &&
                  dst.size() == tables.targetIdx.size());
-    std::vector<u32> all(tables.targetIdx.size());
-    for (u32 t = 0; t < all.size(); ++t)
-        all[t] = t;
-    convertTargets(ctx, tables, src, dst, all);
+    convertTargets(ctx, tables, src, dst, 0, dst.size());
 }
 
 RNSPoly
@@ -244,47 +144,22 @@ modUpDigit(const RNSPoly &evalPoly, const RNSPoly &coeffPoly, u32 digit)
     const ConvTables &tables = ctx.modUpTables(level, digit);
     const std::size_t n = ctx.degree();
 
+    // Conv reads the digit's limbs of the coefficient poly (q-limb
+    // position == global prime index) and writes every other limb of
+    // `out`, around the digit's own.
     RNSPoly out(ctx, level, Format::Eval, ctx.numSpecial());
-    LimbPartition &op = out.partition();
-    const LimbPartition &sp = coeffPoly.partition();
-    const LimbPartition &ep = evalPoly.partition();
-
-    // Conv sources read the coefficient poly directly; targets land
-    // in `out` at the position of each global prime.
-    std::vector<const u64 *> src;
-    for (u32 gi : tables.sourceIdx)
-        src.push_back(sp[gi].data()); // q-limb position == gi
-    std::vector<u64 *> dst;
-    std::vector<u32> dstPos;
-    for (u32 gi : tables.targetIdx) {
-        std::size_t pos = gi <= level
-                              ? gi
-                              : level + 1 + (gi - (ctx.maxLevel() + 1));
-        dst.push_back(op[pos].data());
-        dstPos.push_back(static_cast<u32>(pos));
-    }
-
-    auto launches = dispatchConvert(
-        ctx, tables, std::move(src), std::move(dst),
-        writeEventsOf(sp, tables.sourceIdx),
-        {coeffPoly.partShared(), out.partShared()},
-        // Symbolic bindings: q-limb position == global prime index.
-        coeffPoly, tables.sourceIdx, out, dstPos);
-    for (const ConvLaunch &l : launches) {
-        for (u32 t : l.targets)
-            op[dstPos[t]].noteWrite(l.ev);
-        for (u32 gi : tables.sourceIdx)
-            sp[gi].noteRead(l.ev);
-    }
+    const std::size_t srcLo = tables.sourceIdx.front();
+    const std::size_t srcHi = srcLo + tables.sourceIdx.size();
+    FIDES_ASSERT(tables.sourceIdx.back() + 1 == srcHi);
+    launchConv(tables, coeffPoly, srcLo, out, srcLo, srcHi - srcLo);
 
     // One kernel finishes every limb (it waits on the Conv events
     // through the limbs Conv wrote). The digit's own limbs -- a
     // contiguous q-limb block whose residues ModUp keeps -- are
     // copied from the eval-form input; only the Conv targets take a
     // forward NTT. Copied limbs are billed as copies.
-    const std::size_t srcLo = tables.sourceIdx.front();
-    const std::size_t srcHi = srcLo + tables.sourceIdx.size();
-    FIDES_ASSERT(tables.sourceIdx.back() + 1 == srcHi);
+    LimbPartition &op = out.partition();
+    const LimbPartition &ep = evalPoly.partition();
     const kernels::LimbCost nttCost = kernels::nttLimbCost(ctx);
     const kernels::LimbCost copyCost{n * kWord, n * kWord, 0};
     kernels::forBatches(ctx, out.numLimbs(),
@@ -338,33 +213,10 @@ modDown(RNSPoly &a)
     // still-pending special limbs) is retired through the keep-alive /
     // deferred-free machinery.
     RNSPoly out(ctx, level, Format::Coeff);
-    LimbPartition &op = out.partition();
 
     // Convert [x]_P into the Q_l basis (coeff form), straight into the
     // output limbs.
-    std::vector<const u64 *> src;
-    std::vector<u32> srcPos;
-    for (u32 k = 0; k < K; ++k) {
-        src.push_back(ap[level + 1 + k].data());
-        srcPos.push_back(level + 1 + k);
-    }
-    std::vector<u64 *> dst;
-    std::vector<u32> dstPos;
-    for (u32 i = 0; i <= level; ++i) {
-        dst.push_back(op[i].data());
-        dstPos.push_back(i);
-    }
-    auto launches = dispatchConvert(ctx, tables, std::move(src),
-                                    std::move(dst),
-                                    writeEventsOf(ap, srcPos),
-                                    {a.partShared(), out.partShared()},
-                                    a, srcPos, out, dstPos);
-    for (const ConvLaunch &l : launches) {
-        for (u32 t : l.targets)
-            op[t].noteWrite(l.ev);
-        for (u32 pos : srcPos)
-            ap[pos].noteRead(l.ev);
-    }
+    launchConv(tables, a, level + 1, out, level + 1, 0);
 
     // Epilogue in place (paper III-F5, ModDown fusion: per q-limb,
     // NTT(out) then out = P^{-1} (x - out) in the same kernel; it

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <ctime>
+#include <span>
 
 #include "core/logging.hpp"
 
@@ -31,6 +32,23 @@ threadCpuNs()
             .count());
 #endif
 }
+
+/**
+ * Adds the thread CPU time of its enclosing scope to
+ * dispatchEngineNs: one per multi-stream launch-engine call.
+ */
+class DispatchTimer
+{
+  public:
+    DispatchTimer() : t0_(threadCpuNs()) {}
+    ~DispatchTimer() { tlDispatchNs += threadCpuNs() - t0_; }
+
+    DispatchTimer(const DispatchTimer &) = delete;
+    DispatchTimer &operator=(const DispatchTimer &) = delete;
+
+  private:
+    u64 t0_;
+};
 
 /** The validator's view of one batch's Dep list: the limb buffers
  *  batch [lo, hi) resolves to (depLimbRange). */
@@ -176,10 +194,6 @@ noteBatch(const std::vector<Dep> &deps, std::size_t lo,
 
 } // namespace
 
-DispatchTimer::DispatchTimer() : t0_(threadCpuNs()) {}
-
-DispatchTimer::~DispatchTimer() { tlDispatchNs += threadCpuNs() - t0_; }
-
 u64
 dispatchEngineNs()
 {
@@ -216,15 +230,10 @@ forBatches(const Context &ctx, std::size_t numLimbs,
 {
     if (numLimbs == 0)
         return;
-    std::size_t batch = ctx.limbBatch() == 0 ? numLimbs : ctx.limbBatch();
-    if (batch == 0)
-        batch = 1;
-    DeviceSet &devs = ctx.devices();
-    const u32 numStreams = devs.numStreams();
-    devs.noteLogicalKernel();
-
+    ctx.devices().noteLogicalKernel();
     // The modelled cost of batch [lo, hi): the sum of its limbs.
-    auto costOf = [&costAt](std::size_t lo, std::size_t hi) {
+    launchBatches(ctx, numLimbs, ctx.limbBatch(),
+                  [&costAt](std::size_t lo, std::size_t hi) {
         LimbCost c;
         for (std::size_t i = lo; i < hi; ++i) {
             const LimbCost l = costAt(i);
@@ -233,8 +242,24 @@ forBatches(const Context &ctx, std::size_t numLimbs,
             c.intOps += l.intOps;
         }
         return c;
-    };
-    if (numStreams == 1) {
+    }, fn, primeAt, deps, extraWaits, recorded);
+}
+
+void
+launchBatches(const Context &ctx, std::size_t numLimbs,
+              std::size_t limbBatch,
+              const std::function<LimbCost(std::size_t, std::size_t)> &costOf,
+              const std::function<void(std::size_t, std::size_t)> &fn,
+              const std::function<u32(std::size_t)> &primeAt,
+              const std::vector<Dep> &deps,
+              const std::vector<Event> &extraWaits,
+              std::vector<Event> *recorded)
+{
+    if (numLimbs == 0)
+        return;
+    const std::size_t batch = limbBatch == 0 ? numLimbs : limbBatch;
+    DeviceSet &devs = ctx.devices();
+    if (devs.numStreams() == 1) {
         // A single stream is in-order by construction: run the
         // batches eagerly on the submitting thread. No events are
         // recorded or waited (everything this kernel could depend on
@@ -341,46 +366,14 @@ void
 addInto(RNSPoly &a, const RNSPoly &b)
 {
     check::ScopedLabel lbl("addInto");
-    FIDES_ASSERT(a.numLimbs() <= b.numLimbs());
-    const auto &ctx = a.context();
-    const std::size_t n = ctx.degree();
-    LimbPartition &ap = a.partition();
-    const LimbPartition &bp = b.partition();
-    forBatches(ctx, a.numLimbs(), 2 * n * kWord, n * kWord, n,
-               [&ctx, &ap, &bp, n](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-            FIDES_ASSERT(ap[i].primeIdx() == bp[i].primeIdx());
-            u64 p = ctx.prime(ap[i].primeIdx()).value();
-            u64 *x = ap[i].write();
-            const u64 *y = bp[i].read();
-            for (std::size_t j = 0; j < n; ++j)
-                x[j] = addMod(x[j], y[j], p);
-        }
-    }, [&ap](std::size_t i) { return ap[i].primeIdx(); },
-       {wr(a), rd(b)});
+    FusedChain(a.context()).add(a, b).run();
 }
 
 void
 subInto(RNSPoly &a, const RNSPoly &b)
 {
     check::ScopedLabel lbl("subInto");
-    FIDES_ASSERT(a.numLimbs() <= b.numLimbs());
-    const auto &ctx = a.context();
-    const std::size_t n = ctx.degree();
-    LimbPartition &ap = a.partition();
-    const LimbPartition &bp = b.partition();
-    forBatches(ctx, a.numLimbs(), 2 * n * kWord, n * kWord, n,
-               [&ctx, &ap, &bp, n](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-            FIDES_ASSERT(ap[i].primeIdx() == bp[i].primeIdx());
-            u64 p = ctx.prime(ap[i].primeIdx()).value();
-            u64 *x = ap[i].write();
-            const u64 *y = bp[i].read();
-            for (std::size_t j = 0; j < n; ++j)
-                x[j] = subMod(x[j], y[j], p);
-        }
-    }, [&ap](std::size_t i) { return ap[i].primeIdx(); },
-       {wr(a), rd(b)});
+    FusedChain(a.context()).sub(a, b).run();
 }
 
 void
@@ -405,74 +398,21 @@ void
 mulInto(RNSPoly &a, const RNSPoly &b)
 {
     check::ScopedLabel lbl("mulInto");
-    FIDES_ASSERT(a.format() == Format::Eval &&
-                 b.format() == Format::Eval);
-    FIDES_ASSERT(a.numLimbs() <= b.numLimbs());
-    const auto &ctx = a.context();
-    const std::size_t n = ctx.degree();
-    LimbPartition &ap = a.partition();
-    const LimbPartition &bp = b.partition();
-    forBatches(ctx, a.numLimbs(), 2 * n * kWord, n * kWord, 5 * n,
-               [&ctx, &ap, &bp, n](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-            FIDES_ASSERT(ap[i].primeIdx() == bp[i].primeIdx());
-            const Modulus &m = ctx.prime(ap[i].primeIdx()).mod;
-            u64 *x = ap[i].write();
-            mulSpan(ctx, x, x, bp[i].read(), n, m);
-        }
-    }, [&ap](std::size_t i) { return ap[i].primeIdx(); },
-       {wr(a), rd(b)});
+    FusedChain(a.context()).mul(a, a, b).run();
 }
 
 void
 mul(RNSPoly &out, const RNSPoly &a, const RNSPoly &b)
 {
     check::ScopedLabel lbl("mul");
-    FIDES_ASSERT(a.format() == Format::Eval &&
-                 b.format() == Format::Eval);
-    FIDES_ASSERT(out.numLimbs() <= a.numLimbs() &&
-                 out.numLimbs() <= b.numLimbs());
-    out.setFormat(Format::Eval);
-    const auto &ctx = a.context();
-    const std::size_t n = ctx.degree();
-    LimbPartition &op = out.partition();
-    const LimbPartition &ap = a.partition();
-    const LimbPartition &bp = b.partition();
-    forBatches(ctx, out.numLimbs(), 2 * n * kWord, n * kWord, 5 * n,
-               [&ctx, &op, &ap, &bp, n](std::size_t lo,
-                                        std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-            const Modulus &m = ctx.prime(op[i].primeIdx()).mod;
-            mulSpan(ctx, op[i].write(), ap[i].read(), bp[i].read(), n,
-                    m);
-        }
-    }, [&op](std::size_t i) { return op[i].primeIdx(); },
-       {wr(out), rd(a), rd(b)});
+    FusedChain(a.context()).mul(out, a, b).run();
 }
 
 void
 mulAddInto(RNSPoly &acc, const RNSPoly &a, const RNSPoly &b)
 {
     check::ScopedLabel lbl("mulAddInto");
-    FIDES_ASSERT(a.format() == Format::Eval &&
-                 b.format() == Format::Eval);
-    FIDES_ASSERT(acc.numLimbs() <= a.numLimbs() &&
-                 acc.numLimbs() <= b.numLimbs());
-    const auto &ctx = acc.context();
-    const std::size_t n = ctx.degree();
-    LimbPartition &cp = acc.partition();
-    const LimbPartition &ap = a.partition();
-    const LimbPartition &bp = b.partition();
-    forBatches(ctx, acc.numLimbs(), 3 * n * kWord, n * kWord, 6 * n,
-               [&ctx, &cp, &ap, &bp, n](std::size_t lo,
-                                        std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-            const Modulus &m = ctx.prime(cp[i].primeIdx()).mod;
-            mulAddSpan(ctx, cp[i].write(), ap[i].read(), bp[i].read(),
-                       n, m);
-        }
-    }, [&cp](std::size_t i) { return cp[i].primeIdx(); },
-       {wr(acc), rd(a), rd(b)});
+    FusedChain(acc.context()).mulAdd(acc, a, b).run();
 }
 
 void
@@ -546,22 +486,7 @@ void
 scalarMulInto(RNSPoly &a, const std::vector<u64> &scalar)
 {
     check::ScopedLabel lbl("scalarMulInto");
-    FIDES_ASSERT(scalar.size() >= a.numLimbs());
-    const auto &ctx = a.context();
-    const std::size_t n = ctx.degree();
-    LimbPartition &ap = a.partition();
-    // The scalar vector is caller stack state: copy it into the body.
-    forBatches(ctx, a.numLimbs(), n * kWord, n * kWord, 3 * n,
-               [&ctx, &ap, n, scalar](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-            u64 p = ctx.prime(ap[i].primeIdx()).value();
-            u64 w = scalar[i];
-            u64 ws = shoupPrecompute(w, p);
-            u64 *x = ap[i].write();
-            for (std::size_t j = 0; j < n; ++j)
-                x[j] = mulModShoup(x[j], w, ws, p);
-        }
-    }, [&ap](std::size_t i) { return ap[i].primeIdx(); }, {wr(a)});
+    FusedChain(a.context()).scalarMul(a, scalar).run();
 }
 
 void
@@ -580,26 +505,6 @@ scalarAddInto(RNSPoly &a, const std::vector<u64> &scalar)
             u64 *x = ap[i].write();
             for (std::size_t j = 0; j < n; ++j)
                 x[j] = addMod(x[j], c, p);
-        }
-    }, [&ap](std::size_t i) { return ap[i].primeIdx(); }, {wr(a)});
-}
-
-void
-scalarSubFrom(RNSPoly &a, const std::vector<u64> &scalar)
-{
-    check::ScopedLabel lbl("scalarSubFrom");
-    FIDES_ASSERT(scalar.size() >= a.numLimbs());
-    const auto &ctx = a.context();
-    const std::size_t n = ctx.degree();
-    LimbPartition &ap = a.partition();
-    forBatches(ctx, a.numLimbs(), n * kWord, n * kWord, n,
-               [&ctx, &ap, n, scalar](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-            u64 p = ctx.prime(ap[i].primeIdx()).value();
-            u64 c = scalar[i];
-            u64 *x = ap[i].write();
-            for (std::size_t j = 0; j < n; ++j)
-                x[j] = subMod(c, x[j], p);
         }
     }, [&ap](std::size_t i) { return ap[i].primeIdx(); }, {wr(a)});
 }
@@ -667,25 +572,7 @@ void
 automorph(RNSPoly &out, const RNSPoly &in, const std::vector<u32> &perm)
 {
     check::ScopedLabel lbl("automorph");
-    FIDES_ASSERT(in.format() == Format::Eval);
-    FIDES_ASSERT(out.numLimbs() == in.numLimbs());
-    const auto &ctx = in.context();
-    const std::size_t n = ctx.degree();
-    out.setFormat(Format::Eval);
-    LimbPartition &op = out.partition();
-    const LimbPartition &ip = in.partition();
-    // perm lives in the Context's automorphism cache (node-stable).
-    const u32 *pm = perm.data();
-    forBatches(ctx, in.numLimbs(), n * kWord, n * kWord, 0,
-               [&op, &ip, pm, n](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-            const u64 *src = ip[i].read();
-            u64 *dst = op[i].write();
-            for (std::size_t j = 0; j < n; ++j)
-                dst[j] = src[pm[j]];
-        }
-    }, [&ip](std::size_t i) { return ip[i].primeIdx(); },
-       {wr(out), rd(in)});
+    FusedChain(in.context()).gather(out, in, perm).run();
 }
 
 void
@@ -801,7 +688,7 @@ struct FusedChain::Op
         }
     }
 
-    /** Per-limb integer-op model, matching the standalone kernels. */
+    /** Per-limb integer-op model, the same fused or unfused. */
     u64
     intOpsPerLimb(std::size_t n, u32 logN) const
     {
@@ -904,8 +791,8 @@ runOpOnLimb(const Context &ctx, const FusedChain::Op &op, std::size_t i,
     }
 }
 
-/** Unfused per-op traffic (words per limb), matching the standalone
- *  kernels of the no-fusion backend. */
+/** Per-op traffic of the no-fusion backend (words per limb). A fused
+ *  one-op chain over distinct operands bills the same. */
 inline std::pair<u64, u64>
 unfusedTraffic(const FusedChain::Op &op)
 {
@@ -922,6 +809,37 @@ unfusedTraffic(const FusedChain::Op &op)
     case Kind::RsubScalarMul: return {2, 1};
     }
     return {0, 0};
+}
+
+/**
+ * The Dep list of a run of chain ops: one Dep per distinct
+ * polynomial, Write wherever the ops write it (Write hazards cover
+ * read-modify-write), Read otherwise. Both submission paths use it,
+ * so an unfused op declares what the same op declares fused.
+ */
+std::vector<Dep>
+chainDeps(std::span<const FusedChain::Op> ops)
+{
+    std::vector<Dep> deps;
+    auto depFor = [&deps](const RNSPoly *p) -> Dep * {
+        for (Dep &d : deps)
+            if (d.poly == p)
+                return &d;
+        return nullptr;
+    };
+    for (const FusedChain::Op &op : ops) {
+        if (op.outPoly) {
+            if (Dep *d = depFor(op.outPoly))
+                d->mode = Access::Write;
+            else
+                deps.push_back(wr(*op.outPoly));
+        }
+        if (op.aPoly && !depFor(op.aPoly))
+            deps.push_back(rd(*op.aPoly));
+        if (op.bPoly && !depFor(op.bPoly))
+            deps.push_back(rd(*op.bPoly));
+    }
+    return deps;
 }
 
 } // namespace
@@ -1087,27 +1005,20 @@ FusedChain::run(const std::vector<Event> &extraWaits)
     };
 
     if (!ctx.fusionEnabled()) {
-        // Unfused backend: one logical kernel per recorded op, with
-        // the per-op traffic of the standalone kernels, chained
-        // through the Dep events as usual.
+        // Unfused backend: one logical kernel per recorded op, each
+        // billed its own traffic (unfusedTraffic), chained through
+        // the Dep events as usual.
         for (const Op &op : ops_) {
             // The queued bodies outlive ops_, so each holds its own
             // copy of the op.
             auto one = std::make_shared<const Op>(op);
             auto [r, w] = unfusedTraffic(op);
-            std::vector<Dep> deps;
-            if (op.outPoly)
-                deps.push_back(wr(*op.outPoly));
-            if (op.aPoly)
-                deps.push_back(rd(*op.aPoly));
-            if (op.bPoly)
-                deps.push_back(rd(*op.bPoly));
             forBatches(ctx, numLimbs, r * n * kWord, w * n * kWord,
                        op.intOpsPerLimb(n, logN),
                        [&ctx, one, n](std::size_t lo, std::size_t hi) {
                 for (std::size_t i = lo; i < hi; ++i)
                     runOpOnLimb(ctx, *one, i, n);
-            }, primeAt, deps, extraWaits);
+            }, primeAt, chainDeps({&op, 1}), extraWaits);
         }
         ops_.clear();
         return;
@@ -1150,29 +1061,7 @@ FusedChain::run(const std::vector<Event> &extraWaits)
         countWrite(op.out);
     }
 
-    // One Dep per distinct polynomial: Write wherever the chain
-    // writes it (Write hazards cover read-modify-write), Read
-    // otherwise.
-    std::vector<Dep> deps;
-    auto depFor = [&deps](const RNSPoly *p) -> Dep * {
-        for (Dep &d : deps)
-            if (d.poly == p)
-                return &d;
-        return nullptr;
-    };
-    for (const Op &op : ops_) {
-        if (op.outPoly) {
-            if (Dep *d = depFor(op.outPoly))
-                d->mode = Access::Write;
-            else
-                deps.push_back(wr(*op.outPoly));
-        }
-        if (op.aPoly && !depFor(op.aPoly))
-            deps.push_back(rd(*op.aPoly));
-        if (op.bPoly && !depFor(op.bPoly))
-            deps.push_back(rd(*op.bPoly));
-    }
-
+    const std::vector<Dep> deps = chainDeps(ops_);
     auto ops =
         std::make_shared<const std::vector<Op>>(std::move(ops_));
     forBatches(ctx, numLimbs, readsPerLimb * n * kWord,

@@ -8,11 +8,12 @@
  * counts for the platform roofline model, and uses the configured
  * modular-reduction strategy (Section III-F2).
  *
- * Execution is asynchronous and stream-ordered: forBatches declares
- * the kernel's operands (Dep list), waits device-side on the events
- * of earlier kernels that conflict, records one Event per batch onto
- * the operand limbs, and returns without joining the host. The only
- * host barriers left in the library are genuine host reads
+ * Execution is asynchronous and stream-ordered: every launch goes
+ * through one engine (launchBatches, behind forBatches), which
+ * declares the kernel's operands (Dep list), waits device-side on the
+ * events of earlier kernels that conflict, records one Event per
+ * batch onto the operand limbs, and returns without joining the host.
+ * The only host barriers left in the library are genuine host reads
  * (RNSPoly::syncHost callers).
  */
 
@@ -37,25 +38,25 @@ enum class Access : unsigned char { Read, Write };
 /**
  * One operand of a logical kernel, for hazard tracking. By default
  * kernel position i maps to limb (offset + i) of the polynomial --
- * every kernel iterates aligned limb ranges. Three variants cover the
+ * every kernel iterates aligned limb ranges. Two variants cover the
  * rest:
  *
- *  - fixed: the dependency is on the single limb [offset] for every
- *    batch (modRaise reads limb 0 while writing limbs 1..L);
- *  - whole: the dependency covers every limb of the polynomial
- *    regardless of batch (key material in the key-switch inner
- *    product, whose limb mapping is not positional);
+ *  - fixed range (count > 0): every batch touches limbs
+ *    [offset, offset + count) whatever its positions (modRaise reads
+ *    limb 0 while writing limbs 1..L; Conv reads all its sources in
+ *    every launch; key material in the key-switch inner product,
+ *    whose limb mapping is not positional, covers the whole poly);
  *  - span: positional, but only batch positions in [spanLo, spanHi)
  *    touch the operand (ModUp copies a digit's own limbs out of a
- *    polynomial narrower than the kernel).
+ *    polynomial narrower than the kernel, and its Conv writes the
+ *    targets on either side of them).
  */
 struct Dep
 {
     const RNSPoly *poly = nullptr;
     std::size_t offset = 0;
     Access mode = Access::Read;
-    bool fixed = false;
-    bool whole = false;
+    std::size_t count = 0;
     std::size_t spanLo = 0;
     std::size_t spanHi = static_cast<std::size_t>(-1);
 };
@@ -72,16 +73,18 @@ wr(RNSPoly &p, std::size_t offset = 0)
     return {.poly = &p, .offset = offset, .mode = Access::Write};
 }
 
+/** Fixed-range read: every batch reads limbs [first, first + count). */
 inline Dep
-rdFixed(const RNSPoly &p, std::size_t limb)
+rdFixed(const RNSPoly &p, std::size_t first, std::size_t count = 1)
 {
-    return {.poly = &p, .offset = limb, .fixed = true};
+    return {.poly = &p, .offset = first, .count = count};
 }
 
+/** Fixed-range read of every limb of @p p. */
 inline Dep
 rdWhole(const RNSPoly &p)
 {
-    return {.poly = &p, .whole = true};
+    return rdFixed(p, 0, p.numLimbs());
 }
 
 /** Positional read of limbs [first, first + count) only: batch
@@ -92,16 +95,24 @@ rdSpan(const RNSPoly &p, std::size_t first, std::size_t count)
     return {.poly = &p, .spanLo = first, .spanHi = first + count};
 }
 
+/** Positional write of batch positions [first, first + count) only:
+ *  position i writes limb (offset + i). */
+inline Dep
+wrSpan(RNSPoly &p, std::size_t first, std::size_t count,
+       std::size_t offset = 0)
+{
+    return {.poly = &p, .offset = offset, .mode = Access::Write,
+            .spanLo = first, .spanHi = first + count};
+}
+
 /** The limb range of @p d that batch [lo, hi) touches (empty when a
  *  span dependency lies outside the batch). Hazard tracking and the
  *  validator's declared sets both use it. */
 inline std::pair<std::size_t, std::size_t>
 depLimbRange(const Dep &d, std::size_t lo, std::size_t hi)
 {
-    if (d.whole)
-        return {0, d.poly->numLimbs()};
-    if (d.fixed)
-        return {d.offset, d.offset + 1};
+    if (d.count > 0)
+        return {d.offset, d.offset + d.count};
     const std::size_t b = std::max(lo, d.spanLo);
     const std::size_t e = std::max(b, std::min(hi, d.spanHi));
     return {d.offset + b, d.offset + e};
@@ -116,37 +127,51 @@ struct LimbCost
 };
 
 /**
- * Runs @p fn(limbLo, limbHi) over [0, numLimbs) in batches of the
- * context's limb-batch size, accounting one kernel launch per batch
- * with the given per-limb traffic estimates. Batches are dispatched
- * round-robin onto the context's streams and run concurrently (they
- * must touch disjoint state). The call does NOT join the host: each
- * batch waits stream-side on the events of earlier conflicting
- * kernels (derived from @p deps) and records its own completion
- * event onto the operand limbs, so a chain of kernels pipelines
- * freely until something genuinely reads results on the host. With a
- * single stream the batches run inline, bit-identically to any
- * multi-stream schedule.
+ * The kernel layer's one launch engine. Runs @p fn(limbLo, limbHi)
+ * over [0, numLimbs) in batches of @p limbBatch limbs (0 = one batch,
+ * split only at device boundaries), billing each launch
+ * @p costOf(limbLo, limbHi). Batches run concurrently on the
+ * context's streams (they must touch disjoint state). The call does
+ * NOT join the host: each batch waits stream-side on the events of
+ * earlier conflicting kernels (derived from @p deps) and records its
+ * own completion event onto the operand limbs. With a single stream
+ * the batches run inline, bit-identically to any multi-stream
+ * schedule. With validation on, @p deps is each launch's declared
+ * access set, against which the body's Limb::read()/write() calls are
+ * checked (declcheck).
  *
  * @p primeAt maps a limb position to its global prime index. When
  * provided (every kernel that iterates a polynomial's limbs does),
  * batches are split at device boundaries and each piece is launched
- * on a stream of the device that owns its limbs, so work is accounted
- * where the data lives and no simulated kernel ever touches a peer
- * device's memory. Without it (shape-free helpers, microbenches)
- * batches round-robin over all streams.
+ * on a stream of the device that owns its limbs. Without it
+ * (shape-free helpers, microbenches) batches round-robin over all
+ * streams.
  *
  * Lifetime contract: @p fn is copied once (shared by all batches) and
  * may run after this call returns, so it must capture operand
- * partitions by reference (heap-stable; forBatches keeps them alive
- * via the Dep keep-alives) or host temporaries by value /
- * shared_ptr -- never stack RNSPoly objects or caller-owned buffers
- * by reference. @p extraWaits adds events every batch must wait for
- * on top of the operand hazards (used when an input was produced by
- * a non-forBatches dispatch, e.g. base conversion). @p recorded, when
- * non-null, receives the per-batch completion events -- the handle a
- * caller needs to chain kernels through operands the Dep model cannot
- * describe (host scratch buffers). Empty after an inline run.
+ * partitions by reference (heap-stable; kept alive via the Dep
+ * keep-alives) or host temporaries by value / shared_ptr -- never
+ * stack RNSPoly objects or caller-owned buffers by reference.
+ * @p costOf is only called before this returns. @p extraWaits adds
+ * events every batch must wait for (the producers of a host scratch
+ * input); @p recorded, when non-null, receives the per-batch
+ * completion events (empty after an inline run).
+ *
+ * The engine counts no logical kernel; forBatches does. Base
+ * conversion calls it directly and stays outside that count.
+ */
+void launchBatches(
+    const Context &ctx, std::size_t numLimbs, std::size_t limbBatch,
+    const std::function<LimbCost(std::size_t, std::size_t)> &costOf,
+    const std::function<void(std::size_t, std::size_t)> &fn,
+    const std::function<u32(std::size_t)> &primeAt = {},
+    const std::vector<Dep> &deps = {},
+    const std::vector<Event> &extraWaits = {},
+    std::vector<Event> *recorded = nullptr);
+
+/**
+ * One logical kernel on the launch engine at the context's limb
+ * batch, every limb costing the given per-limb traffic estimates.
  */
 void forBatches(const Context &ctx, std::size_t numLimbs,
                 u64 bytesReadPerLimb, u64 bytesWrittenPerLimb,
@@ -177,32 +202,15 @@ void forBatches(const Context &ctx, std::size_t numLimbs,
  * Cumulative thread CPU the CALLING thread has spent submitting
  * multi-stream work: launch accounting (including the simulated
  * per-launch overhead spin), hazard waits, task submission and event
- * records, in forBatches' multi-stream path and base conversion's
- * per-device launches. Single-stream execution runs kernel bodies
- * inline on the submitting thread and is not timed. Monotone
- * per-thread counter; callers take deltas around a region (the
- * serving layer's host-dispatch-per-op metric).
- */
-u64 dispatchEngineNs();
-
-/**
- * Adds the thread CPU time of its enclosing scope to
- * dispatchEngineNs. CPU time rather than wall time: submission runs
+ * records, timed once per launch-engine call. Single-stream
+ * execution runs kernel bodies inline on the submitting thread and is
+ * not timed. CPU time rather than wall time: submission runs
  * concurrently with the stream threads executing earlier work, so on
  * small machines wall deltas would mostly measure preemption.
+ * Monotone per-thread counter; callers take deltas around a region
+ * (the serving layer's host-dispatch-per-op metric).
  */
-class DispatchTimer
-{
-  public:
-    DispatchTimer();
-    ~DispatchTimer();
-
-    DispatchTimer(const DispatchTimer &) = delete;
-    DispatchTimer &operator=(const DispatchTimer &) = delete;
-
-  private:
-    u64 t0_;
-};
+u64 dispatchEngineNs();
 
 /**
  * Kernel-fusion builder (paper Sections III-F1/III-F5): records a
@@ -288,6 +296,9 @@ class FusedChain
 };
 
 // --- element-wise ring operations (any format, matching limbs) -------
+//
+// Each one that a FusedChain op covers is that op as a one-op chain,
+// so it bills what the chain's unfused backend bills per op.
 
 /** a += b (limb-wise). */
 void addInto(RNSPoly &a, const RNSPoly &b);
@@ -307,8 +318,6 @@ void mulAddInto(RNSPoly &acc, const RNSPoly &a, const RNSPoly &b);
 void scalarMulInto(RNSPoly &a, const std::vector<u64> &scalar);
 /** a[limb i] += scalar[i] broadcast to every coefficient. */
 void scalarAddInto(RNSPoly &a, const std::vector<u64> &scalar);
-/** a[limb i] = scalar[i] - a[limb i] (negate then add). */
-void scalarSubFrom(RNSPoly &a, const std::vector<u64> &scalar);
 
 /**
  * Key-switch inner product (paper Sections III-F3/F5) as ONE logical

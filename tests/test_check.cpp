@@ -16,8 +16,8 @@
  * (forBatches derives its event chaining from the same Dep lists the
  * validator checks, so a declared access is automatically ordered);
  * the race/lifetime/lease seeds therefore drive the check:: protocol
- * directly on raw streams, exactly as an instrumented custom launch
- * path would.
+ * directly on raw streams, with the calls the launch engine
+ * (kernels::launchBatches) makes for every launch.
  */
 
 #include <gtest/gtest.h>

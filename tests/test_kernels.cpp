@@ -124,11 +124,20 @@ TEST_F(KernelTest, ScalarKernelsBroadcast)
 
     auto b = aRef.clone();
     kernels::scalarAddInto(b, scalars);
-    kernels::scalarSubFrom(b, scalars); // b := s - (x + s) = -x
-    kernels::negate(b);
     for (std::size_t i = 0; i < b.numLimbs(); ++i) {
+        const u64 q = ctx->qMod(i).value;
+        for (std::size_t j = 0; j < ctx->degree(); ++j) {
+            ASSERT_EQ(b.limb(i).data()[j],
+                      addMod(aRef.limb(i).data()[j], scalars[i], q));
+        }
+    }
+    auto c = aRef.clone();
+    kernels::negate(c);
+    for (std::size_t i = 0; i < c.numLimbs(); ++i) {
+        const u64 q = ctx->qMod(i).value;
         for (std::size_t j = 0; j < ctx->degree(); ++j)
-            ASSERT_EQ(b.limb(i).data()[j], aRef.limb(i).data()[j]);
+            ASSERT_EQ(c.limb(i).data()[j],
+                      negMod(aRef.limb(i).data()[j], q));
     }
 }
 
@@ -233,10 +242,33 @@ TEST_F(KernelTest, FusedChainMatchesIndividualKernels)
     BackendConfigGuard guard{ctx};
     auto a = randomPoly(3, 20);
     auto b = randomPoly(3, 21);
-    RNSPoly d0(*ctx, 3, Format::Eval), d0Ref(*ctx, 3, Format::Eval);
-    RNSPoly d1(*ctx, 3, Format::Eval), d1Ref(*ctx, 3, Format::Eval);
+    RNSPoly d0(*ctx, 3, Format::Eval), d1(*ctx, 3, Format::Eval);
     std::vector<u64> scalars = {11, 13, 17, 19};
     auto &devs = ctx->devices();
+
+    // Host reference, op by op: d0 = a*b + b*b and
+    // d1 = (a*a + d0 - b) * scalar[i]. Every kernel product (Barrett,
+    // Shoup) is the exact residue, so the naive product matches it.
+    auto expectChain = [&](const RNSPoly &x0, const RNSPoly &x1,
+                           const char *what) {
+        x0.syncHost();
+        x1.syncHost();
+        for (std::size_t i = 0; i < x1.numLimbs(); ++i) {
+            const u64 q = ctx->prime(x1.primeIdxAt(i)).value();
+            const u64 *av = a.limb(i).data();
+            const u64 *bv = b.limb(i).data();
+            for (std::size_t j = 0; j < ctx->degree(); ++j) {
+                const u64 r0 = addMod(mulModNaive(av[j], bv[j], q),
+                                      mulModNaive(bv[j], bv[j], q), q);
+                const u64 r1 = mulModNaive(
+                    subMod(addMod(mulModNaive(av[j], av[j], q), r0, q),
+                           bv[j], q),
+                    scalars[i], q);
+                ASSERT_EQ(x0.limb(i).data()[j], r0) << what;
+                ASSERT_EQ(x1.limb(i).data()[j], r1) << what;
+            }
+        }
+    };
 
     ASSERT_TRUE(ctx->fusionEnabled());
     ctx->setLimbBatch(2);
@@ -252,19 +284,7 @@ TEST_F(KernelTest, FusedChainMatchesIndividualKernels)
     // ONE logical kernel: ceil(4 limbs / batch 2) = 2 launches for
     // the whole six-op chain.
     EXPECT_EQ(devs.aggregateCounters().launches, 2u);
-
-    kernels::mul(d0Ref, a, b);
-    kernels::mulAddInto(d0Ref, b, b);
-    kernels::mul(d1Ref, a, a);
-    kernels::addInto(d1Ref, d0Ref);
-    kernels::subInto(d1Ref, b);
-    kernels::scalarMulInto(d1Ref, scalars);
-    for (std::size_t i = 0; i < d1.numLimbs(); ++i) {
-        for (std::size_t j = 0; j < ctx->degree(); ++j) {
-            ASSERT_EQ(d0.limb(i).data()[j], d0Ref.limb(i).data()[j]);
-            ASSERT_EQ(d1.limb(i).data()[j], d1Ref.limb(i).data()[j]);
-        }
-    }
+    expectChain(d0, d1, "fused");
 
     // With fusion off the same chain degrades to one logical kernel
     // per op -- 6 ops x 2 batches -- and still matches bit-exactly.
@@ -280,12 +300,7 @@ TEST_F(KernelTest, FusedChainMatchesIndividualKernels)
         .scalarMul(e1, scalars)
         .run();
     EXPECT_EQ(devs.aggregateCounters().launches, 12u);
-    for (std::size_t i = 0; i < e1.numLimbs(); ++i) {
-        for (std::size_t j = 0; j < ctx->degree(); ++j) {
-            ASSERT_EQ(e0.limb(i).data()[j], d0Ref.limb(i).data()[j]);
-            ASSERT_EQ(e1.limb(i).data()[j], d1Ref.limb(i).data()[j]);
-        }
-    }
+    expectChain(e0, e1, "unfused");
 }
 
 TEST_F(KernelTest, FusedChainSinglePassTrafficAndSummedOps)

@@ -7,7 +7,8 @@
  *    forward-NTT only the Conv targets) against the coefficient-form
  *    sequence it replaces -- copy the source limbs, a per-product
  *    reduced Conv, then toEval of the whole raised polynomial -- for
- *    every (level, digit), on two parameter sets and two topologies;
+ *    every (level, digit), on two parameter sets and two topologies,
+ *    with its launches, bytes and integer ops pinned in closed form;
  *  - keySwitchInnerProduct (lazy 128-bit accumulation, one reduction
  *    per coefficient) against a per-digit mulModBarrett + addMod
  *    loop, with and without an automorphism gather, under both
@@ -19,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
 #include <ostream>
@@ -153,9 +155,39 @@ TEST(KeySwitchKernels, ModUpMatchesCoeffCopyConvToEvalAtEveryDigit)
                     const ConvTables &t = ctx.modUpTables(level, j);
                     const u64 ns = t.sourceIdx.size();
                     const u64 nt = t.targetIdx.size();
-                    EXPECT_EQ(devs.aggregateCounters().intOps,
-                              nt * n * (2 * ns + 2) +
-                                  nt * 5 * n * ctx.logDegree())
+                    const KernelCounters c = devs.aggregateCounters();
+                    EXPECT_EQ(c.intOps, nt * n * (2 * ns + 2) +
+                                            nt * 5 * n * ctx.logDegree())
+                        << what;
+                    // Launches and bytes. Conv: one launch per device
+                    // owning a target, each reading all ns sources;
+                    // together they write the nt targets. The
+                    // copy-or-NTT kernel: limb batches split at device
+                    // boundaries, copied limbs billed as one read and
+                    // one write, the others at nttLimbCost.
+                    const u64 limb = n * sizeof(u64);
+                    std::vector<bool> owns(ctx.devices().numDevices());
+                    for (u32 gt : t.targetIdx)
+                        owns[ctx.deviceFor(gt).id()] = true;
+                    const u64 convLaunches = static_cast<u64>(
+                        std::count(owns.begin(), owns.end(), true));
+                    const std::size_t limbs = got.numLimbs();
+                    const std::size_t batch =
+                        ctx.limbBatch() == 0 ? limbs : ctx.limbBatch();
+                    u64 pieces = 0;
+                    for (std::size_t i = 0; i < limbs; ++i)
+                        pieces += i % batch == 0 ||
+                                  ctx.deviceFor(got.primeIdxAt(i)).id() !=
+                                      ctx.deviceFor(got.primeIdxAt(i - 1))
+                                          .id();
+                    const kernels::LimbCost ntt = kernels::nttLimbCost(ctx);
+                    EXPECT_EQ(c.launches, convLaunches + pieces) << what;
+                    EXPECT_EQ(c.bytesRead, convLaunches * ns * limb +
+                                               ns * limb +
+                                               nt * ntt.bytesRead)
+                        << what;
+                    EXPECT_EQ(c.bytesWritten, nt * limb + ns * limb +
+                                                  nt * ntt.bytesWritten)
                         << what;
                     expectSamePoly(got, referenceModUp(coeff, j), what);
                 }
