@@ -10,8 +10,8 @@
  * still runs on the host's cores, and on a 4-core host one warm
  * shard already fills them: there the ratios read about 1x.
  *
- * Before the first row, the measured program runs untimed for a
- * fixed 2 s on one shard with every submitter, so no row starts on a
+ * Before the first row, the measured program runs untimed for 2 s
+ * on one shard with every submitter, so no row starts on a
  * host still ramping out of idle. Each tenant's first request is an
  * unmeasured warmup too (it builds the shard's lazy caches). Routed
  * results are bit-identical
@@ -103,35 +103,6 @@ struct RunResult
     double hostDispatchUs; //!< dispatch-engine CPU per executed op
     std::string metrics;
 };
-
-/**
- * Warms the host before the first timed row: closed-loop rounds of
- * the measured program on a 1-shard Router with all gSubmitters
- * submitters (the widest count), untimed, for kWarmUp.
- */
-void
-warmHost(const HostKeyBundle &wireKeys, const Context &clientCtx,
-         const Ciphertext &x, const Ciphertext &y)
-{
-    Router::Options opt;
-    opt.shards = 1;
-    opt.submittersPerShard = gSubmitters;
-    Router router(shardParams(), opt);
-    router.shardContext(0).devices().setLaunchOverheadNs(2000);
-    const HostCiphertext hx = adapter::toHost(clientCtx, x);
-    const HostCiphertext hy = adapter::toHost(clientCtx, y);
-    for (u64 t = 1; t <= gTenants; ++t)
-        router.registerTenant(t, wireKeys);
-    const auto until = std::chrono::steady_clock::now() + kWarmUp;
-    while (std::chrono::steady_clock::now() < until) {
-        for (u32 i = 0; i < gSubmitters; ++i) {
-            const u64 t = 1 + (i % gTenants);
-            router.submit(t, statsProgram(router.upload(t, hx),
-                                          router.upload(t, hy)));
-        }
-        router.drain();
-    }
-}
 
 RunResult
 runOnce(u32 shards, double targetRps,
@@ -311,11 +282,16 @@ main(int argc, char **argv)
                 gTenants, gRequests, kOpsPerRequest, gSubmitters,
                 cores);
 
+    // Warm the host: the measured program, untimed, on one shard with
+    // every submitter until kWarmUp is up.
+    for (auto until = std::chrono::steady_clock::now() + kWarmUp;
+         std::chrono::steady_clock::now() < until;)
+        (void)runOnce(1, 0, wireKeys, clientCtx, x, y);
+
     // Row schedule mirrors bench_serve: one closed-loop row per shard
     // count (the scaling sweep the cluster gate reads), then an
     // open-loop Poisson row at the largest shard count when
     // --target_rps asks for latency-under-load.
-    warmHost(wireKeys, clientCtx, x, y);
     std::vector<RunResult> rows;
     for (u32 s : gShards)
         rows.push_back(runOnce(s, 0, wireKeys, clientCtx, x, y));

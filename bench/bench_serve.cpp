@@ -8,8 +8,8 @@
  * ops/s) and per-request latency (p50/p99) as a function of the
  * submitter-thread count.
  *
- * The measured program first runs untimed for a fixed 2 s at the
- * widest submitter count: that builds the Context's lazy caches and
+ * The measured program first runs untimed for 2 s at the widest
+ * submitter count: that builds the Context's lazy caches and
  * warms the host, whose ramp out of idle would otherwise fall inside
  * the first rows (a few hundred ms each) and halve their ops/s.
  * What scales with submitters is the per-request host dispatch,
@@ -364,23 +364,13 @@ main(int argc, char **argv)
     ctx.setLimbBatch(4);
     ctx.devices().setLaunchOverheadNs(2000);
 
-    // Warm the caches and the host: closed-loop rounds of the measured
-    // program at the widest submitter count, untimed, for kWarmUp.
-    {
-        Server::Options opt;
-        opt.submitters =
-            *std::max_element(gSubmitters.begin(), gSubmitters.end());
-        Server warm(ctx, keys, opt);
-        const auto until = std::chrono::steady_clock::now() + kWarmUp;
-        while (std::chrono::steady_clock::now() < until) {
-            std::vector<Handle> round;
-            for (u32 i = 0; i < opt.submitters; ++i)
-                round.push_back(
-                    warm.submit(statsProgram(x.clone(), y.clone())));
-            for (Handle &h : round)
-                (void)h.get();
-        }
-    }
+    // Warm the caches and the host: the measured program, untimed, at
+    // the widest submitter count until kWarmUp is up.
+    const u32 maxSubmitters =
+        *std::max_element(gSubmitters.begin(), gSubmitters.end());
+    for (auto until = std::chrono::steady_clock::now() + kWarmUp;
+         std::chrono::steady_clock::now() < until;)
+        (void)runOnce(ctx, keys, x, y, maxSubmitters, 0);
 
     const u32 cores = std::max(1u, std::thread::hardware_concurrency());
     std::printf("bench_serve: %u device(s) x %u stream(s)/device, "

@@ -75,7 +75,7 @@ convertTargets(const Context &ctx, const ConvTables &tables,
  * Launches Conv on the kernel engine. The sources are limbs
  * [srcFirst, srcFirst + ns) of @p from, read by every launch (a fixed
  * range). Target t lands in limb t of @p to, skipping the @p holeLen
- * limbs that start at @p holeAt (ModUp's digit keeps its own limbs),
+ * limbs that start at @p srcFirst (ModUp's digit keeps its own limbs),
  * so the targets are declared as positional write spans around the
  * hole. Batch 0: one launch per device that owns targets, whatever
  * the limb batch -- each launch re-scales every source, so smaller
@@ -86,35 +86,35 @@ convertTargets(const Context &ctx, const ConvTables &tables,
  */
 void
 launchConv(const ConvTables &tables, const RNSPoly &from,
-           std::size_t srcFirst, RNSPoly &to, std::size_t holeAt,
-           std::size_t holeLen)
+           std::size_t srcFirst, RNSPoly &to, std::size_t holeLen)
 {
     check::ScopedLabel lbl("conv");
     const Context &ctx = from.context();
     const u64 n = ctx.degree();
     const std::size_t ns = tables.sourceIdx.size();
     const std::size_t nt = tables.targetIdx.size();
-    FIDES_ASSERT(holeAt <= nt && nt + holeLen == to.numLimbs());
+    FIDES_ASSERT(srcFirst <= nt && nt + holeLen == to.numLimbs());
     const LimbPartition &sp = from.partition();
     LimbPartition &tp = to.partition();
     std::vector<kernels::Dep> deps = {
         kernels::rdFixed(from, srcFirst, ns),
-        kernels::wrSpan(to, 0, holeAt)};
-    if (holeAt < nt)
-        deps.push_back(kernels::wrSpan(to, holeAt, nt - holeAt, holeLen));
+        kernels::wrSpan(to, 0, srcFirst)};
+    if (srcFirst < nt)
+        deps.push_back(
+            kernels::wrSpan(to, srcFirst, nt - srcFirst, holeLen));
     kernels::launchBatches(ctx, nt, 0,
                            [n, ns](std::size_t lo, std::size_t hi) {
         const u64 targets = hi - lo;
         return kernels::LimbCost{ns * n * kWord, targets * n * kWord,
                                  targets * n * (2 * ns + 2)};
-    }, [&ctx, &tables, &sp, &tp, srcFirst, holeAt, holeLen, ns,
+    }, [&ctx, &tables, &sp, &tp, srcFirst, holeLen, ns,
         nt](std::size_t lo, std::size_t hi) {
         std::vector<const u64 *> src(ns);
         for (std::size_t i = 0; i < ns; ++i)
             src[i] = sp[srcFirst + i].read();
         std::vector<u64 *> dst(nt);
         for (std::size_t t = lo; t < hi; ++t)
-            dst[t] = tp[t < holeAt ? t : t + holeLen].write();
+            dst[t] = tp[t < srcFirst ? t : t + holeLen].write();
         convertTargets(ctx, tables, src, dst, lo, hi);
     }, [&tables](std::size_t t) { return tables.targetIdx[t]; }, deps);
 }
@@ -151,7 +151,7 @@ modUpDigit(const RNSPoly &evalPoly, const RNSPoly &coeffPoly, u32 digit)
     const std::size_t srcLo = tables.sourceIdx.front();
     const std::size_t srcHi = srcLo + tables.sourceIdx.size();
     FIDES_ASSERT(tables.sourceIdx.back() + 1 == srcHi);
-    launchConv(tables, coeffPoly, srcLo, out, srcLo, srcHi - srcLo);
+    launchConv(tables, coeffPoly, srcLo, out, srcHi - srcLo);
 
     // One kernel finishes every limb (it waits on the Conv events
     // through the limbs Conv wrote). The digit's own limbs -- a
@@ -216,7 +216,7 @@ modDown(RNSPoly &a)
 
     // Convert [x]_P into the Q_l basis (coeff form), straight into the
     // output limbs.
-    launchConv(tables, a, level + 1, out, level + 1, 0);
+    launchConv(tables, a, level + 1, out, 0);
 
     // Epilogue in place (paper III-F5, ModDown fusion: per q-limb,
     // NTT(out) then out = P^{-1} (x - out) in the same kernel; it

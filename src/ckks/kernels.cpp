@@ -842,6 +842,15 @@ chainDeps(std::span<const FusedChain::Op> ops)
     return deps;
 }
 
+/** An op pairs limb i of @p in with limb i of @p out and reduces by
+ *  the out limb's prime, so their primes must line up. */
+void
+checkPrimesAligned(const RNSPoly &out, const RNSPoly &in)
+{
+    for (std::size_t i = 0; i < out.numLimbs(); ++i)
+        FIDES_ASSERT(out.primeIdxAt(i) == in.primeIdxAt(i));
+}
+
 } // namespace
 
 FusedChain &
@@ -851,6 +860,8 @@ FusedChain::mul(RNSPoly &out, const RNSPoly &a, const RNSPoly &b)
                  b.format() == Format::Eval);
     FIDES_ASSERT(out.numLimbs() <= a.numLimbs() &&
                  out.numLimbs() <= b.numLimbs());
+    checkPrimesAligned(out, a);
+    checkPrimesAligned(out, b);
     out.setFormat(Format::Eval);
     Op op{Op::Kind::Mul};
     op.outPoly = &out;
@@ -867,6 +878,8 @@ FusedChain::mulAdd(RNSPoly &acc, const RNSPoly &a, const RNSPoly &b)
                  b.format() == Format::Eval);
     FIDES_ASSERT(acc.numLimbs() <= a.numLimbs() &&
                  acc.numLimbs() <= b.numLimbs());
+    checkPrimesAligned(acc, a);
+    checkPrimesAligned(acc, b);
     Op op{Op::Kind::MulAdd};
     op.outPoly = &acc;
     op.aPoly = &a;
@@ -879,6 +892,7 @@ FusedChain &
 FusedChain::add(RNSPoly &a, const RNSPoly &b)
 {
     FIDES_ASSERT(a.numLimbs() <= b.numLimbs());
+    checkPrimesAligned(a, b);
     Op op{Op::Kind::Add};
     op.outPoly = &a;
     op.bPoly = &b;
@@ -890,6 +904,7 @@ FusedChain &
 FusedChain::sub(RNSPoly &a, const RNSPoly &b)
 {
     FIDES_ASSERT(a.numLimbs() <= b.numLimbs());
+    checkPrimesAligned(a, b);
     Op op{Op::Kind::Sub};
     op.outPoly = &a;
     op.bPoly = &b;
@@ -914,6 +929,7 @@ FusedChain::gather(RNSPoly &out, const RNSPoly &in,
 {
     FIDES_ASSERT(in.format() == Format::Eval);
     FIDES_ASSERT(out.numLimbs() == in.numLimbs());
+    checkPrimesAligned(out, in);
     out.setFormat(Format::Eval);
     Op op{Op::Kind::Gather};
     op.outPoly = &out;
@@ -953,6 +969,7 @@ FusedChain::rsubScalarMul(RNSPoly &out, const RNSPoly &x,
     FIDES_ASSERT(out.format() == Format::Eval &&
                  x.format() == Format::Eval);
     FIDES_ASSERT(out.numLimbs() <= x.numLimbs());
+    checkPrimesAligned(out, x);
     Op op{Op::Kind::RsubScalarMul};
     op.outPoly = &out;
     op.aPoly = &x;

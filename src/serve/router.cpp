@@ -93,28 +93,16 @@ u32 Router::ringShardOf(u64 tenant) const
 
 u32 Router::registerTenant(u64 tenant, const ckks::HostKeyBundle &keys)
 {
+    std::lock_guard<std::mutex> lock(m_);
     // Re-registration keeps the placement (keys roll over in place);
-    // first registration follows the ring. Placement never changes
-    // and the ring is fixed, so the shard read here is still the
-    // tenant's when the keys are installed below.
-    u32 s;
-    {
-        std::lock_guard<std::mutex> lock(m_);
-        auto it = tenants_.find(tenant);
-        s = it != tenants_.end() ? it->second : ringShardOf(tenant);
-    }
-    // Materializing the bundle copies every key onto the shard: do it
-    // outside the router lock, so other tenants' submit, upload and
-    // shardOf do not wait for it.
+    // first registration follows the ring.
+    const u32 s =
+        tenants_.try_emplace(tenant, ringShardOf(tenant)).first->second;
     const ckks::Context &ctx = *shards_[s].ctx;
     auto device = std::make_shared<const ckks::KeyBundle>(
         ckks::adapter::toDevice(ctx, keys));
-    // Install the keys before recording the placement: submit() finds
-    // a tenant only once its keys are on the shard.
-    std::lock_guard<std::mutex> lock(m_);
     ctx.registerKeyBundle(tenant, device);
     shards_[s].server->registerTenant(tenant, std::move(device));
-    tenants_.emplace(tenant, s);
     return s;
 }
 

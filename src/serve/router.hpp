@@ -79,8 +79,7 @@ class Router
      * materializes @p keys on that shard's Context, and returns the
      * shard index. Re-registering a tenant keeps its placement and
      * replaces its keys; requests already submitted finish under the
-     * keys they were submitted with. The keys are materialized outside
-     * the router lock, so a registration holds up no other tenant.
+     * keys they were submitted with.
      */
     u32 registerTenant(u64 tenant, const ckks::HostKeyBundle &keys);
     /** The owning shard; fatal for unregistered tenants. */

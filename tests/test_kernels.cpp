@@ -3,7 +3,8 @@
  * Direct tests of the device kernel layer: element-wise ops against
  * scalar reference loops, SwitchModulus recentring in both
  * directions, monomial multiplication wrap/sign behaviour, automorph
- * permutation application, and launch accounting under batching.
+ * permutation application, launch accounting under batching, and
+ * element-wise ops on misaligned primes aborting.
  */
 
 #include <gtest/gtest.h>
@@ -476,6 +477,23 @@ TEST_F(KernelTest, RescaleAndModDownBillInttAtNttLimbCost)
               K * intt.bytesRead + K * limb + 2 * (kLevel + 1) * limb);
     EXPECT_EQ(c.bytesWritten,
               K * intt.bytesWritten + 2 * (kLevel + 1) * limb);
+}
+
+TEST(KernelDeathTest, MisalignedPrimesAbort)
+{
+    // Limb 1 of a level-0 polynomial with special limbs holds p_0;
+    // limb 1 of a top-level one holds q_1. An element-wise op pairing
+    // them would reduce one prime's residues by another's, so
+    // recording it panics.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    Context ctx(Parameters::testSmall());
+    RNSPoly ext(ctx, 0, Format::Eval, ctx.numSpecial());
+    RNSPoly q(ctx, ctx.maxLevel(), Format::Eval);
+    ASSERT_LE(ext.numLimbs(), q.numLimbs());
+    ASSERT_NE(ext.primeIdxAt(1), q.primeIdxAt(1));
+    EXPECT_DEATH(kernels::addInto(ext, q), "primeIdxAt");
+    EXPECT_DEATH(kernels::subInto(ext, q), "primeIdxAt");
+    EXPECT_DEATH(kernels::mulInto(ext, q), "primeIdxAt");
 }
 
 } // namespace
