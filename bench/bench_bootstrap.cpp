@@ -10,14 +10,19 @@
  * bootstrap (which builds the cached stage encodes, DESIGN.md §1.10)
  * and reports the host dispatch cost per bootstrap.
  * BM_BootstrapBaselineSim warms the same way after its knob changes.
- * CI gates host_dispatch_us and the pair's syncs_per_op against the
- * committed BENCH_bootstrap.json baseline
+ * Both report device_peak_mb, the device pools' high-water during the
+ * timed bootstrap, which the per-stream queue cap bounds (DESIGN.md
+ * §1.2). CI gates host_dispatch_us, device_peak_mb and the pair's
+ * syncs_per_op against the committed BENCH_bootstrap.json baseline
  * (tools/check_launch_regression.py).
  *
  * Default: bootstrappable test set at logN=12 with slots
  * {64, 256, 1024}; FIDES_PAPER_SCALE=1 selects the paper's
- * [16, 29, 59, 4] and slots {64, 512, 16384, 32768} (hours on one
- * host core -- the paper ran an RTX 4090). Besides the console
+ * [16, 29, 59, 4] and slots {64, 512, 16384, 32768}. There the
+ * 64-slot PerOp row alone takes about a minute on a 4-core AVX-512
+ * host (21 s for the timed bootstrap, the rest key generation and
+ * warm-up) and peaks at 9.8 GB RSS; the paper ran an RTX 4090 with
+ * 24 GB. Run it by hand, not in CI. Besides the console
  * output, every run (over)writes the machine-readable summary to
  * --json_out, defaulting to BENCH_bootstrap.json in the CWD; CI
  * passes the repo-root path.
@@ -124,6 +129,8 @@ BM_BootstrapPerOp(benchmark::State &state)
         devs.synchronize();
     }
     reportPlatformModel(state, state.iterations(), devs);
+    state.counters["device_peak_mb"] =
+        static_cast<double>(devs.bytesPeak()) / 1e6;
 
     const double iters =
         static_cast<double>(std::max<u64>(1, state.iterations()));
@@ -166,6 +173,8 @@ BM_BootstrapBaselineSim(benchmark::State &state)
         devs.synchronize();
     }
     reportPlatformModel(state, state.iterations(), devs);
+    state.counters["device_peak_mb"] =
+        static_cast<double>(devs.bytesPeak()) / 1e6;
     devs.setLaunchOverheadNs(0);
     Parameters p = bootParams();
     b.ctx->setFusion(p.fusion);

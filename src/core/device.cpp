@@ -6,6 +6,16 @@
 namespace fideslib
 {
 
+namespace
+{
+
+//! Set on stream worker threads, which must never submit: a worker
+//! blocked on a full queue could wait on its own stream (DESIGN.md
+//! §1.8).
+thread_local bool tOnStreamWorker = false;
+
+} // namespace
+
 double
 DeviceProfile::modeledTimeUs(const KernelCounters &c) const
 {
@@ -187,6 +197,13 @@ MemPool::bytesPeak() const
     return bytesPeak_;
 }
 
+void
+MemPool::resetPeak()
+{
+    std::lock_guard<std::mutex> lock(m_);
+    bytesPeak_ = bytesInUse_;
+}
+
 u64
 MemPool::poolHits() const
 {
@@ -263,26 +280,24 @@ Stream::~Stream()
 void
 Stream::submit(std::function<void()> task)
 {
+    FIDES_ASSERT(!tOnStreamWorker);
     if (check::enabled())
         check::onSubmit(this);
-    std::lock_guard<std::mutex> lock(m_);
+    std::unique_lock<std::mutex> lock(m_);
     FIDES_ASSERT(!stop_);
-    if (!worker_.joinable())
-        worker_ = std::thread(&Stream::workerLoop, this);
-    queue_.push_back(std::move(task));
-    ++inFlight_;
-    wake_.notify_one();
+    enqueueLocked(lock, std::move(task));
 }
 
 Event
 Stream::record()
 {
+    FIDES_ASSERT(!tOnStreamWorker);
     auto st = std::make_shared<Event::State>();
     st->streamId = id_;
     // Snapshot before the event is shared: waiters join this clock.
     if (check::enabled())
         st->checkClock = check::makeEventClock(this);
-    std::lock_guard<std::mutex> lock(m_);
+    std::unique_lock<std::mutex> lock(m_);
     FIDES_ASSERT(!stop_);
     if (inFlight_ == 0) {
         // Idle stream: everything before the record has retired, so
@@ -291,18 +306,28 @@ Stream::record()
         st->done.store(true, std::memory_order_release);
         return Event(std::move(st));
     }
-    if (!worker_.joinable())
-        worker_ = std::thread(&Stream::workerLoop, this);
-    queue_.push_back([st] {
+    enqueueLocked(lock, [st] {
         {
             std::lock_guard<std::mutex> lock(st->m);
             st->done.store(true, std::memory_order_release);
         }
         st->cv.notify_all();
     });
+    return Event(std::move(st));
+}
+
+void
+Stream::enqueueLocked(std::unique_lock<std::mutex> &lock,
+                      std::function<void()> task)
+{
+    if (!worker_.joinable())
+        worker_ = std::thread(&Stream::workerLoop, this);
+    // A full queue blocks the submitter until workerLoop has drained
+    // it to kQueueLowWater.
+    space_.wait(lock, [this] { return queue_.size() < kQueueCap; });
+    queue_.push_back(std::move(task));
     ++inFlight_;
     wake_.notify_one();
-    return Event(std::move(st));
 }
 
 void
@@ -342,6 +367,7 @@ Stream::synchronize()
 void
 Stream::workerLoop()
 {
+    tOnStreamWorker = true;
     std::unique_lock<std::mutex> lock(m_);
     for (;;) {
         wake_.wait(lock, [this] { return stop_ || !queue_.empty(); });
@@ -352,6 +378,9 @@ Stream::workerLoop()
         }
         std::function<void()> task = std::move(queue_.front());
         queue_.pop_front();
+        // Wake blocked submitters once per drain to half, not per pop.
+        if (queue_.size() == kQueueLowWater)
+            space_.notify_all();
         lock.unlock();
         task();
         lock.lock();
@@ -421,8 +450,10 @@ DeviceSet::aggregateCounters() const
 void
 DeviceSet::resetCounters()
 {
-    for (auto &d : devices_)
+    for (auto &d : devices_) {
         d->resetCounters();
+        d->pool().resetPeak();
+    }
     hostJoins_.store(0, std::memory_order_relaxed);
     logicalKernels_.store(0, std::memory_order_relaxed);
 }
@@ -440,6 +471,15 @@ DeviceSet::bytesInUse() const
     u64 total = 0;
     for (const auto &d : devices_)
         total += d->pool().bytesInUse();
+    return total;
+}
+
+u64
+DeviceSet::bytesPeak() const
+{
+    u64 total = 0;
+    for (const auto &d : devices_)
+        total += d->pool().bytesPeak();
     return total;
 }
 

@@ -21,10 +21,13 @@
  *                 groups them in a DeviceSet owned by the Context.
  *  - Stream       in-order execution queue backed by a worker thread;
  *                 kernels submitted to distinct streams run
- *                 concurrently. Launch accounting and the simulated
- *                 CPU-side launch overhead (busy-wait, reproducing the
- *                 launch-bound regime of Figure 7) are paid on the
- *                 submitting thread, exactly like a real CUDA launch.
+ *                 concurrently. The queue is finite, like a CUDA
+ *                 launch queue: a submitter that finds it full
+ *                 blocks until it has drained to half. Launch
+ *                 accounting and the simulated CPU-side launch
+ *                 overhead (busy-wait, reproducing the launch-bound
+ *                 regime of Figure 7) are paid on the submitting
+ *                 thread, exactly like a real CUDA launch.
  *  - Event        stream-ordered completion marker (cudaEvent_t):
  *                 Stream::record() returns one, Stream::wait() makes
  *                 another stream wait for it device-side, and
@@ -249,7 +252,10 @@ class MemPool
                       std::vector<Event> events);
 
     u64 bytesInUse() const;
+    /** High-water of bytesInUse since construction or resetPeak(). */
     u64 bytesPeak() const;
+    /** Restarts the high-water at the bytes in use now. */
+    void resetPeak();
     u64 poolHits() const;
     u64 deferredFrees() const;
     /** Bytes sitting on the free lists, available for recycling. */
@@ -349,10 +355,24 @@ void spinNs(u64 ns);
  * The worker thread is spawned lazily on the first submit, so a
  * single-stream configuration that executes kernels inline (the
  * fast path in kernels::forBatches) never pays for a thread.
+ *
+ * The queue holds at most kQueueCap tasks (kernel bodies, waits and
+ * event records; the running task does not count). A submit() or
+ * record() that finds it full blocks the submitting thread until the
+ * worker has drained it to kQueueLowWater, so the host runs at most
+ * kQueueCap tasks ahead of each stream and queued tasks keep at most
+ * that many kernels' operands alive. Stream workers never submit
+ * (asserted): a full queue drains without any submitter's help
+ * (DESIGN.md §1.8).
  */
 class Stream
 {
   public:
+    //! Queued tasks at which submission blocks.
+    static constexpr std::size_t kQueueCap = 1024;
+    //! Queued tasks at which the worker wakes blocked submitters.
+    static constexpr std::size_t kQueueLowWater = kQueueCap / 2;
+
     Stream(Device &dev, u32 id) : dev_(&dev), id_(id) {}
     ~Stream();
 
@@ -362,14 +382,16 @@ class Stream
     u32 id() const { return id_; }
     Device &device() const { return *dev_; }
 
-    /** Enqueues @p task; returns immediately. */
+    /** Enqueues @p task; returns once it is queued, which blocks only
+     *  while the queue holds kQueueCap tasks. */
     void submit(std::function<void()> task);
 
     /**
      * Records a completion event after everything currently enqueued
      * (cudaEventRecord). If the stream is idle the event is returned
      * already signalled, so an inline (no-worker) schedule never
-     * spawns a thread just to signal.
+     * spawns a thread just to signal. Blocks like submit() on a full
+     * queue.
      */
     Event record();
 
@@ -386,6 +408,10 @@ class Stream
     void synchronize();
 
   private:
+    /** Spawns the worker if needed, waits while the queue is full and
+     *  enqueues @p task; @p lock holds m_. */
+    void enqueueLocked(std::unique_lock<std::mutex> &lock,
+                       std::function<void()> task);
     void workerLoop();
 
     Device *dev_;
@@ -394,6 +420,7 @@ class Stream
     std::mutex m_;
     std::condition_variable wake_;
     std::condition_variable drained_;
+    std::condition_variable space_; //!< queue drained to kQueueLowWater
     std::deque<std::function<void()>> queue_;
     std::size_t inFlight_ = 0; //!< queued + currently executing
     bool stop_ = false;
@@ -445,11 +472,15 @@ class DeviceSet
 
     /** Sum of the per-device kernel counters. */
     KernelCounters aggregateCounters() const;
+    /** Zeroes every counter and restarts each pool's high-water at
+     *  its bytes in use, so bytesPeak() covers what runs next. */
     void resetCounters();
     void setLaunchOverheadNs(u64 ns);
 
     /** Total bytes currently allocated across all device pools. */
     u64 bytesInUse() const;
+    /** Sum over devices of each pool's bytesPeak(). */
+    u64 bytesPeak() const;
 
     // Asynchrony accounting. ------------------------------------------
     /** Called whenever the host actually blocks on device work (a

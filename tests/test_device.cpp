@@ -299,6 +299,19 @@ TEST(DeviceSet, AggregatesAndResetsCounters)
     EXPECT_EQ(total.bytesWritten, 6u);
     ds.resetCounters();
     EXPECT_EQ(ds.aggregateCounters().launches, 0u);
+
+    // The pools' high-water sums over devices, and a reset restarts
+    // it at the bytes still in use.
+    void *a = ds.device(0).pool().allocate(1000);
+    void *b = ds.device(1).pool().allocate(300);
+    ds.device(0).pool().release(a, 1000);
+    EXPECT_EQ(ds.bytesPeak(), 1300u);
+    ds.resetCounters();
+    EXPECT_EQ(ds.bytesPeak(), 300u);
+    void *c = ds.device(2).pool().allocate(50);
+    EXPECT_EQ(ds.bytesPeak(), 350u);
+    ds.device(1).pool().release(b, 300);
+    ds.device(2).pool().release(c, 50);
 }
 
 TEST(Device, PlatformTableMatchesPaperTableIV)

@@ -345,6 +345,121 @@ TEST(EventModel, DestructionWithPendingWaiters)
     s0.synchronize();
 }
 
+// --- Bounded run-ahead ------------------------------------------------
+
+/** Spins (yielding) until @p flag is set. */
+void
+awaitFlag(const std::atomic<bool> &flag)
+{
+    while (!flag.load(std::memory_order_acquire))
+        std::this_thread::yield();
+}
+
+TEST(EventModel, FullQueueBlocksSubmitterUntilLowWater)
+{
+    Device dev;
+    Stream s(dev, 0);
+    std::atomic<bool> running{false}, open{false};
+    std::atomic<std::size_t> ran{0};
+    // The worker pops the gate task and holds it, so the queue fills
+    // with exactly the tasks below.
+    s.submit([&] {
+        running.store(true, std::memory_order_release);
+        awaitFlag(open);
+        ran.fetch_add(1);
+    });
+    awaitFlag(running);
+    for (std::size_t i = 0; i < Stream::kQueueCap; ++i)
+        s.submit([&] { ran.fetch_add(1); });
+
+    std::atomic<bool> entering{false}, returned{false};
+    std::size_t ranAtReturn = 0;
+    std::thread extra([&] {
+        entering.store(true, std::memory_order_release);
+        s.submit([&] { ran.fetch_add(1); });
+        ranAtReturn = ran.load();
+        returned.store(true, std::memory_order_release);
+    });
+    awaitFlag(entering);
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    // The queue is full and its worker held: the submit cannot return.
+    EXPECT_FALSE(returned.load());
+    open.store(true, std::memory_order_release);
+    extra.join();
+    // Woken at the low-water mark: the gate and all but one of the
+    // popped tasks have run. Uncapped, it returns at ran == 0.
+    EXPECT_GE(ranAtReturn, Stream::kQueueCap - Stream::kQueueLowWater);
+    s.synchronize();
+    EXPECT_EQ(ran.load(), Stream::kQueueCap + 2);
+}
+
+TEST(EventModel, CappedStreamsWithCrossWaitsDrain)
+{
+    // Two submitters, each feeding its own stream several caps'
+    // worth of tasks and making the OTHER stream wait on an event of
+    // its own every few tasks: waits cross in both directions while
+    // both queues sit at the cap.
+    constexpr std::size_t kTasks = 4 * Stream::kQueueCap;
+    constexpr std::size_t kWaitEvery = 8;
+    Device dev;
+    Stream s0(dev, 0), s1(dev, 1);
+    std::atomic<bool> open{false};
+    std::atomic<std::size_t> submitted{0};
+    for (Stream *s : {&s0, &s1})
+        s->submit([&] { awaitFlag(open); });
+
+    std::vector<std::size_t> log0, log1;
+    auto feed = [&](Stream &own, Stream &other,
+                    std::vector<std::size_t> &log) {
+        for (std::size_t i = 0; i < kTasks; ++i) {
+            own.submit([&log, i] {
+                spinNs(500);
+                log.push_back(i);
+            });
+            submitted.fetch_add(1);
+            if (i % kWaitEvery == kWaitEvery - 1)
+                other.wait(own.record());
+        }
+    };
+    std::thread a([&] { feed(s0, s1, log0); });
+    std::thread b([&] { feed(s1, s0, log1); });
+    // Hold both workers while the submitters fill the queues up to
+    // the cap. The count below is always reached: a submitter blocks
+    // only on a full queue, and each submitter adds one record or
+    // wait per kWaitEvery tasks, so a full queue means at least 8/9
+    // of a cap of tasks submitted.
+    while (submitted.load() < Stream::kQueueLowWater)
+        std::this_thread::yield();
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    open.store(true, std::memory_order_release);
+    a.join();
+    b.join();
+    s0.synchronize();
+    s1.synchronize();
+
+    // Each task ran exactly once, in submission order on its stream.
+    for (const auto *log : {&log0, &log1}) {
+        ASSERT_EQ(log->size(), kTasks);
+        for (std::size_t i = 0; i < kTasks; ++i)
+            ASSERT_EQ((*log)[i], i);
+    }
+}
+
+TEST(EventModelDeathTest, SubmitFromStreamWorkerTripsAssertion)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_DEATH(
+        {
+            Device dev;
+            Stream s(dev, 0);
+            // A worker that submitted could block on its own full
+            // queue; the first submission from a worker panics.
+            s.submit([&s] { s.submit([] {}); });
+            s.synchronize();
+        },
+        "assertion failed.*tOnStreamWorker");
+}
+
 // --- Asynchronous pipelining -----------------------------------------
 
 /**
