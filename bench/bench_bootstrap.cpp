@@ -19,13 +19,14 @@
  * Default: bootstrappable test set at logN=12 with slots
  * {64, 256, 1024}; FIDES_PAPER_SCALE=1 selects the paper's
  * [16, 29, 59, 4] and slots {64, 512, 16384, 32768}. There the
- * 64-slot PerOp row alone takes about a minute on a 4-core AVX-512
- * host (21 s for the timed bootstrap, the rest key generation and
- * warm-up) and peaks at 9.8 GB RSS; the paper ran an RTX 4090 with
+ * 64-slot PerOp row alone takes about 50 s on a 4-core AVX-512 host
+ * (19 s for the timed bootstrap, the rest key generation and
+ * warm-up) and peaks at 9.6 GB RSS; the paper ran an RTX 4090 with
  * 24 GB. Run it by hand, not in CI. Besides the console
  * output, every run (over)writes the machine-readable summary to
- * --json_out, defaulting to BENCH_bootstrap.json in the CWD; CI
- * passes the repo-root path.
+ * --json_out, defaulting to BENCH_bootstrap.json in the CWD, or to
+ * BENCH_bootstrap_paper.json at paper scale so a by-hand paper run
+ * never replaces the CI baseline; CI passes the repo-root path.
  */
 
 #include <cstring>
@@ -40,7 +41,9 @@ namespace
 using namespace fideslib;
 using namespace fideslib::bench;
 
-std::string gJsonOut = "BENCH_bootstrap.json";
+//! --json_out; empty picks BENCH_bootstrap.json, or
+//! BENCH_bootstrap_paper.json at paper scale.
+std::string gJsonOut;
 
 Parameters
 bootParams()
@@ -217,6 +220,10 @@ int
 main(int argc, char **argv)
 {
     parseJsonOutFlag(argc, argv);
+    if (gJsonOut.empty()) {
+        gJsonOut = paperScale() ? "BENCH_bootstrap_paper.json"
+                                : "BENCH_bootstrap.json";
+    }
     Parameters p = bootParams();
     for (u32 slots : slotSweep(p)) {
         ::benchmark::RegisterBenchmark("BM_BootstrapPerOp",

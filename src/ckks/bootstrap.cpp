@@ -2,8 +2,8 @@
 
 #include <cmath>
 #include <numbers>
-
 #include <set>
+#include <tuple>
 
 #include "ckks/basechange.hpp"
 #include "ckks/chebyshev.hpp"
@@ -13,6 +13,19 @@
 
 namespace fideslib::ckks
 {
+
+namespace
+{
+
+//! Max error of ApproxModEval's Chebyshev interpolant on the 2048-point
+//! grid: within ~10x of double-precision interpolation error, so the
+//! approximation never sets the bootstrap's precision.
+constexpr double kChebyshevTarget = 1e-13;
+//! Double-angle range searched with the degree.
+constexpr u32 kMinDoubleAngles = 3;
+constexpr u32 kMaxDoubleAngles = 9;
+
+} // namespace
 
 Bootstrapper::Bootstrapper(const Evaluator &eval,
                            const BootstrapConfig &cfg)
@@ -24,9 +37,6 @@ Bootstrapper::Bootstrapper(const Evaluator &eval,
     FIDES_ASSERT(isPowerOfTwo(cfg_.slots));
     gap_ = static_cast<u32>((n / 2) / cfg_.slots);
 
-    // Effective range of |t'| / q0 after the trace: the base bound K
-    // on |I| grows by ~sqrt(gap) when gap automorphism images of I
-    // are summed (random-sign accumulation).
     const bool sparse = ctx.params().secretHammingWeight > 0;
     double base = sparse ? cfg_.kBase : cfg_.kUniform;
     if (!sparse) {
@@ -34,51 +44,65 @@ Bootstrapper::Bootstrapper(const Evaluator &eval,
              "requires a large Chebyshev degree",
              base);
     }
-    // Tail bound: the SubSum trace adds `gap` signed images of I, so
-    // the sum concentrates around sqrt(gap) * |I| but its tail over N
-    // coefficients reaches several times that; a 3x factor keeps the
-    // Chebyshev argument safely inside [-1, 1] (outside, T_k grows
-    // like cosh and the pipeline diverges).
-    keff_ = base
-          * std::max(1.0, 3.0 * std::sqrt(static_cast<double>(gap_)));
+    // Effective range of |t| / q0 at EvalMod. SubSum's trace is gap
+    // times the projection of t onto the subring of X^gap, so it adds
+    // the gap images of I coherently to gap * I; CoeffToSlot divides
+    // the gap back out and every slot count sees |I| <= K. The 3x
+    // margin covers the tail over N coefficients and keeps the
+    // Chebyshev argument inside [-1, 1] (outside, T_k grows like cosh
+    // and the pipeline diverges).
+    keff_ = 3.0 * base;
 
-    // Double-angle count: bring the cosine argument down to a few
-    // oscillations so the Chebyshev degree stays moderate.
-    doubleAngles_ = cfg_.doubleAngles;
-    if (doubleAngles_ == 0) {
-        doubleAngles_ = 3;
-        while ((keff_ / static_cast<double>(1u << doubleAngles_)) > 4.0
-               && doubleAngles_ < 9) {
-            ++doubleAngles_;
+    // Double angles r and Chebyshev degree, chosen together: for each
+    // r from the smallest that brings K_eff / 2^r to at most 4 up to
+    // the cap, take the least degree meeting kChebyshevTarget, and keep
+    // the pair with the fewest levels, then the fewest products.
+    auto cosine = [kf = keff_](u32 r) {
+        const double scale = static_cast<double>(1u << r);
+        return [kf, scale](double y) {
+            return std::cos((2.0 * std::numbers::pi * kf * y
+                             - std::numbers::pi / 2.0)
+                            / scale);
+        };
+    };
+    u32 r = kMinDoubleAngles;
+    while (keff_ / static_cast<double>(1u << r) > 4.0
+           && r < kMaxDoubleAngles) {
+        ++r;
+    }
+    u32 bestLevels = ~0u, bestProducts = ~0u;
+    for (; r <= kMaxDoubleAngles; ++r) {
+        const u32 degree = chebyshevDegreeFor(cosine(r), kChebyshevTarget);
+        const ChebyshevCost cost = chebyshevCost(degree);
+        const u32 levels = cost.depth + r;
+        const u32 products = cost.products + r;
+        if (std::tie(levels, products)
+            < std::tie(bestLevels, bestProducts)) {
+            bestLevels = levels;
+            bestProducts = products;
+            doubleAngles_ = r;
+            chebDegree_ = degree;
         }
     }
-
-    const double r = static_cast<double>(1u << doubleAngles_);
-    const double kf = keff_;
-    auto target = [kf, r](double y) {
-        return std::cos((2.0 * std::numbers::pi * kf * y
-                         - std::numbers::pi / 2.0)
-                        / r);
-    };
-    chebDegree_ = chebyshevDegreeFor(target, cfg_.targetError, 16);
-    chebCoeffs_ = chebyshevInterpolate(target, chebDegree_);
+    chebCoeffs_ = chebyshevInterpolate(cosine(doubleAngles_), chebDegree_);
 
     // Linear-transform stages.
     c2s_ = buildC2SStages(cfg_.slots, cfg_.levelBudgetC2S);
     s2c_ = buildS2CStages(cfg_.slots, cfg_.levelBudgetS2C);
 
-    // Fold constants: CoeffToSlot divides by 2 Keff q0 / Delta (the
-    // 1/2 pre-pays the conjugation split); SlotToCoeff multiplies by
-    // q0 / (2 pi g Delta) to undo the sine slope and the trace factor.
+    // Fold constants: CoeffToSlot divides by 2 Keff q0 gap / Delta
+    // (the 1/2 pre-pays the conjugation split, 1/gap undoes the trace
+    // factor); SlotToCoeff multiplies by q0 / (2 pi Delta) to undo the
+    // sine slope.
     const long double q0 =
         static_cast<long double>(ctx.qMod(0).value);
     const long double delta = ctx.defaultScale();
     c2s_.front().scale(
-        Cplx(delta / (2.0L * static_cast<long double>(keff_) * q0), 0));
-    s2c_.front().scale(
-        Cplx(q0 / (2.0L * std::numbers::pi_v<long double> *
-                   static_cast<long double>(gap_) * delta),
+        Cplx(delta / (2.0L * static_cast<long double>(keff_) * q0
+                      * static_cast<long double>(gap_)),
              0));
+    s2c_.front().scale(
+        Cplx(q0 / (2.0L * std::numbers::pi_v<long double> * delta), 0));
 
     // Sparse packing carries Re and Im side by side at 2s slots from
     // the last CoeffToSlot stage through the first SlotToCoeff stage.

@@ -8,10 +8,12 @@
  *      Q_L; the plaintext becomes t = m + q_0 I with small integer I.
  *   2. SubSum (sparse packing only): the partial-sum trace projects t
  *      onto the subring generated by X^gap, making the n-slot linear
- *      algebra exact; the trace factor is folded into CoeffToSlot.
+ *      algebra exact. The trace is gap times that projection; the
+ *      1/gap is folded into CoeffToSlot's first stage.
  *   3. CoeffToSlot: staged homomorphic inverse special-FFT (level
  *      budget merges butterfly stages); slots now carry the packed
- *      coefficients of t, normalized to [-1, 1] by 1/(Keff q0).
+ *      coefficients of t, normalized to [-1, 1] by 1/(Keff q0 gap),
+ *      with Keff = 3K at every slot count.
  *   4. Real/imaginary split via HConjugate. Sparse packing
  *      (slots s < N/2) widens the last CoeffToSlot stage to 2s slots
  *      so that it writes (w, -i w); adding the conjugate leaves Re w
@@ -23,10 +25,13 @@
  *      part under full packing: Chebyshev approximation of
  *      cos((2 pi Keff y - pi/2)/2^r) evaluated with the BSGS
  *      Paterson-Stockmeyer routine, followed by r double-angle
- *      iterations, yielding sin(2 pi t/q0) ~ (2 pi g/q0) m.
+ *      iterations, yielding sin(2 pi t/q0) ~ (2 pi/q0) m. The
+ *      constructor picks r and the least degree that meets the
+ *      interpolation target together, for the fewest levels.
  *   6. Recombine and SlotToCoeff (staged forward special-FFT with
- *      the q0/(2 pi g Delta) constant folded in), producing a
- *      ciphertext encrypting m again at a usable level. Sparse
+ *      the q0/(2 pi Delta) constant folded into its first stage),
+ *      producing a ciphertext encrypting m again at a usable level,
+ *      outputLevel() exactly. Sparse
  *      packing recombines inside the widened first SlotToCoeff
  *      stage, which maps (Re, Im) to Re + i Im at s slots; full
  *      packing recombines with a monomial multiply and an add.
@@ -49,10 +54,8 @@ struct BootstrapConfig
     u32 slots = 0;           //!< number of plaintext slots (<= N/2)
     u32 levelBudgetC2S = 3;  //!< CoeffToSlot depth (stage groups)
     u32 levelBudgetS2C = 3;  //!< SlotToCoeff depth
-    u32 doubleAngles = 0;    //!< r; 0 = choose automatically
     double kBase = 28.0;     //!< |I| bound for sparse secrets
     double kUniform = 512.0; //!< |I| bound for dense ternary secrets
-    double targetError = 1e-9; //!< Chebyshev auto-degree target
 };
 
 /** Server-side bootstrapping engine. */
@@ -90,8 +93,8 @@ class Bootstrapper
     BootstrapConfig cfg_;
     u32 gap_;            //!< N / (2 slots)
     double keff_;        //!< effective |t|/q0 range
-    u32 doubleAngles_;
-    u32 chebDegree_;
+    u32 doubleAngles_ = 0;
+    u32 chebDegree_ = 0;
     std::vector<double> chebCoeffs_;
     std::vector<DiagMatrix> c2s_, s2c_;
     //! cache key: (s2c flag, stage index, level). Mutex-guarded:

@@ -1,5 +1,6 @@
 #include "ckks/chebyshev.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <numbers>
@@ -58,15 +59,26 @@ u32
 chebyshevDegreeFor(const std::function<double(double)> &f,
                    double targetError, u32 start, u32 cap)
 {
-    u32 d = start;
-    while (d < cap) {
-        auto c = chebyshevInterpolate(f, d);
-        if (chebyshevMaxError(f, c) < targetError)
-            return d;
-        d *= 2;
+    FIDES_ASSERT(start >= 1 && start <= cap);
+    auto meets = [&](u32 d) {
+        return chebyshevMaxError(f, chebyshevInterpolate(f, d))
+             < targetError;
+    };
+    // lo misses the target (or is 0, never tried), hi meets it.
+    u32 lo = 0, hi = start;
+    while (!meets(hi)) {
+        if (hi == cap) {
+            warn("chebyshevDegreeFor hit the degree cap %u", cap);
+            return cap;
+        }
+        lo = hi;
+        hi = std::min(2 * hi, cap);
     }
-    warn("chebyshevDegreeFor hit the degree cap %u", cap);
-    return cap;
+    while (hi - lo > 1) {
+        const u32 mid = lo + (hi - lo) / 2;
+        (meets(mid) ? hi : lo) = mid;
+    }
+    return hi;
 }
 
 std::pair<std::vector<double>, std::vector<double>>
@@ -103,6 +115,26 @@ chebyshevDivide(const std::vector<double> &c, u32 t)
 
 namespace
 {
+
+/** Baby-step count: the power of two k with k^2 >= d + 1 > k^2 / 4. */
+u32
+babyStepsFor(std::size_t d)
+{
+    u32 k = 1;
+    while (k * k < d + 1)
+        k <<= 1;
+    return k;
+}
+
+/** Giant count: the T_{k 2^i} with k 2^i <= d. */
+u32
+giantsFor(u32 k, std::size_t d)
+{
+    u32 m = 0;
+    while ((static_cast<u64>(k) << m) <= d)
+        ++m;
+    return m;
+}
 
 /** Degree ignoring trailing (near-)zero coefficients. */
 std::size_t
@@ -199,9 +231,7 @@ evalRec(PsContext &ps, const std::vector<double> &c)
         return evalBabySpan(ps, cc);
     }
     // Largest giant T_{k 2^i} with k 2^i <= d.
-    u32 i = 0;
-    while ((static_cast<std::size_t>(ps.k) << (i + 1)) <= d)
-        ++i;
+    const u32 i = giantsFor(ps.k, d) - 1;
     const u32 t = ps.k << i;
     auto [q, r] = chebyshevDivide(c, t);
     Ciphertext qe = evalRec(ps, q);
@@ -210,19 +240,43 @@ evalRec(PsContext &ps, const std::vector<double> &c)
     return eval.addC(prod, re);
 }
 
+/**
+ * evalRec on degrees alone: the levels its result for a series of
+ * degree @p d sits below the input, adding its products to @p products.
+ * T_j sits ceil(log2 j) levels down and the giant T_{k 2^i} at
+ * log2 k + i; a baby span rescales once below its lowest baby.
+ */
+u32
+recDepth(u32 k, std::size_t d, u32 &products)
+{
+    if (d < k)
+        return (d > 1 ? log2Floor(d - 1) + 1 : 0) + 1;
+    const u32 i = giantsFor(k, d) - 1;
+    const std::size_t t = static_cast<std::size_t>(k) << i;
+    const u32 q = recDepth(k, d - t, products);
+    const u32 r = recDepth(k, t - 1, products);
+    ++products;
+    return std::max(std::max(q, log2Floor(k) + i) + 1, r);
+}
+
 } // namespace
+
+ChebyshevCost
+chebyshevCost(u32 degree)
+{
+    const u32 k = babyStepsFor(degree);
+    const u32 m = giantsFor(k, degree);
+    // Babies T_2..T_k, then the giants above T_k, then evalRec.
+    ChebyshevCost cost;
+    cost.products = (k - 1) + (m > 0 ? m - 1 : 0);
+    cost.depth = recDepth(k, degree, cost.products);
+    return cost;
+}
 
 u32
 chebyshevDepth(u32 degree)
 {
-    u32 k = 1;
-    while (k * k < degree + 1)
-        k <<= 1;
-    u32 m = 0;
-    while ((static_cast<u64>(k) << m) <= degree)
-        ++m;
-    // baby chain depth + giant chain + recursion combination.
-    return log2Floor(k) + (m > 0 ? m - 1 : 0) + m + 1;
+    return chebyshevCost(degree).depth;
 }
 
 Ciphertext
@@ -233,10 +287,7 @@ evalChebyshevSeries(const Evaluator &eval, const Ciphertext &y,
     FIDES_ASSERT(eval.isCanonical(y));
     const std::size_t d = chebDegree(coeffs);
 
-    PsContext ps{eval, {}, {}, {}, 1};
-    // Baby-step count: power of two near sqrt(d+1).
-    while (ps.k * ps.k < d + 1)
-        ps.k <<= 1;
+    PsContext ps{eval, {}, {}, {}, babyStepsFor(d)};
 
     // T_0 implicit; babies[0] is an unused placeholder, T_1 = y.
     ps.babies.reserve(ps.k + 1);
@@ -259,9 +310,7 @@ evalChebyshevSeries(const Evaluator &eval, const Ciphertext &y,
     }
 
     // Giants: T_k, T_2k, ... via T_{2t} = 2 T_t^2 - 1.
-    u32 m = 0;
-    while ((static_cast<u64>(ps.k) << m) <= d)
-        ++m;
+    const u32 m = giantsFor(ps.k, d);
     ps.giants.reserve(m);
     ps.giants.push_back(ps.babies[ps.k].clone());
     for (u32 i = 1; i < m; ++i) {

@@ -32,8 +32,11 @@ double chebyshevMaxError(const std::function<double(double)> &f,
                          u32 samples = 2048);
 
 /**
- * Smallest degree whose interpolant meets @p targetError, doubling
- * from @p start up to @p cap (used to auto-size ApproxModEval).
+ * Least degree whose interpolant meets @p targetError: doubles from
+ * @p start up to @p cap until a degree meets it, then bisects the last
+ * bracket (down from 1 if @p start meets it), so the degree returned
+ * meets the target and its predecessor misses it (the error is taken
+ * to fall with the degree inside one bracket). Sizes ApproxModEval.
  */
 u32 chebyshevDegreeFor(const std::function<double(double)> &f,
                        double targetError, u32 start = 16,
@@ -49,12 +52,26 @@ chebyshevDivide(const std::vector<double> &c, u32 t);
 /**
  * Homomorphic evaluation of sum_k c_k T_k(y) for a canonical
  * ciphertext y with slot values in [-1, 1]. Paterson-Stockmeyer over
- * the Chebyshev basis: ~2 sqrt(deg) ciphertext multiplications,
- * ceil(log2 deg) + 1 levels.
+ * the Chebyshev basis; chebyshevCost() states the levels and products
+ * it spends.
  */
 Ciphertext evalChebyshevSeries(const Evaluator &eval,
                                const Ciphertext &y,
                                const std::vector<double> &coeffs);
+
+/** What evalChebyshevSeries spends on a series of one degree. */
+struct ChebyshevCost
+{
+    u32 depth = 0;    //!< levels consumed
+    u32 products = 0; //!< ciphertext-ciphertext multiplications
+};
+
+/**
+ * Exact cost of evalChebyshevSeries for a series of @p degree: walks
+ * its recursion on the degrees alone, so it holds for any coefficients
+ * whose Chebyshev remainders keep their top coefficient nonzero.
+ */
+ChebyshevCost chebyshevCost(u32 degree);
 
 /** Multiplicative depth evalChebyshevSeries will consume. */
 u32 chebyshevDepth(u32 degree);

@@ -107,7 +107,7 @@ Parameters::testBoot()
     p.logDelta = 50;
     p.dnum = 4;
     // Keep q0/Delta small: bootstrap noise is amplified by roughly
-    // (Keff/g) * (q0/Delta), so a q0 far above Delta buries the
+    // Keff * (q0/Delta), so a q0 far above Delta buries the
     // ApproxModEval sine under the arithmetic noise (this is why the
     // paper's bootstrappable sets use Delta=59, q0=60).
     p.firstModBits = 55;

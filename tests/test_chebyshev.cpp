@@ -51,13 +51,32 @@ TEST(Chebyshev, ClenshawMatchesDirectSum)
 
 TEST(Chebyshev, DegreeAutoSizing)
 {
-    auto f = [](double x) {
-        return std::cos(2 * std::numbers::pi * 3 * x);
+    // The least degree: it meets the target and its predecessor misses.
+    // The last five are ApproxModEval's cosines at K_eff = 84 for
+    // r = 5..9 double angles, at the bootstrap's 1e-13 target.
+    struct Case
+    {
+        double freq, phase, target;
+        u32 start;
     };
-    u32 d = chebyshevDegreeFor(f, 1e-8, 8);
-    auto c = chebyshevInterpolate(f, d);
-    EXPECT_LT(chebyshevMaxError(f, c), 1e-8);
-    EXPECT_LE(d, 128u);
+    std::vector<Case> cases = {{3.0, 0.0, 1e-8, 8}};
+    for (u32 r = 5; r <= 9; ++r) {
+        const double scale = std::ldexp(1.0, static_cast<int>(r));
+        cases.push_back({84.0 / scale, -0.25 / scale, 1e-13, 16});
+    }
+    for (const Case &k : cases) {
+        auto f = [&k](double x) {
+            return std::cos(2 * std::numbers::pi * (k.freq * x + k.phase));
+        };
+        u32 d = chebyshevDegreeFor(f, k.target, k.start);
+        EXPECT_LT(chebyshevMaxError(f, chebyshevInterpolate(f, d)),
+                  k.target)
+            << "freq " << k.freq;
+        EXPECT_GE(chebyshevMaxError(f, chebyshevInterpolate(f, d - 1)),
+                  k.target)
+            << "freq " << k.freq << ": degree " << d << " is not least";
+        EXPECT_LE(d, 128u);
+    }
 }
 
 TEST(Chebyshev, DivisionReconstructs)
@@ -85,6 +104,16 @@ TEST(Chebyshev, DepthEstimateIsMonotonic)
         EXPECT_GE(depth, prev);
         prev = depth;
         EXPECT_LE(depth, 2 * log2Floor(d) + 4);
+    }
+    // The (levels, products) the Bootstrapper weighs at K_eff = 84:
+    // degrees 41, 28, 20, 16 and 12 for r = 5..9 double angles.
+    const std::pair<u32, ChebyshevCost> table[] = {
+        {41, {6, 14}}, {28, {5, 11}}, {20, {5, 10}},
+        {16, {5, 10}}, {12, {4, 7}},  {64, {7, 21}}};
+    for (const auto &[d, want] : table) {
+        const ChebyshevCost got = chebyshevCost(d);
+        EXPECT_EQ(got.depth, want.depth) << "degree " << d;
+        EXPECT_EQ(got.products, want.products) << "degree " << d;
     }
 }
 
@@ -154,12 +183,28 @@ TEST_F(ChebHomomorphic, LowDegreeSeries)
 {
     std::vector<double> xs = {-0.9, -0.4, 0.0, 0.3, 0.77, 1.0, -1.0,
                               0.123};
-    std::vector<double> c = {0.25, -0.8, 0.3, 0.05, -0.12, 0.07};
-    auto ct = encryptValues(xs);
-    auto out = evalChebyshevSeries(*eval, ct, c);
-    auto got = decryptValues(out);
-    for (std::size_t i = 0; i < xs.size(); ++i)
-        ASSERT_NEAR(got[i], clenshawEval(c, xs[i]), 1e-4) << i;
+    // A fixed degree-5 series, then one of every degree the
+    // Bootstrapper can pick: each drops exactly chebyshevDepth(d)
+    // levels and matches the Clenshaw oracle.
+    std::vector<std::vector<double>> series = {
+        {0.25, -0.8, 0.3, 0.05, -0.12, 0.07}};
+    for (u32 d = 1; d <= 64; ++d) {
+        std::vector<double> c(d + 1);
+        for (u32 i = 0; i <= d; ++i)
+            c[i] = std::sin(0.8 * i + 0.3) / (1.0 + i);
+        series.push_back(std::move(c));
+    }
+    const auto ct = encryptValues(xs);
+    for (const auto &c : series) {
+        const u32 d = static_cast<u32>(c.size() - 1);
+        auto out = evalChebyshevSeries(*eval, ct, c);
+        EXPECT_EQ(ct.level() - out.level(), chebyshevDepth(d))
+            << "degree " << d;
+        auto got = decryptValues(out);
+        for (std::size_t i = 0; i < xs.size(); ++i)
+            ASSERT_NEAR(got[i], clenshawEval(c, xs[i]), 1e-4)
+                << "degree " << d << " x=" << xs[i];
+    }
 }
 
 TEST_F(ChebHomomorphic, ModerateDegreeCosine)
