@@ -12,16 +12,17 @@
  * BM_BootstrapBaselineSim warms the same way after its knob changes.
  * Both report device_peak_mb, the device pools' high-water during the
  * timed bootstrap, which the per-stream queue cap bounds (DESIGN.md
- * §1.2). CI gates host_dispatch_us, device_peak_mb and the pair's
+ * §1.2), and rotation_keys, the size of requiredRotations(). CI gates
+ * host_dispatch_us, device_peak_mb, rotation_keys and the pair's
  * syncs_per_op against the committed BENCH_bootstrap.json baseline
  * (tools/check_launch_regression.py).
  *
  * Default: bootstrappable test set at logN=12 with slots
  * {64, 256, 1024}; FIDES_PAPER_SCALE=1 selects the paper's
  * [16, 29, 59, 4] and slots {64, 512, 16384, 32768}. There the
- * 64-slot PerOp row alone takes about 50 s on a 4-core AVX-512 host
- * (19 s for the timed bootstrap, the rest key generation and
- * warm-up) and peaks at 9.6 GB RSS; the paper ran an RTX 4090 with
+ * 64-slot PerOp row alone takes about 30 s on a 4-core AVX-512 host
+ * (10 s for the timed bootstrap, the rest key generation and
+ * warm-up) and peaks at 9.4 GB RSS; the paper ran an RTX 4090 with
  * 24 GB. Run it by hand, not in CI. Besides the console
  * output, every run (over)writes the machine-readable summary to
  * --json_out, defaulting to BENCH_bootstrap.json in the CWD, or to
@@ -138,6 +139,8 @@ BM_BootstrapPerOp(benchmark::State &state)
     const double iters =
         static_cast<double>(std::max<u64>(1, state.iterations()));
     state.counters["host_dispatch_us"] = dispatchNs / 1e3 / iters;
+    state.counters["rotation_keys"] =
+        static_cast<double>(s.boot->requiredRotations().size());
     state.counters["slots"] = slots;
     state.counters["levels_remaining"] = outLevel;
 
@@ -183,6 +186,8 @@ BM_BootstrapBaselineSim(benchmark::State &state)
     b.ctx->setFusion(p.fusion);
     b.ctx->setLimbBatch(p.limbBatch);
     b.ctx->setModMulKind(p.modMul);
+    state.counters["rotation_keys"] =
+        static_cast<double>(s.boot->requiredRotations().size());
     state.counters["slots"] = slots;
     state.counters["levels_remaining"] = outLevel;
     state.SetLabel("Baseline-sim");

@@ -1,6 +1,7 @@
 #include "ckks/evaluator.hpp"
 
 #include <cmath>
+#include <optional>
 
 #include "ckks/basechange.hpp"
 #include "ckks/kernels.hpp"
@@ -269,17 +270,20 @@ std::vector<Ciphertext>
 Evaluator::hoistedRotate(const Ciphertext &a,
                          const std::vector<i64> &ks) const
 {
-    // One decomposition + ModUp shared by every rotation.
-    auto raised = decomposeAndModUp(a.c1);
+    // One decomposition + ModUp shared by every rotation, raised on
+    // the first that needs a key switch.
+    std::optional<RaisedDigits> raised;
     std::vector<Ciphertext> out;
     out.reserve(ks.size());
     for (i64 k : ks) {
         const u64 g = ctx_->rotationGaloisElt(k);
         if (g == 1) {
             out.push_back(a.clone());
-        } else {
-            out.push_back(applyRotation(a, raised, g));
+            continue;
         }
+        if (!raised)
+            raised = decomposeAndModUp(a.c1);
+        out.push_back(applyRotation(a, *raised, g));
     }
     return out;
 }
@@ -365,34 +369,22 @@ Evaluator::dotPlain(const std::vector<const Ciphertext *> &cts,
     const u32 level = cts[0]->level();
     const long double scale = cts[0]->scale * pts[0]->scale;
 
+    // One chain: mul for the first term, mulAdd for each later one.
+    // Fused, every plaintext diagonal is read once for both
+    // components; unfused, the chain bills one kernel per op.
     RNSPoly acc0(ctx, level, Format::Eval);
     RNSPoly acc1(ctx, level, Format::Eval);
-    double noise = 0;
-    if (ctx.fusionEnabled()) {
-        kernels::mul(acc0, cts[0]->c0, pts[0]->poly);
-        kernels::mul(acc1, cts[0]->c1, pts[0]->poly);
-        for (std::size_t i = 1; i < cts.size(); ++i) {
-            checkScalesMatch(cts[i]->scale * pts[i]->scale, scale);
-            kernels::mulAddInto(acc0, cts[i]->c0, pts[i]->poly);
-            kernels::mulAddInto(acc1, cts[i]->c1, pts[i]->poly);
-        }
-        for (const auto *ct : cts)
-            noise = addNoise(noise, ct->noiseBits);
-    } else {
-        // Unfused fallback: separate product + accumulate round trips.
-        acc0.setZero();
-        acc1.setZero();
-        for (std::size_t i = 0; i < cts.size(); ++i) {
-            checkScalesMatch(cts[i]->scale * pts[i]->scale, scale);
-            RNSPoly t0(ctx, level, Format::Eval);
-            RNSPoly t1(ctx, level, Format::Eval);
-            kernels::mul(t0, cts[i]->c0, pts[i]->poly);
-            kernels::mul(t1, cts[i]->c1, pts[i]->poly);
-            kernels::addInto(acc0, t0);
-            kernels::addInto(acc1, t1);
-            noise = addNoise(noise, cts[i]->noiseBits);
-        }
+    kernels::FusedChain chain(ctx);
+    chain.mul(acc0, cts[0]->c0, pts[0]->poly)
+        .mul(acc1, cts[0]->c1, pts[0]->poly);
+    double noise = addNoise(0, cts[0]->noiseBits);
+    for (std::size_t i = 1; i < cts.size(); ++i) {
+        checkScalesMatch(cts[i]->scale * pts[i]->scale, scale);
+        chain.mulAdd(acc0, cts[i]->c0, pts[i]->poly)
+            .mulAdd(acc1, cts[i]->c1, pts[i]->poly);
+        noise = addNoise(noise, cts[i]->noiseBits);
     }
+    chain.run();
     noise += std::log2(static_cast<double>(pts[0]->scale));
     return Ciphertext{std::move(acc0), std::move(acc1), scale,
                       cts[0]->slots, noise};

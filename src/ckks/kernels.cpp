@@ -409,13 +409,6 @@ mul(RNSPoly &out, const RNSPoly &a, const RNSPoly &b)
 }
 
 void
-mulAddInto(RNSPoly &acc, const RNSPoly &a, const RNSPoly &b)
-{
-    check::ScopedLabel lbl("mulAddInto");
-    FusedChain(acc.context()).mulAdd(acc, a, b).run();
-}
-
-void
 keySwitchInnerProduct(RNSPoly &out0, RNSPoly &out1,
                       const std::vector<RNSPoly> &digits,
                       const std::vector<RNSPoly> &key0,

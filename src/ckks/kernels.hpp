@@ -310,9 +310,6 @@ void negate(RNSPoly &a);
 void mulInto(RNSPoly &a, const RNSPoly &b);
 /** out = a * b. */
 void mul(RNSPoly &out, const RNSPoly &a, const RNSPoly &b);
-/** acc += a * b (the fused multiply-accumulate of the dot-product
- *  fusion, Section III-F5). */
-void mulAddInto(RNSPoly &acc, const RNSPoly &a, const RNSPoly &b);
 
 /** a[limb i] *= scalar[i] (Shoup-precomputed per-limb constants). */
 void scalarMulInto(RNSPoly &a, const std::vector<u64> &scalar);

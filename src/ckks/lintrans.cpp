@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <numbers>
+#include <numeric>
+#include <optional>
 #include <set>
 
 #include "core/logging.hpp"
@@ -257,11 +259,18 @@ planBsgs(const DiagMatrix &m)
         offsets.insert(d);
     FIDES_ASSERT(!offsets.empty());
 
-    // Baby stride ~ sqrt(#offsets), power of two for regular grids.
+    // The offsets lie on the lattice of g = gcd(slots, offsets): a
+    // merged FFT stage keeps its diagonals at multiples of its
+    // smallest butterfly distance. Split sqrt(#offsets) over that
+    // lattice, so the baby stride is g times a power of two (a power
+    // of two itself, as g divides slots).
+    i64 g = slots;
+    for (i64 d : offsets)
+        g = std::gcd(g, d);
     i64 bs = 1;
     while (bs * bs < static_cast<i64>(offsets.size()))
         bs <<= 1;
-    bs = std::min<i64>(bs * 1, slots);
+    bs = std::min<i64>(g * bs, slots);
 
     BsgsPlan plan;
     plan.babyCount = bs;
@@ -318,17 +327,19 @@ applyEncoded(const Evaluator &eval, const Ciphertext &ct,
     // canonical inputs stay canonical after the final rescale.
     FIDES_ASSERT(ct.level() == enc.level);
 
-    // Baby rotations shared across every group (HoistedRotate).
+    // Baby rotations shared across every group (HoistedRotate); the
+    // zero baby is ct itself.
     std::vector<i64> babyList;
-    for (i64 j : enc.plan.babies)
-        babyList.push_back(j);
+    for (i64 j : enc.plan.babies) {
+        if (j != 0)
+            babyList.push_back(j);
+    }
     auto rotated = eval.hoistedRotate(ct, babyList);
-    std::map<i64, const Ciphertext *> babyCt;
+    std::map<i64, const Ciphertext *> babyCt{{0, &ct}};
     for (std::size_t i = 0; i < babyList.size(); ++i)
         babyCt[babyList[i]] = &rotated[i];
 
-    bool first = true;
-    Ciphertext acc = ct.clone(); // placeholder, overwritten below
+    std::optional<Ciphertext> acc;
     for (const auto &[g, jmap] : enc.groups) {
         std::vector<const Ciphertext *> cts;
         std::vector<const Plaintext *> pts;
@@ -339,15 +350,13 @@ applyEncoded(const Evaluator &eval, const Ciphertext &ct,
         Ciphertext inner = eval.dotPlain(cts, pts);
         if (g != 0)
             inner = eval.rotate(inner, g);
-        if (first) {
+        if (acc)
+            eval.addInPlace(*acc, inner);
+        else
             acc = std::move(inner);
-            first = false;
-        } else {
-            eval.addInPlace(acc, inner);
-        }
     }
-    eval.rescaleInPlace(acc);
-    return acc;
+    eval.rescaleInPlace(*acc);
+    return std::move(*acc);
 }
 
 Ciphertext

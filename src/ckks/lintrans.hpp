@@ -6,7 +6,10 @@
  * y[j] = sum_d diag_d[j] * v[j + d mod slots]. Homomorphic evaluation
  * uses the BSGS algorithm -- baby rotations shared via HoistedRotate,
  * per-group fused plaintext dot products, then giant rotations --
- * reducing rotations from |D| to about 2*sqrt(|D|).
+ * reducing rotations from |D| to about 2*sqrt(|D|). That needs the
+ * baby stride to split the offsets' own lattice: a merged FFT stage
+ * keeps its diagonals at multiples of g = gcd(slots, offsets), so the
+ * stride is g * 2^ceil(log2 sqrt(|D|)), capped at slots.
  *
  * CoeffToSlot / SlotToCoeff are built here as products of the special
  * FFT's radix-2 butterfly stages (3 diagonals each); consecutive

@@ -195,6 +195,24 @@ TEST_F(BootstrapTest, DepthAccountingConsistent)
         EXPECT_NE(k, 0);
 }
 
+TEST_F(BootstrapTest, RotationKeyCountsAtBudgetThree)
+{
+    // Strided stages split their own lattice (planBsgs), so the key
+    // set grows slowly with the slot count: one key per baby and per
+    // giant of each stage, plus SubSum's rotations.
+    const std::pair<u32, std::size_t> counts[] = {
+        {64, 16}, {256, 21}, {1024, 26}, {2048, 31}};
+    for (const auto &[slots, keys] : counts) {
+        BootstrapConfig cfg;
+        cfg.slots = slots;
+        cfg.levelBudgetC2S = 3;
+        cfg.levelBudgetS2C = 3;
+        Bootstrapper boot(*eval, cfg);
+        EXPECT_EQ(boot.requiredRotations().size(), keys)
+            << slots << " slots";
+    }
+}
+
 TEST_F(BootstrapTest, InputAboveBottomLevelIsConsumed)
 {
     const u32 slots = ctx->degree() / 4;

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <utility>
 
 #include "ckks/encryptor.hpp"
 #include "ckks/evaluator.hpp"
@@ -295,6 +297,23 @@ TEST_F(CryptoTest, HoistedRotateMatchesIndividualRotations)
     }
 }
 
+TEST_F(CryptoTest, HoistedRotateByZeroRaisesNothing)
+{
+    // k = 0 needs no key switch, so the shared ModUp is skipped: the
+    // call dispatches what a plain clone does.
+    auto ct = encryptVec(randomSlots(32), 2);
+    Evaluator eval(*ctx, *keys);
+    DeviceSet &devs = ctx->devices();
+    u64 before = devs.logicalKernels();
+    auto copy = ct.clone();
+    const u64 cloneKernels = devs.logicalKernels() - before;
+    before = devs.logicalKernels();
+    auto hoisted = eval.hoistedRotate(ct, {0});
+    EXPECT_EQ(devs.logicalKernels() - before, cloneKernels);
+    ASSERT_EQ(hoisted.size(), 1u);
+    expectClose(decryptVec(hoisted[0]), decryptVec(copy), 1e-9);
+}
+
 TEST_F(CryptoTest, DotPlainMatchesManualSum)
 {
     Encoder enc(*ctx);
@@ -317,15 +336,26 @@ TEST_F(CryptoTest, DotPlainMatchesManualSum)
         pp.push_back(&pts[t]);
     }
     auto dot = eval.dotPlain(cp, pp);
-    eval.rescaleInPlace(dot);
-    expectClose(decryptVec(dot), want, 1e-4);
 
-    // The unfused path must agree.
+    // Unfused, the same chain runs one op per kernel: bit-identical.
     ctx->setFusion(false);
     auto dot2 = eval.dotPlain(cp, pp);
     ctx->setFusion(true);
-    eval.rescaleInPlace(dot2);
-    expectClose(decryptVec(dot2), want, 1e-4);
+    dot.syncHost();
+    dot2.syncHost();
+    for (const auto &[a, b] : {std::pair{&dot.c0, &dot2.c0},
+                               std::pair{&dot.c1, &dot2.c1}}) {
+        ASSERT_EQ(a->numLimbs(), b->numLimbs());
+        for (std::size_t i = 0; i < a->numLimbs(); ++i) {
+            ASSERT_EQ(0, std::memcmp(a->limb(i).data(), b->limb(i).data(),
+                                     ctx->degree() * sizeof(u64)))
+                << "limb " << i;
+        }
+    }
+    EXPECT_EQ(dot.scale, dot2.scale);
+
+    eval.rescaleInPlace(dot);
+    expectClose(decryptVec(dot), want, 1e-4);
 }
 
 TEST_F(CryptoTest, LevelReduceKeepsMessage)

@@ -502,7 +502,7 @@ runKernelChain(Context &ctx, const std::vector<u32> &ops)
         case 0: kernels::addInto(a, b); break;
         case 1: kernels::subInto(b, a); break;
         case 2: kernels::mulInto(a, b); break;
-        case 3: kernels::mulAddInto(acc, a, b); break;
+        case 3: kernels::FusedChain(ctx).mulAdd(acc, a, b).run(); break;
         case 4: kernels::negate(b); break;
         case 5: kernels::scalarMulInto(a, scalar); break;
         case 6: {

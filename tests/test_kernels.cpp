@@ -93,7 +93,7 @@ TEST_F(KernelTest, MulAddIntoEqualsMulThenAdd)
     auto a = randomPoly(2, 4);
     auto b = randomPoly(2, 5);
 
-    kernels::mulAddInto(acc1, a, b);
+    kernels::FusedChain(*ctx).mulAdd(acc1, a, b).run();
 
     RNSPoly prod(*ctx, 2, Format::Eval);
     kernels::mul(prod, a, b);

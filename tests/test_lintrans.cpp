@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "ckks/bootstrap.hpp"
 #include "ckks/encryptor.hpp"
@@ -148,9 +149,57 @@ TEST(LinTrans, BsgsPlanCoversAllOffsets)
         EXPECT_NE(std::find(plan.giants.begin(), plan.giants.end(), g),
                   plan.giants.end());
     }
-    // BSGS must beat the naive rotation count for multi-diag maps.
-    EXPECT_LT(plan.babies.size() + plan.giants.size(),
-              m.diags().size() + 2);
+    // Its 8 diagonals are the multiples of 8, so the baby stride is
+    // 8 * 4: babies {0, 8, 16, 24} and giants {0, 32}, not one giant
+    // (a full key switch) per diagonal.
+    EXPECT_EQ(m.diags().size(), 8u);
+    EXPECT_EQ(plan.babyCount, 32);
+    EXPECT_EQ(plan.babies, (std::vector<i64>{0, 8, 16, 24}));
+    EXPECT_EQ(plan.giants, (std::vector<i64>{0, 32}));
+}
+
+/** gcd of @p m's slot count and diagonal offsets. */
+i64
+offsetGcd(const DiagMatrix &m)
+{
+    i64 g = m.slots();
+    for (const auto &[d, diag] : m.diags())
+        g = std::gcd(g, d);
+    return g;
+}
+
+TEST(LinTrans, BsgsPlanIsScaleInvariant)
+{
+    // A stage whose offsets are multiples of g plans like the same
+    // offsets divided by g on slots / g: the stride splits the
+    // offsets' own lattice, so a strided stage hoists its babies as
+    // a stride-1 stage does. Covers every C2S / S2C stage and both
+    // widened ones. Budget 1 is one dense matrix (g = 1) whose
+    // composition takes seconds from 1024 slots on, so it stops at
+    // 512.
+    for (u32 slots = 4; slots <= 2048; slots *= 2) {
+        for (u32 budget = slots <= 512 ? 1 : 2; budget <= 4; ++budget) {
+            auto stages = buildC2SStages(slots, budget);
+            auto s2c = buildS2CStages(slots, budget);
+            stages.push_back(widenC2SStage(stages.back()));
+            stages.push_back(widenS2CStage(s2c.front()));
+            stages.insert(stages.end(), s2c.begin(), s2c.end());
+            for (const auto &m : stages) {
+                const i64 g = offsetGcd(m);
+                DiagMatrix onLattice(static_cast<u32>(m.slots() / g));
+                for (const auto &[d, diag] : m.diags())
+                    onLattice.addToDiag(d / g, 0, Cplx(1, 0));
+                const BsgsPlan plan = planBsgs(m);
+                const BsgsPlan reduced = planBsgs(onLattice);
+                EXPECT_EQ(plan.babies.size(), reduced.babies.size())
+                    << slots << " slots, budget " << budget
+                    << ", stage on " << m.slots() << " slots, g " << g;
+                EXPECT_EQ(plan.giants.size(), reduced.giants.size())
+                    << slots << " slots, budget " << budget
+                    << ", stage on " << m.slots() << " slots, g " << g;
+            }
+        }
+    }
 }
 
 // --- sparse bootstrap: the 2s-slot stages at the EvalMod boundary ---

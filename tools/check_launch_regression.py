@@ -15,7 +15,8 @@ The rules:
                so the 5% only absorbs iteration-count rounding. A
                bootstrap's device pool high-water is bounded by the
                per-stream queue cap, and it reads within 1.2% on 1 to 4
-               cores.
+               cores. Its rotation-key count is exact: one more key
+               than the baseline at 64 slots already fails.
   - time band  the same with the coarse TIME_TOLERANCE: CI machines
                differ from the committing machine, so it catches
                order-of-magnitude regressions (a kernel falling back
@@ -158,6 +159,7 @@ GATES = (
     + [
         (BOOT, every_row, "syncs_per_op", equal_by("slots"), 0),
         (BOOT, every_row, "device_peak_mb", band(TOLERANCE), 0),
+        (BOOT, every_row, "rotation_keys", band(TOLERANCE), 0),
         (SERVE, closed_loop, "ops_per_sec",
          scaling("submitters", SERVE_SCALING), MIN_SERVE_CORES),
         (CLUSTER, closed_loop, "ops_per_sec",
