@@ -1,7 +1,7 @@
 /**
  * @file
  * Figure 7 reproduction: HMult at maximum level as a function of the
- * limb-batch size (2..12). Small batches maximize temporal locality
+ * limb-batch size (2..12), plus the merged HMult + Rescale at batch 4. Small batches maximize temporal locality
  * but multiply the kernel-launch count; large batches amortize launch
  * cost but spill the working set out of cache. The simulated launch
  * overhead (2 us, in the range of real CUDA launch latency) makes the
@@ -74,8 +74,11 @@ topologyTag()
            std::to_string(gStreams);
 }
 
+/** The Figure 7 measurement of one top-level op: @p op(a, c) is
+ *  either HMult or the merged HMult + Rescale. */
+template <typename Op>
 void
-BM_HMultLimbBatch(benchmark::State &state)
+runLimbBatch(benchmark::State &state, Op op)
 {
     auto &b = cachedContext(topologyTag(), topologyParams(), {1});
     const u32 batch = static_cast<u32>(state.range(0));
@@ -87,7 +90,7 @@ BM_HMultLimbBatch(benchmark::State &state)
     b.ctx->devices().setLaunchOverheadNs(2000);
     // One warm multiply outside the measured loop.
     {
-        auto warm = b.eval->multiply(a, c);
+        auto warm = op(*b.eval, a, c);
         benchmark::DoNotOptimize(warm.c0.limb(0).data());
         b.ctx->devices().synchronize();
     }
@@ -99,7 +102,7 @@ BM_HMultLimbBatch(benchmark::State &state)
     double dispatchNs = 0;
     for (auto _ : state) {
         const double t0 = threadCpuNs();
-        auto r = b.eval->multiply(a, c);
+        auto r = op(*b.eval, a, c);
         dispatchNs += threadCpuNs() - t0;
         benchmark::DoNotOptimize(r.c0.limb(0).data());
         // Join like a CUDA bench would (cudaDeviceSynchronize): the
@@ -120,7 +123,7 @@ BM_HMultLimbBatch(benchmark::State &state)
         auto timedOp = [&](int iters) {
             const auto t0 = std::chrono::steady_clock::now();
             for (int i = 0; i < iters; ++i) {
-                auto r = b.eval->multiply(a, c);
+                auto r = op(*b.eval, a, c);
                 benchmark::DoNotOptimize(r.c0.limb(0).data());
                 b.ctx->devices().synchronize();
             }
@@ -149,6 +152,27 @@ BM_HMultLimbBatch(benchmark::State &state)
     state.counters["host_dispatch_us"] =
         dispatchNs / 1e3 /
         static_cast<double>(std::max<u64>(1, state.iterations()));
+}
+
+void
+BM_HMultLimbBatch(benchmark::State &state)
+{
+    runLimbBatch(state, [](const Evaluator &e, const Ciphertext &x,
+                           const Ciphertext &y) {
+        return e.multiply(x, y);
+    });
+}
+
+/** HMult + Rescale through the merged epilogue (one exact division by
+ *  P q_l per component): CI gates its kernels and launches at the CI
+ *  topology, beside HMult's. */
+void
+BM_HMultRescaleLimbBatch(benchmark::State &state)
+{
+    runLimbBatch(state, [](const Evaluator &e, const Ciphertext &x,
+                           const Ciphertext &y) {
+        return e.multiplyRescale(x, y);
+    });
 }
 
 /**
@@ -218,6 +242,9 @@ parseTopologyFlags(int &argc, char **argv)
 
 BENCHMARK(BM_HMultLimbBatch)
     ->DenseRange(2, 12, 2)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_HMultRescaleLimbBatch)
+    ->Arg(4)
     ->Unit(benchmark::kMicrosecond);
 
 int

@@ -1,5 +1,6 @@
 #include "ckks/basechange.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 
@@ -23,6 +24,13 @@ constexpr u64 kWord = sizeof(u64);
  * paper's kernel). Each simulated device computes its own share of
  * the targets, re-scaling the sources itself (the paper's replicated
  * multi-GPU partitioning of Conv).
+ *
+ * Exact tables (ConvTables::exact) add the centered form: per
+ * coefficient, v = round(sum_i y_i / s_i) in double precision counts
+ * the multiples of S in sum_i y_i (S/s_i), and v (-S mod t) joins the
+ * same 128-bit tile, so the output is the source value's centered
+ * residue in [-S/2, S/2). A misrounded v -- the fraction within about
+ * ns^2 2^-52 of one half -- moves that output by S.
  */
 void
 convertTargets(const Context &ctx, const ConvTables &tables,
@@ -33,9 +41,12 @@ convertTargets(const Context &ctx, const ConvTables &tables,
     const std::size_t n = ctx.degree();
     const std::size_t ns = tables.sourceIdx.size();
     const std::size_t nt = tables.targetIdx.size();
+    const bool exact = tables.exact();
 
     std::vector<u64> scaled(ns * kConvBlock);
     std::vector<u128> acc(kConvBlock);
+    std::vector<double> frac(exact ? kConvBlock : 0);
+    std::vector<u64> over(exact ? kConvBlock : 0);
     for (std::size_t base = 0; base < n; base += kConvBlock) {
         const std::size_t cnt = std::min(kConvBlock, n - base);
         for (std::size_t i = 0; i < ns; ++i) {
@@ -47,12 +58,26 @@ convertTargets(const Context &ctx, const ConvTables &tables,
             for (std::size_t j = 0; j < cnt; ++j)
                 o[j] = mulModShoup(s[j], w, ws, p);
         }
+        if (exact) {
+            // The overflow count, rounded: the 0.5 start centers it.
+            std::fill(frac.begin(), frac.begin() + cnt, 0.5);
+            for (std::size_t i = 0; i < ns; ++i) {
+                const u64 *si = scaled.data() + i * kConvBlock;
+                const double inv = tables.sInv[i];
+                for (std::size_t j = 0; j < cnt; ++j)
+                    frac[j] += static_cast<double>(si[j]) * inv;
+            }
+            for (std::size_t j = 0; j < cnt; ++j)
+                over[j] = static_cast<u64>(frac[j]);
+        }
         for (std::size_t t = tLo; t < tHi; ++t) {
             // Sources outer, coefficients inner, into a 128-bit tile:
             // every multiply-add is independent instead of one serial
             // chain per coefficient. Reduced once per coefficient; the
-            // sum of ns <= 64 products of residues below 2^61 fits
-            // (Parameters::validate bounds the digit size).
+            // sum of ns <= 64 products of residues below 2^61, plus
+            // the exact form's v <= ns multiples of a residue, stays
+            // below ns 2^122 (Parameters::validate bounds the digit
+            // size at 63, so ns <= 64).
             const u64 *sv = scaled.data();
             const u64 w0 = tables.sHatModT[t];
             for (std::size_t j = 0; j < cnt; ++j)
@@ -62,6 +87,11 @@ convertTargets(const Context &ctx, const ConvTables &tables,
                 const u64 w = tables.sHatModT[i * nt + t];
                 for (std::size_t j = 0; j < cnt; ++j)
                     acc[j] += static_cast<u128>(si[j]) * w;
+            }
+            if (exact) {
+                const u64 w = tables.negSModT[t];
+                for (std::size_t j = 0; j < cnt; ++j)
+                    acc[j] += static_cast<u128>(over[j]) * w;
             }
             const Modulus &m = ctx.prime(tables.targetIdx[t]).mod;
             u64 *o = dst[t] + base;
@@ -81,8 +111,9 @@ convertTargets(const Context &ctx, const ConvTables &tables,
  * the limb batch -- each launch re-scales every source, so smaller
  * batches would only repeat that work. Each launch bills ns words
  * read and its targets' words written per coefficient, and
- * 2 ns + 2 integer ops per target coefficient. Conv counts no logical
- * kernel.
+ * 2 ns + 2 integer ops per target coefficient; the exact form adds
+ * 2 ns + 1 per coefficient for the overflow count and 2 per target
+ * coefficient for its multiply-add. Conv counts no logical kernel.
  */
 void
 launchConv(const ConvTables &tables, const RNSPoly &from,
@@ -102,11 +133,16 @@ launchConv(const ConvTables &tables, const RNSPoly &from,
     if (srcFirst < nt)
         deps.push_back(
             kernels::wrSpan(to, srcFirst, nt - srcFirst, holeLen));
+    const bool exact = tables.exact();
     kernels::launchBatches(ctx, nt, 0,
-                           [n, ns](std::size_t lo, std::size_t hi) {
+                           [n, ns, exact](std::size_t lo,
+                                          std::size_t hi) {
         const u64 targets = hi - lo;
+        u64 ops = targets * n * (2 * ns + 2);
+        if (exact)
+            ops += n * (2 * ns + 1) + targets * n * 2;
         return kernels::LimbCost{ns * n * kWord, targets * n * kWord,
-                                 targets * n * (2 * ns + 2)};
+                                 ops};
     }, [&ctx, &tables, &sp, &tp, srcFirst, holeLen, ns,
         nt](std::size_t lo, std::size_t hi) {
         std::vector<const u64 *> src(ns);
@@ -117,6 +153,52 @@ launchConv(const ConvTables &tables, const RNSPoly &from,
             dst[t] = tp[t < srcFirst ? t : t + holeLen].write();
         convertTargets(ctx, tables, src, dst, lo, hi);
     }, [&tables](std::size_t t) { return tables.targetIdx[t]; }, deps);
+}
+
+/**
+ * The division shared by ModDown and the merged ModDown-and-Rescale:
+ * iNTTs the Conv sources, limbs [first, numLimbs) of the raised
+ * polynomial @p a, converts them into the q_0..q_{outLevel} limbs of
+ * a FRESH result, NTTs that and finishes out = w (a - out) per limb,
+ * then moves the result into @p a. Building a new polynomial instead
+ * of dropping limbs in place keeps the hot path free of host joins:
+ * the old partition (and its still-pending limbs) is retired through
+ * the keep-alive / deferred-free machinery.
+ */
+void
+divideRaised(RNSPoly &a, std::size_t first, const ConvTables &tables,
+             u32 outLevel, std::vector<u64> w, std::vector<u64> ws)
+{
+    const Context &ctx = a.context();
+    LimbPartition &ap = a.partition();
+
+    const kernels::LimbCost intt = kernels::nttLimbCost(ctx);
+    kernels::forBatches(ctx, a.numLimbs() - first, intt.bytesRead,
+                        intt.bytesWritten, intt.intOps,
+                        [&ctx, &ap, first](std::size_t lo,
+                                           std::size_t hi) {
+        for (std::size_t k = lo; k < hi; ++k) {
+            Limb &l = ap[first + k];
+            kernels::inttLimb(ctx, l.write(), l.primeIdx());
+        }
+    }, [&ap, first](std::size_t k) {
+        return ap[first + k].primeIdx();
+    }, {kernels::wr(a, first)});
+
+    // Conv writes the output limbs in coefficient form. The epilogue
+    // runs in place on them (paper III-F5, ModDown fusion: per q-limb,
+    // NTT(out) then out = w (x - out) in the same kernel; it waits on
+    // the Conv events through the limbs Conv wrote). The chain submits
+    // one fused launch per batch with fusion on, or the two-kernel
+    // pipeline of the no-fusion backend otherwise.
+    RNSPoly out(ctx, outLevel, Format::Coeff);
+    launchConv(tables, a, first, out, 0);
+    kernels::FusedChain chain(ctx);
+    chain.ntt(out);
+    chain.rsubScalarMul(out, a, std::move(w), std::move(ws));
+    chain.run();
+
+    a = std::move(out);
 }
 
 } // namespace
@@ -189,51 +271,15 @@ modDown(RNSPoly &a)
     FIDES_ASSERT(a.format() == Format::Eval);
     FIDES_ASSERT(a.numSpecial() == ctx.numSpecial());
     const u32 level = a.level();
-    const u32 K = ctx.numSpecial();
-    const ConvTables &tables = ctx.modDownTables(level);
-    LimbPartition &ap = a.partition();
 
-    // iNTT the special limbs to coefficient form.
-    const kernels::LimbCost intt = kernels::nttLimbCost(ctx);
-    kernels::forBatches(ctx, K, intt.bytesRead, intt.bytesWritten,
-                        intt.intOps,
-                        [&ctx, &ap, level](std::size_t lo,
-                                           std::size_t hi) {
-        for (std::size_t k = lo; k < hi; ++k) {
-            Limb &l = ap[level + 1 + k];
-            kernels::inttLimb(ctx, l.write(), l.primeIdx());
-        }
-    }, [&ap, level](std::size_t k) {
-        return ap[level + 1 + k].primeIdx();
-    }, {kernels::wr(a, level + 1)});
-
-    // The result is a FRESH level-l polynomial. Building a new
-    // polynomial instead of dropping the special limbs in place keeps
-    // the hot path free of host joins: the old partition (and its
-    // still-pending special limbs) is retired through the keep-alive /
-    // deferred-free machinery.
-    RNSPoly out(ctx, level, Format::Coeff);
-
-    // Convert [x]_P into the Q_l basis (coeff form), straight into the
-    // output limbs.
-    launchConv(tables, a, level + 1, out, 0);
-
-    // Epilogue in place (paper III-F5, ModDown fusion: per q-limb,
-    // NTT(out) then out = P^{-1} (x - out) in the same kernel; it
-    // waits on the Conv events through the limbs Conv wrote). The
-    // chain submits one fused launch per batch with fusion on, or the
-    // two-kernel pipeline of the no-fusion backend otherwise.
+    // [x]_P from the K special limbs, fast Conv, scale P^{-1}.
     std::vector<u64> w(level + 1), ws(level + 1);
     for (u32 i = 0; i <= level; ++i) {
         w[i] = ctx.pInvModQ(i);
         ws[i] = ctx.pInvModQShoup(i);
     }
-    kernels::FusedChain chain(ctx);
-    chain.ntt(out);
-    chain.rsubScalarMul(out, a, std::move(w), std::move(ws));
-    chain.run();
-
-    a = std::move(out);
+    divideRaised(a, level + 1, ctx.modDownTables(level), level,
+                 std::move(w), std::move(ws));
 }
 
 void
@@ -282,6 +328,27 @@ rescale(RNSPoly &a)
     chain.run(lastDone);
 
     a = std::move(out);
+}
+
+void
+modDownRescale(RNSPoly &a)
+{
+    check::ScopedLabel lbl("modDownRescale");
+    const Context &ctx = a.context();
+    FIDES_ASSERT(a.format() == Format::Eval);
+    FIDES_ASSERT(a.numSpecial() == ctx.numSpecial());
+    FIDES_ASSERT(a.level() > 0);
+    const u32 l = a.level();
+
+    // The exact, centered [x]_{P q_l} from limb l and the K special
+    // limbs, scale (P q_l)^{-1}.
+    std::vector<u64> w(l), ws(l);
+    for (u32 i = 0; i < l; ++i) {
+        w[i] = ctx.pqlInvModQ(l, i);
+        ws[i] = ctx.pqlInvModQShoup(l, i);
+    }
+    divideRaised(a, l, ctx.modDownRescaleTables(l), l - 1, std::move(w),
+                 std::move(ws));
 }
 
 RNSPoly

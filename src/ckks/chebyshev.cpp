@@ -4,6 +4,7 @@
 #include <cmath>
 #include <map>
 #include <numbers>
+#include <optional>
 
 #include "core/logging.hpp"
 
@@ -149,13 +150,15 @@ chebDegree(const std::vector<double> &c)
 struct PsContext
 {
     const Evaluator &eval;
-    //! babies[j] = T_j for j in 1..k (index 0 unused).
+    //! babies[j - 1] = T_j for j in 1..k (baby(j)).
     std::vector<Ciphertext> babies;
     //! lowered[j][l] = T_j brought down to canonical level l.
     std::vector<std::map<u32, Ciphertext>> lowered;
     //! giants[i] = T_{k * 2^i}.
     std::vector<Ciphertext> giants;
     u32 k;
+
+    const Ciphertext &baby(std::size_t j) const { return babies[j - 1]; }
 };
 
 /**
@@ -166,7 +169,7 @@ struct PsContext
 const Ciphertext &
 babyAt(PsContext &ps, std::size_t j, u32 level)
 {
-    const Ciphertext &top = ps.babies[j];
+    const Ciphertext &top = ps.baby(j);
     FIDES_ASSERT(level <= top.level());
     if (level == top.level())
         return top;
@@ -189,12 +192,11 @@ evalBabySpan(PsContext &ps, const std::vector<double> &c)
     FIDES_ASSERT(d < ps.k || (d == 1 && ps.k == 1));
 
     // Find the lowest level among used babies.
-    u32 lmin = ps.babies[1].level();
+    u32 lmin = ps.baby(1).level();
     for (std::size_t j = 1; j <= d; ++j)
-        lmin = std::min(lmin, ps.babies[j].level());
+        lmin = std::min(lmin, ps.baby(j).level());
 
-    bool any = false;
-    Ciphertext acc = ps.babies[1].clone(); // placeholder
+    std::optional<Ciphertext> acc;
     for (std::size_t j = 1; j <= d; ++j) {
         if (std::fabs(c[j]) < 1e-300)
             continue;
@@ -202,22 +204,20 @@ evalBabySpan(PsContext &ps, const std::vector<double> &c)
         eval.multiplyScalarInPlace(
             term, static_cast<long double>(c[j]),
             eval.context().levelScale(lmin));
-        if (!any) {
+        if (!acc)
             acc = std::move(term);
-            any = true;
-        } else {
-            eval.addInPlace(acc, term);
-        }
+        else
+            eval.addInPlace(*acc, term);
     }
-    if (!any) {
+    if (!acc) {
         // Constant polynomial: encode c_0 onto a zeroed ciphertext.
         acc = babyAt(ps, 1, lmin).clone();
-        eval.multiplyScalarInPlace(acc, 0.0L,
+        eval.multiplyScalarInPlace(*acc, 0.0L,
                                    eval.context().levelScale(lmin));
     }
-    eval.addScalarInPlace(acc, c[0]);
-    eval.rescaleInPlace(acc);
-    return acc;
+    eval.addScalarInPlace(*acc, c[0]);
+    eval.rescaleInPlace(*acc);
+    return std::move(*acc);
 }
 
 /** Recursive Paterson-Stockmeyer over the Chebyshev basis. */
@@ -289,15 +289,14 @@ evalChebyshevSeries(const Evaluator &eval, const Ciphertext &y,
 
     PsContext ps{eval, {}, {}, {}, babyStepsFor(d)};
 
-    // T_0 implicit; babies[0] is an unused placeholder, T_1 = y.
-    ps.babies.reserve(ps.k + 1);
-    ps.babies.push_back(y.clone());
+    // T_0 implicit, T_1 = y.
+    ps.babies.reserve(ps.k);
     ps.babies.push_back(y.clone());
     ps.lowered.resize(ps.k + 1);
     for (u32 j = 2; j <= ps.k; ++j) {
         // T_{a+b} = 2 T_a T_b - T_{|a-b|}.
         u32 a = (j + 1) / 2, b = j / 2;
-        Ciphertext prod = eval.multiplyC(ps.babies[a], ps.babies[b]);
+        Ciphertext prod = eval.multiplyC(ps.baby(a), ps.baby(b));
         Ciphertext twice = eval.addC(prod, prod);
         if (a == b) {
             eval.addScalarInPlace(twice, -1.0); // T_0 = 1
@@ -312,7 +311,7 @@ evalChebyshevSeries(const Evaluator &eval, const Ciphertext &y,
     // Giants: T_k, T_2k, ... via T_{2t} = 2 T_t^2 - 1.
     const u32 m = giantsFor(ps.k, d);
     ps.giants.reserve(m);
-    ps.giants.push_back(ps.babies[ps.k].clone());
+    ps.giants.push_back(ps.baby(ps.k).clone());
     for (u32 i = 1; i < m; ++i) {
         Ciphertext sq = eval.squareC(ps.giants[i - 1]);
         Ciphertext twice = eval.addC(sq, sq);

@@ -226,22 +226,46 @@ Context::buildConvTables()
         modDown_.push_back(buildConv(specials, dst));
     }
 
+    // Merged ModDown-and-Rescale tables: {q_l} + P -> {q_0..q_{l-1}},
+    // exact. v <= K + 1 overflow multiples ride in the Conv tile.
+    modDownRescale_.resize(L + 1);
+    for (u32 l = 1; l <= L; ++l) {
+        std::vector<u32> src = {l}, dst;
+        src.insert(src.end(), specials.begin(), specials.end());
+        for (u32 i = 0; i < l; ++i)
+            dst.push_back(i);
+        ConvTables t = buildConv(src, dst);
+        const BigInt prod = primeProduct(primes_, src);
+        for (u32 s : src)
+            t.sInv.push_back(1.0 / static_cast<double>(primes_[s].value()));
+        for (u32 d : dst) {
+            const Modulus &td = primes_[d].mod;
+            t.negSModT.push_back(negMod(prod.modWord(td), td.value));
+        }
+        modDownRescale_[l] = std::move(t);
+    }
+
     // P^{-1} and P modulo each q_i.
     BigInt bigP = primeProduct(primes_, specials);
     pInvModQ_.resize(L + 1);
     pInvModQShoup_.resize(L + 1);
     pModQ_.resize(L + 1);
+    pModQShoup_.resize(L + 1);
     for (u32 i = 0; i <= L; ++i) {
         const Modulus &qi = primes_[i].mod;
         u64 pmod = bigP.modWord(qi);
         pModQ_[i] = pmod;
+        pModQShoup_[i] = shoupPrecompute(pmod, qi.value);
         pInvModQ_[i] = invMod(pmod, qi);
         pInvModQShoup_[i] = shoupPrecompute(pInvModQ_[i], qi.value);
     }
 
-    // Rescale inverses q_l^{-1} mod q_i for i < l.
+    // Rescale inverses q_l^{-1} mod q_i for i < l, and the merged
+    // epilogue's (P q_l)^{-1} = P^{-1} q_l^{-1}.
     qlInvModQ_.assign((L + 1) * (L + 1), 0);
     qlInvModQShoup_.assign((L + 1) * (L + 1), 0);
+    pqlInvModQ_.assign((L + 1) * (L + 1), 0);
+    pqlInvModQShoup_.assign((L + 1) * (L + 1), 0);
     for (u32 l = 1; l <= L; ++l) {
         for (u32 i = 0; i < l; ++i) {
             const Modulus &qi = primes_[i].mod;
@@ -249,6 +273,10 @@ Context::buildConvTables()
             qlInvModQ_[l * (L + 1) + i] = inv;
             qlInvModQShoup_[l * (L + 1) + i] =
                 shoupPrecompute(inv, qi.value);
+            u64 pql = mulModBarrett(inv, pInvModQ_[i], qi);
+            pqlInvModQ_[l * (L + 1) + i] = pql;
+            pqlInvModQShoup_[l * (L + 1) + i] =
+                shoupPrecompute(pql, qi.value);
         }
     }
 }

@@ -48,11 +48,17 @@ struct PrimeRecord
 
 /**
  * Base-conversion tables for one (level, digit) pair of the ModUp
- * operation, or for the fixed P -> Q ModDown direction.
+ * operation, for the fixed P -> Q ModDown direction, or for the
+ * merged ModDown-and-Rescale's {q_l} + P -> {q_0..q_{l-1}}.
  *
  * Conv implements Equation (1) of the paper: a limb-wise scaling by
  * sHatInv (the Qhat^-1 factors) followed by a modular matrix product
  * with sHatModT (the Qhat factors reduced modulo each target prime).
+ * That fast form is exact up to a multiple of S below the source
+ * count. Tables with the two exact-form vectors filled select the
+ * exact, centered form instead (Halevi, Polyakov and Shoup, CT-RSA
+ * 2019): the overflow count v = round(sum_i y_i / s_i), one double
+ * sum per coefficient, is subtracted as v * (S mod t_t).
  */
 struct ConvTables
 {
@@ -62,6 +68,12 @@ struct ConvTables
     std::vector<u64> sHatInvShoup;
     //! sHatModT[i * targetCount + t]: (S/s_i) mod t_t
     std::vector<u64> sHatModT;
+    //! Exact form only, else empty. [i]: 1 / s_i.
+    std::vector<double> sInv;
+    //! Exact form only, else empty. [t]: (-S) mod t_t.
+    std::vector<u64> negSModT;
+
+    bool exact() const { return !negSModT.empty(); }
 };
 
 /** The NTT variant pair Context::nttChoiceFor reports: always Flat
@@ -136,10 +148,30 @@ class Context
     {
         return modDown_[level];
     }
+    /**
+     * Exact tables of the merged ModDown-and-Rescale at level l >= 1:
+     * {q_l, p_0..p_{K-1}} -> {q_0..q_{l-1}}. The sources are positions
+     * l..l+K of a raised level-l polynomial, contiguous.
+     */
+    const ConvTables &modDownRescaleTables(u32 level) const
+    {
+        FIDES_ASSERT(level >= 1 && level <= params_.multDepth);
+        return modDownRescale_[level];
+    }
+    /** (P q_l)^{-1} mod q_i for i < l, the merged epilogue's scale. */
+    u64 pqlInvModQ(u32 l, u32 i) const
+    {
+        return pqlInvModQ_[l * (params_.multDepth + 1) + i];
+    }
+    u64 pqlInvModQShoup(u32 l, u32 i) const
+    {
+        return pqlInvModQShoup_[l * (params_.multDepth + 1) + i];
+    }
+    u64 pModQShoup(u32 i) const { return pModQShoup_[i]; }
     /** P^{-1} mod q_i. */
     u64 pInvModQ(u32 i) const { return pInvModQ_[i]; }
     u64 pInvModQShoup(u32 i) const { return pInvModQShoup_[i]; }
-    /** P mod q_i (key generation). */
+    /** P mod q_i (key generation, the merged epilogue's P d term). */
     u64 pModQ(u32 i) const { return pModQ_[i]; }
 
     /** q_l^{-1} mod q_i, used by Rescale when dropping limb l. */
@@ -282,8 +314,11 @@ class Context
     std::vector<std::vector<ConvTables>> modUp_;
     //! modDown_[level]
     std::vector<ConvTables> modDown_;
-    std::vector<u64> pInvModQ_, pInvModQShoup_, pModQ_;
+    //! modDownRescale_[level], exact; entry 0 is empty
+    std::vector<ConvTables> modDownRescale_;
+    std::vector<u64> pInvModQ_, pInvModQShoup_, pModQ_, pModQShoup_;
     std::vector<u64> qlInvModQ_, qlInvModQShoup_;
+    std::vector<u64> pqlInvModQ_, pqlInvModQShoup_;
     std::vector<long double> levelScales_;
 
     // Tenant key registry (mutable: shards are handed around as

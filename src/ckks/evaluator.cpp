@@ -39,6 +39,75 @@ addNoise(double a, double b)
     return hi + std::log2(1.0 + std::exp2(lo - hi));
 }
 
+/** Scale and noise bookkeeping of a rescale by @p ql. */
+void
+noteRescaled(Ciphertext &a, u64 ql)
+{
+    a.scale /= static_cast<long double>(ql);
+    a.noiseBits = std::max(0.0, a.noiseBits
+                                    - std::log2(static_cast<double>(ql)))
+                + 1.0;
+}
+
+/** The HMult tensor d0 = a0 b0, d1 = a0 b1 + a1 b0, d2 = a1 b1. */
+struct Tensor
+{
+    RNSPoly d0, d1, d2;
+};
+
+Tensor
+tensorProduct(const Context &ctx, const Ciphertext &a,
+              const Ciphertext &b)
+{
+    if (a.level() != b.level())
+        fatal("HMult level mismatch: %u vs %u", a.level(), b.level());
+    const u32 level = a.level();
+    // One fused launch per limb batch: the four products share one
+    // read of the operand limbs (Section III-F5).
+    Tensor t{RNSPoly(ctx, level, Format::Eval),
+             RNSPoly(ctx, level, Format::Eval),
+             RNSPoly(ctx, level, Format::Eval)};
+    kernels::FusedChain(ctx)
+        .mul(t.d0, a.c0, b.c0)
+        .mul(t.d1, a.c0, b.c1)
+        .mulAdd(t.d1, a.c1, b.c0)
+        .mul(t.d2, a.c1, b.c1)
+        .run();
+    return t;
+}
+
+/** HSquare's tensor: one of the four products saved, the rest fused
+ *  into one launch per limb batch. */
+Tensor
+tensorSquare(const Context &ctx, const Ciphertext &a)
+{
+    const u32 level = a.level();
+    Tensor t{RNSPoly(ctx, level, Format::Eval),
+             RNSPoly(ctx, level, Format::Eval),
+             RNSPoly(ctx, level, Format::Eval)};
+    kernels::FusedChain(ctx)
+        .mul(t.d0, a.c0, a.c0)
+        .mul(t.d1, a.c0, a.c1)
+        .add(t.d1, t.d1) // d1 = 2 a0 a1
+        .mul(t.d2, a.c1, a.c1)
+        .run();
+    return t;
+}
+
+/** @p a at canonical level @p level: @p a itself, or a lowered copy
+ *  held in @p lowered. */
+const Ciphertext &
+atCanonicalLevel(const Evaluator &eval, const Ciphertext &a, u32 level,
+                 std::optional<Ciphertext> &lowered)
+{
+    FIDES_ASSERT(eval.isCanonical(a));
+    if (a.level() == level)
+        return a;
+    lowered = a.clone();
+    eval.toCanonicalLevel(*lowered, level);
+    return *lowered;
+}
+
 } // namespace
 
 Ciphertext
@@ -103,31 +172,15 @@ Evaluator::negateInPlace(Ciphertext &a) const
 Ciphertext
 Evaluator::multiply(const Ciphertext &a, const Ciphertext &b) const
 {
-    if (a.level() != b.level())
-        fatal("HMult level mismatch: %u vs %u", a.level(), b.level());
-    const Context &ctx = *ctx_;
-    const u32 level = a.level();
-
-    // Tensor: d0 = a0 b0, d1 = a0 b1 + a1 b0, d2 = a1 b1 -- one fused
-    // launch per limb batch: the four products share one read of the
-    // operand limbs (Section III-F5).
-    RNSPoly d0(ctx, level, Format::Eval);
-    RNSPoly d1(ctx, level, Format::Eval);
-    RNSPoly d2(ctx, level, Format::Eval);
-    kernels::FusedChain(ctx)
-        .mul(d0, a.c0, b.c0)
-        .mul(d1, a.c0, b.c1)
-        .mulAdd(d1, a.c1, b.c0)
-        .mul(d2, a.c1, b.c1)
-        .run();
+    Tensor t = tensorProduct(*ctx_, a, b);
 
     // Relinearize d2 (under s^2) back to the canonical key; the two
     // accumulates fuse into one launch.
-    auto [u0, u1] = keySwitch(d2, keys_->relin);
-    kernels::FusedChain(ctx).add(d0, u0).add(d1, u1).run();
+    auto [u0, u1] = keySwitch(t.d2, keys_->relin);
+    kernels::FusedChain(*ctx_).add(t.d0, u0).add(t.d1, u1).run();
 
     double noise = a.noiseBits + b.noiseBits + 1.0;
-    return Ciphertext{std::move(d0), std::move(d1),
+    return Ciphertext{std::move(t.d0), std::move(t.d1),
                       a.scale * b.scale, std::max(a.slots, b.slots),
                       noise};
 }
@@ -135,26 +188,64 @@ Evaluator::multiply(const Ciphertext &a, const Ciphertext &b) const
 Ciphertext
 Evaluator::square(const Ciphertext &a) const
 {
+    Tensor t = tensorSquare(*ctx_, a);
+    auto [u0, u1] = keySwitch(t.d2, keys_->relin);
+    kernels::FusedChain(*ctx_).add(t.d0, u0).add(t.d1, u1).run();
+
+    return Ciphertext{std::move(t.d0), std::move(t.d1),
+                      a.scale * a.scale, a.slots, 2 * a.noiseBits + 1.0};
+}
+
+Ciphertext
+Evaluator::relinearizeRescale(RNSPoly d0, RNSPoly d1, const RNSPoly &d2,
+                              long double scale, u32 slots,
+                              double noiseBits) const
+{
     const Context &ctx = *ctx_;
-    const u32 level = a.level();
+    const u32 l = d0.level();
+    FIDES_ASSERT(l > 0);
 
-    // HSquare saves one of the four tensor multiplications; the
-    // remaining products fuse into one launch per limb batch.
-    RNSPoly d0(ctx, level, Format::Eval);
-    RNSPoly d1(ctx, level, Format::Eval);
-    RNSPoly d2(ctx, level, Format::Eval);
+    // The key switch's Q_l P accumulators, before any ModDown. Adding
+    // P d0 and P d1 into their q-limbs (one launch) makes each the
+    // raised form of a component, P (d + u) up to the inner product's
+    // rounding, which one exact division by P q_l finishes.
+    auto [acc0, acc1] =
+        keySwitchAccumulateQP(decomposeAndModUp(d2), keys_->relin);
+    std::vector<u64> w(l + 1), ws(l + 1);
+    for (u32 i = 0; i <= l; ++i) {
+        w[i] = ctx.pModQ(i);
+        ws[i] = ctx.pModQShoup(i);
+    }
     kernels::FusedChain(ctx)
-        .mul(d0, a.c0, a.c0)
-        .mul(d1, a.c0, a.c1)
-        .add(d1, d1) // d1 = 2 a0 a1
-        .mul(d2, a.c1, a.c1)
+        .scaledAdd(acc0, d0, w, ws)
+        .scaledAdd(acc1, d1, std::move(w), std::move(ws))
         .run();
+    modDownRescale(acc0);
+    modDownRescale(acc1);
 
-    auto [u0, u1] = keySwitch(d2, keys_->relin);
-    kernels::FusedChain(ctx).add(d0, u0).add(d1, u1).run();
+    Ciphertext r{std::move(acc0), std::move(acc1), scale, slots,
+                 noiseBits};
+    noteRescaled(r, ctx.qMod(l).value);
+    return r;
+}
 
-    return Ciphertext{std::move(d0), std::move(d1), a.scale * a.scale,
-                      a.slots, 2 * a.noiseBits + 1.0};
+Ciphertext
+Evaluator::multiplyRescale(const Ciphertext &a, const Ciphertext &b) const
+{
+    Tensor t = tensorProduct(*ctx_, a, b);
+    return relinearizeRescale(std::move(t.d0), std::move(t.d1), t.d2,
+                              a.scale * b.scale,
+                              std::max(a.slots, b.slots),
+                              a.noiseBits + b.noiseBits + 1.0);
+}
+
+Ciphertext
+Evaluator::squareRescale(const Ciphertext &a) const
+{
+    Tensor t = tensorSquare(*ctx_, a);
+    return relinearizeRescale(std::move(t.d0), std::move(t.d1), t.d2,
+                              a.scale * a.scale, a.slots,
+                              2 * a.noiseBits + 1.0);
 }
 
 void
@@ -202,10 +293,7 @@ Evaluator::rescaleInPlace(Ciphertext &a) const
     const u64 ql = ctx_->qMod(a.level()).value;
     rescale(a.c0);
     rescale(a.c1);
-    a.scale /= static_cast<long double>(ql);
-    a.noiseBits = std::max(0.0, a.noiseBits
-                                    - std::log2(static_cast<double>(ql)))
-                + 1.0;
+    noteRescaled(a, ql);
 }
 
 void
@@ -311,33 +399,27 @@ Evaluator::toCanonicalLevel(Ciphertext &a, u32 targetLevel) const
 Ciphertext
 Evaluator::multiplyC(const Ciphertext &a, const Ciphertext &b) const
 {
-    Ciphertext x = a.clone();
-    Ciphertext y = b.clone();
-    u32 l = std::min(x.level(), y.level());
-    toCanonicalLevel(x, l);
-    toCanonicalLevel(y, l);
-    Ciphertext r = multiply(x, y);
-    rescaleInPlace(r);
-    return r;
+    const u32 l = std::min(a.level(), b.level());
+    std::optional<Ciphertext> la, lb;
+    return multiplyRescale(atCanonicalLevel(*this, a, l, la),
+                           atCanonicalLevel(*this, b, l, lb));
 }
 
 Ciphertext
 Evaluator::squareC(const Ciphertext &a) const
 {
     FIDES_ASSERT(isCanonical(a));
-    Ciphertext r = square(a);
-    rescaleInPlace(r);
-    return r;
+    return squareRescale(a);
 }
 
 Ciphertext
 Evaluator::addC(const Ciphertext &a, const Ciphertext &b) const
 {
+    const u32 l = std::min(a.level(), b.level());
+    std::optional<Ciphertext> lb;
+    const Ciphertext &y = atCanonicalLevel(*this, b, l, lb);
     Ciphertext x = a.clone();
-    Ciphertext y = b.clone();
-    u32 l = std::min(x.level(), y.level());
     toCanonicalLevel(x, l);
-    toCanonicalLevel(y, l);
     addInPlace(x, y);
     return x;
 }

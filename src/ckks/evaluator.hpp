@@ -63,6 +63,19 @@ class Evaluator
     /** Multiply by the monomial X^k (exact, scale-free). */
     void multiplyByMonomialInPlace(Ciphertext &a, u64 k) const;
 
+    /**
+     * HMult then Rescale, with the relinearization's ModDown and the
+     * Rescale merged into one exact division by P q_l
+     * (modDownRescale): K + l + 1 limb transforms per component
+     * instead of K + 2l + 2. Scale and noise as multiply() then
+     * rescaleInPlace() set them, and so are the coefficients, except
+     * any within K + 1 of a rounding boundary of q_l.
+     */
+    Ciphertext multiplyRescale(const Ciphertext &a,
+                               const Ciphertext &b) const;
+    /** HSquare then Rescale, merged like multiplyRescale. */
+    Ciphertext squareRescale(const Ciphertext &a) const;
+
     /** Rescale: drop the top limb, divide the scale by q_l. */
     void rescaleInPlace(Ciphertext &a) const;
     /** Exact modulus reduction to a lower level (scale unchanged). */
@@ -100,11 +113,13 @@ class Evaluator
      * canonical (scalar-multiply by 1 at Delta_l, then rescale).
      */
     void toCanonicalLevel(Ciphertext &a, u32 targetLevel) const;
-    /** Canonical multiply: align levels, multiply, rescale. */
+    /** Canonical multiply: align levels, then multiplyRescale. Only
+     *  an operand that must be lowered is copied. */
     Ciphertext multiplyC(const Ciphertext &a, const Ciphertext &b) const;
-    /** Canonical square. */
+    /** Canonical square (squareRescale). */
     Ciphertext squareC(const Ciphertext &a) const;
-    /** Canonical add (aligns levels first). */
+    /** Canonical add (aligns levels first; copies @p b only to lower
+     *  it). */
     Ciphertext addC(const Ciphertext &a, const Ciphertext &b) const;
     /** Canonical plaintext multiply: encode at Delta_l and rescale. */
     Ciphertext multiplyPlainC(const Ciphertext &a,
@@ -114,6 +129,11 @@ class Evaluator
     const Encoder &encoder() const { return encoder_; }
 
   private:
+    /** Relinearizes the tensor (d0, d1, d2) and divides it by P q_l:
+     *  multiplyRescale's and squareRescale's shared tail. */
+    Ciphertext relinearizeRescale(RNSPoly d0, RNSPoly d1,
+                                  const RNSPoly &d2, long double scale,
+                                  u32 slots, double noiseBits) const;
     /** Applies keyswitch result and automorphism for rotations. */
     Ciphertext applyRotation(const Ciphertext &a,
                              const RaisedDigits &raised, u64 galois) const;

@@ -646,6 +646,7 @@ struct FusedChain::Op
         Add,
         Sub,
         ScalarMul,
+        ScaledAdd,
         Gather,
         SwitchModulus,
         Ntt,
@@ -666,6 +667,14 @@ struct FusedChain::Op
     ExtFixed fixed;                    //!< shared fixed source
     u64 srcPrime = 0;                  //!< SwitchModulus
 
+    /** The polynomial whose limbs the op spans: scaledAdd writes
+     *  only x's leading limbs of a possibly wider accumulator. */
+    const RNSPoly *
+    rangePoly() const
+    {
+        return kind == Kind::ScaledAdd ? aPoly : outPoly;
+    }
+
     bool readsOut() const
     {
         switch (kind) {
@@ -673,6 +682,7 @@ struct FusedChain::Op
         case Kind::Add:
         case Kind::Sub:
         case Kind::ScalarMul:
+        case Kind::ScaledAdd:
         case Kind::Ntt:
         case Kind::RsubScalarMul:
             return true;
@@ -691,6 +701,7 @@ struct FusedChain::Op
         case Kind::Add:
         case Kind::Sub: return n;
         case Kind::ScalarMul: return 3 * n;
+        case Kind::ScaledAdd: return 4 * n;
         case Kind::Gather: return 0;
         case Kind::SwitchModulus: return 2 * n;
         case Kind::Ntt: return 5 * n * logN;
@@ -757,6 +768,16 @@ runOpOnLimb(const Context &ctx, const FusedChain::Op &op, std::size_t i,
             x[j] = mulModShoup(x[j], w, ws, p);
         break;
     }
+    case Kind::ScaledAdd: {
+        const u64 p = ctx.prime((*op.out)[i].primeIdx()).value();
+        const u64 w = op.s0[i];
+        const u64 ws = op.s1[i];
+        const u64 *x = (*op.a)[i].read();
+        u64 *o = (*op.out)[i].write();
+        for (std::size_t j = 0; j < n; ++j)
+            o[j] = addMod(o[j], mulModShoup(x[j], w, ws, p), p);
+        break;
+    }
     case Kind::Gather: {
         const u64 *src = (*op.a)[i].read();
         u64 *dst = (*op.out)[i].write();
@@ -796,6 +817,7 @@ unfusedTraffic(const FusedChain::Op &op)
     case Kind::Add:
     case Kind::Sub: return {2, 1};
     case Kind::ScalarMul: return {1, 1};
+    case Kind::ScaledAdd: return {2, 1};
     case Kind::Gather: return {1, 1};
     case Kind::SwitchModulus: return {1, 1};
     case Kind::Ntt: return {2, 2};
@@ -917,6 +939,24 @@ FusedChain::scalarMul(RNSPoly &a, std::vector<u64> scalar)
 }
 
 FusedChain &
+FusedChain::scaledAdd(RNSPoly &acc, const RNSPoly &x, std::vector<u64> w,
+                      std::vector<u64> wShoup)
+{
+    FIDES_ASSERT(acc.format() == x.format());
+    FIDES_ASSERT(x.numLimbs() <= acc.numLimbs());
+    FIDES_ASSERT(w.size() >= x.numLimbs() &&
+                 wShoup.size() >= x.numLimbs());
+    checkPrimesAligned(x, acc);
+    Op op{Op::Kind::ScaledAdd};
+    op.outPoly = &acc;
+    op.aPoly = &x;
+    op.s0 = std::move(w);
+    op.s1 = std::move(wShoup);
+    ops_.push_back(std::move(op));
+    return *this;
+}
+
+FusedChain &
 FusedChain::gather(RNSPoly &out, const RNSPoly &in,
                    const std::vector<u32> &perm)
 {
@@ -994,22 +1034,14 @@ FusedChain::run(const std::vector<Event> &extraWaits)
     }
 
     // The chain's shape -- limb count and position -> prime mapping --
-    // comes from the first written polynomial.
-    const RNSPoly *shapePoly = nullptr;
-    for (const Op &op : ops_) {
-        if (op.outPoly) {
-            shapePoly = op.outPoly;
-            break;
-        }
-    }
-    FIDES_ASSERT(shapePoly != nullptr);
-    const LimbPartition *shape = &shapePoly->partition();
+    // comes from the first op's limb range (every op writes).
+    const LimbPartition *shape = &ops_.front().rangePoly()->partition();
     const std::size_t numLimbs = shape->size();
-    // Every written polynomial must span the chain's shape exactly:
-    // a smaller output would silently truncate the ops after it, a
-    // larger one would be left partially unwritten.
+    // Every op's range must span the chain's shape exactly: a smaller
+    // output would silently truncate the ops after it, a larger one
+    // would be left partially unwritten.
     for (const Op &op : ops_)
-        FIDES_ASSERT(!op.out || op.out->size() == numLimbs);
+        FIDES_ASSERT(op.rangePoly()->numLimbs() == numLimbs);
     auto primeAt = [shape](std::size_t i) {
         return (*shape)[i].primeIdx();
     };

@@ -226,7 +226,8 @@ u64 dispatchEngineNs();
  *
  * All polynomial operands are positional (limb i of each poly pairs
  * with limb i of the others). The chain's limb count and prime layout
- * come from the first written polynomial. Operand polynomials must
+ * come from the first op's limb range: its written polynomial, or
+ * scaledAdd's x. Operand polynomials must
  * stay alive until run() returns; after that the usual keep-alive
  * machinery covers them. Permutations passed to gather() are
  * captured by pointer and are NOT kept alive: like kernels::automorph,
@@ -263,6 +264,12 @@ class FusedChain
     FusedChain &sub(RNSPoly &a, const RNSPoly &b);
     /** a[limb i] *= scalar[i]. */
     FusedChain &scalarMul(RNSPoly &a, std::vector<u64> scalar);
+    /** acc[limb i] += x[limb i] * w[i] over x's limbs, Shoup-
+     *  precomputed constants. @p acc may be wider than @p x (the
+     *  leading q-limbs of a raised polynomial): the op's limb range
+     *  is x's. */
+    FusedChain &scaledAdd(RNSPoly &acc, const RNSPoly &x,
+                          std::vector<u64> w, std::vector<u64> wShoup);
     /** out[j] = in[perm[j]] per limb (automorphism gather). @p perm
      *  must outlive the kernel (the Context's cache does). */
     FusedChain &gather(RNSPoly &out, const RNSPoly &in,

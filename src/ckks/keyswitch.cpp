@@ -30,8 +30,8 @@ decomposeAndModUp(const RNSPoly &dEval)
 }
 
 std::pair<RNSPoly, RNSPoly>
-keySwitchAccumulate(const RaisedDigits &raised, const EvalKey &key,
-                    const std::vector<u32> *perm)
+keySwitchAccumulateQP(const RaisedDigits &raised, const EvalKey &key,
+                      const std::vector<u32> *perm)
 {
     FIDES_ASSERT(!raised.digits.empty());
     const Context &ctx = raised.digits[0].context();
@@ -48,10 +48,17 @@ keySwitchAccumulate(const RaisedDigits &raised, const EvalKey &key,
     // lazy reduction per coefficient.
     kernels::keySwitchInnerProduct(acc0, acc1, raised.digits, key.b,
                                    key.a, perm);
-
-    modDown(acc0);
-    modDown(acc1);
     return {std::move(acc0), std::move(acc1)};
+}
+
+std::pair<RNSPoly, RNSPoly>
+keySwitchAccumulate(const RaisedDigits &raised, const EvalKey &key,
+                    const std::vector<u32> *perm)
+{
+    auto acc = keySwitchAccumulateQP(raised, key, perm);
+    modDown(acc.first);
+    modDown(acc.second);
+    return acc;
 }
 
 std::pair<RNSPoly, RNSPoly>

@@ -37,6 +37,17 @@ struct RaisedDigits
 RaisedDigits decomposeAndModUp(const RNSPoly &dEval);
 
 /**
+ * Key-switch inner product without the ModDown: sum_j perm(digit_j)
+ * * ksk_j over the extended basis Q_l * P, as two raised accumulators
+ * (eval form, the digits' level, K special limbs). A caller that
+ * rescales the result next divides them by P q_l in one step
+ * (modDownRescale); double-hoisted BSGS would keep them in Q_l * P.
+ */
+std::pair<RNSPoly, RNSPoly>
+keySwitchAccumulateQP(const RaisedDigits &raised, const EvalKey &key,
+                      const std::vector<u32> *perm = nullptr);
+
+/**
  * Key-switch inner product: accumulates sum_j perm(digit_j) * ksk_j
  * over the extended basis and ModDowns the two accumulators.
  * @p perm, if non-null, is the automorphism gather applied on the fly

@@ -21,17 +21,6 @@ normOffset(i64 d, u32 slots)
     return ((d % s) + s) % s;
 }
 
-/** Left-rotation of a plain vector by k. */
-std::vector<Cplx>
-rotVec(const std::vector<Cplx> &v, i64 k)
-{
-    const i64 n = static_cast<i64>(v.size());
-    std::vector<Cplx> out(v.size());
-    for (i64 i = 0; i < n; ++i)
-        out[i] = v[normOffset(i + k, v.size())];
-    return out;
-}
-
 } // namespace
 
 void
@@ -96,15 +85,35 @@ DiagMatrix
 DiagMatrix::composeAfter(const DiagMatrix &other) const
 {
     FIDES_ASSERT(slots_ == other.slots_);
+    const std::size_t s = slots_;
     DiagMatrix out(slots_);
     for (const auto &[d1, diagA] : diags_) {
+        // Offsets are normalized to [0, slots): rot_{d1}(B)[j] is
+        // B[j + d1], wrapping once.
+        const std::size_t shift = static_cast<std::size_t>(d1);
         for (const auto &[d2, diagB] : other.diags_) {
-            // (A after B)_{d1+d2} += A_{d1} .* rot_{d1}(B_{d2})
-            auto rotated = rotVec(diagB, d1);
-            for (u32 j = 0; j < slots_; ++j) {
-                Cplx v = diagA[j] * rotated[j];
-                if (v != Cplx(0, 0))
-                    out.addToDiag(d1 + d2, j, v);
+            // (A after B)_{d1+d2} += A_{d1} .* rot_{d1}(B_{d2}). The
+            // target is looked up once per pair, and created at its
+            // first nonzero product as addToDiag would.
+            std::vector<Cplx> *target = nullptr;
+            for (std::size_t j = 0; j < s; ++j) {
+                const std::size_t k = j + shift < s ? j + shift
+                                                    : j + shift - s;
+                const Cplx v = diagA[j] * diagB[k];
+                if (v == Cplx(0, 0))
+                    continue;
+                if (!target) {
+                    const i64 d = normOffset(d1 + d2, slots_);
+                    auto it = out.diags_.find(d);
+                    if (it == out.diags_.end()) {
+                        it = out.diags_
+                                 .emplace(d, std::vector<Cplx>(
+                                                 s, Cplx(0, 0)))
+                                 .first;
+                    }
+                    target = &it->second;
+                }
+                (*target)[j] += v;
             }
         }
     }

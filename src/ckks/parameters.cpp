@@ -20,11 +20,12 @@ Parameters::validate() const
               specialModBits);
     if (dnum == 0 || dnum > multDepth + 1)
         fatal("dnum=%u must be in [1, L+1]", dnum);
-    // Conv sums digitSize() products of residues below 2^61 in one
-    // 128-bit accumulator, and the key-switch inner product sums dnum
+    // Conv sums up to digitSize() products of residues below 2^61 in
+    // one 128-bit accumulator (K + 1 = digitSize() + 1 in the merged
+    // ModDown-and-Rescale), and the key-switch inner product sums dnum
     // of them: more than 64 terms could overflow it.
-    if (digitSize() > 64)
-        fatal("digit size %u (L=%u, dnum=%u) exceeds 64 limbs",
+    if (digitSize() > 63)
+        fatal("digit size %u (L=%u, dnum=%u) exceeds 63 limbs",
               digitSize(), multDepth, dnum);
     if (dnum > 64)
         fatal("dnum=%u exceeds 64 digits", dnum);

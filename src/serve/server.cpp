@@ -28,7 +28,14 @@ executeProgram(const ckks::Evaluator &eval,
 {
     std::vector<ckks::Ciphertext> regs = std::move(req.inputs());
     regs.reserve(req.numRegisters());
-    for (const Op &op : req.ops()) {
+    const std::vector<Op> &ops = req.ops();
+    for (std::size_t k = 0; k < ops.size(); ++k) {
+        const Op &op = ops[k];
+        // A Multiply or Square whose register the next op rescales
+        // runs as one merged HMult + Rescale, which consumes that op.
+        const bool rescaledNext = k + 1 < ops.size() &&
+                                  ops[k + 1].kind == Op::Kind::Rescale &&
+                                  ops[k + 1].a == op.dst;
         switch (op.kind) {
         case Op::Kind::Add:
             regs.push_back(eval.add(regs[op.a], regs[op.b]));
@@ -37,10 +44,21 @@ executeProgram(const ckks::Evaluator &eval,
             regs.push_back(eval.sub(regs[op.a], regs[op.b]));
             break;
         case Op::Kind::Multiply:
-            regs.push_back(eval.multiply(regs[op.a], regs[op.b]));
+            if (rescaledNext) {
+                regs.push_back(
+                    eval.multiplyRescale(regs[op.a], regs[op.b]));
+                ++k;
+            } else {
+                regs.push_back(eval.multiply(regs[op.a], regs[op.b]));
+            }
             break;
         case Op::Kind::Square:
-            regs.push_back(eval.square(regs[op.a]));
+            if (rescaledNext) {
+                regs.push_back(eval.squareRescale(regs[op.a]));
+                ++k;
+            } else {
+                regs.push_back(eval.square(regs[op.a]));
+            }
             break;
         case Op::Kind::Rotate:
             regs.push_back(eval.rotate(regs[op.a], op.rot));

@@ -115,14 +115,14 @@ Bootstrapper *BootstrapDispatchTest::boot = nullptr;
 TEST_F(BootstrapDispatchTest, WarmSparseBootstrapRunsOneEvalMod)
 {
     // Re and Im share one 2s-slot ApproxModEval. On this fixture a
-    // warm bootstrap dispatches 1030 logical kernels (forBatches
+    // warm bootstrap dispatches 886 logical kernels (forBatches
     // calls). Forcing the full-packing split of
     // Bootstrapper::bootstrap -- Re and Im each through their own
-    // EvalMod, plus the two monomial multiplies -- reads 1716. The
-    // bound is the midpoint, (1030 + 1716) / 2 = 1373: a second
-    // EvalMod alone adds over 600 kernels and breaks it.
-    constexpr u64 kOneEvalMod = 1030;
-    constexpr u64 kTwoEvalMods = 1716;
+    // EvalMod, plus the two monomial multiplies -- reads 1450. The
+    // bound is the midpoint, (886 + 1450) / 2 = 1168: a second
+    // EvalMod alone adds over 500 kernels and breaks it.
+    constexpr u64 kOneEvalMod = 886;
+    constexpr u64 kTwoEvalMods = 1450;
     Ciphertext ct = encryptAtBottom(0.61);
     boot->bootstrap(ct).syncHost(); // warms the stage encodes
     DeviceSet &devs = ctx->devices();

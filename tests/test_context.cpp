@@ -268,17 +268,20 @@ TEST(Context, PaperParameterSetsConstruct)
 
 TEST(ContextDeathTest, MoreThan64AccumulatedTermsRejected)
 {
-    // Conv sums digitSize() products of residues below 2^61 in one
-    // 128-bit accumulator and the key-switch inner product sums dnum
-    // of them; past 64 terms the sum can overflow silently.
+    // Conv sums up to digitSize() + 1 products of residues below 2^61
+    // in one 128-bit accumulator (the merged ModDown-and-Rescale's
+    // sources are q_l and the K = digitSize() special primes) and the
+    // key-switch inner product sums dnum of them; past 64 terms the
+    // sum can overflow silently.
     Parameters p = Parameters::testSmall();
-    p.multDepth = 63;
+    p.multDepth = 62;
     p.dnum = 1;
-    EXPECT_EQ(p.digitSize(), 64u);
-    p.validate(); // exactly 64 terms: accepted
+    EXPECT_EQ(p.digitSize(), 63u);
+    p.validate(); // exactly 64 merged Conv terms: accepted
 
-    p.multDepth = 70; // digit size 71
-    EXPECT_DEATH(p.validate(), "digit size 71");
+    p.multDepth = 63; // digit size 64: 65 merged Conv terms
+    EXPECT_DEATH(p.validate(), "digit size 64");
+    p.multDepth = 70;
     p.dnum = 65; // digit size 2, but 65 digits
     EXPECT_DEATH(p.validate(), "dnum=65 exceeds 64");
 }

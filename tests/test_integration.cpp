@@ -231,6 +231,78 @@ TEST_F(IntegrationTest, FusionOnOffBitIdentical)
     expectCtIdentical(withFusion, without);
 }
 
+TEST_F(IntegrationTest, MergedMultiplyRescaleMatchesReference)
+{
+    // multiplyRescale / squareRescale divide the key switch's raised
+    // accumulators by P q_l in one step (modDownRescale). They must
+    // equal the reference HMult (ModDown by P) then Rescale
+    // coefficient for coefficient, keeping multiply + rescaleInPlace's
+    // scale and noise. A fast (non-exact) Conv in the merged step
+    // leaves up to K + 1 extra multiples of P q_l in the raised value,
+    // which nothing divides away afterwards, and fails here.
+    struct Preset
+    {
+        const char *name;
+        Parameters params;
+    };
+    const Preset presets[] = {{"paper13", Parameters::paper13()},
+                              {"testBoot", Parameters::testBoot()}};
+    std::vector<std::complex<double>> za(32), zb(32);
+    for (int i = 0; i < 32; ++i) {
+        za[i] = {0.9 * std::cos(0.3 * i), 0.4 * std::sin(0.7 * i)};
+        zb[i] = {0.5 * std::sin(1.1 * i), -0.8 * std::cos(0.2 * i)};
+    }
+    for (const Preset &pr : presets) {
+        for (u32 topo : {1u, 2u}) {
+            Parameters p = pr.params;
+            p.numDevices = topo;
+            p.streamsPerDevice = topo;
+            Context c(p);
+            KeyGen kg(c);
+            KeyBundle kb = kg.makeBundle({});
+            Evaluator ev(c, kb);
+            Encoder enc(c);
+            Encryptor encr(c, kb.pk);
+            const u32 top = c.maxLevel();
+            for (u32 level : {top, (top + 1) / 2, 1u}) {
+                SCOPED_TRACE(std::string(pr.name) + " " +
+                             std::to_string(topo) + "x" +
+                             std::to_string(topo) + " level " +
+                             std::to_string(level));
+                auto a = encr.encrypt(enc.encode(za, 32, level));
+                auto b = encr.encrypt(enc.encode(zb, 32, level));
+                auto wantMul =
+                    ref::rescale(ref::multiply(a, b, kb.relin));
+                auto wantSq =
+                    ref::rescale(ref::multiply(a, a, kb.relin));
+                for (bool fused : {true, false}) {
+                    SCOPED_TRACE(fused ? "fused" : "unfused");
+                    c.setFusion(fused);
+                    auto mul = ev.multiplyRescale(a, b);
+                    auto sq = ev.squareRescale(a);
+                    mul.syncHost();
+                    sq.syncHost();
+                    expectCtIdentical(mul, wantMul);
+                    expectCtIdentical(sq, wantSq);
+                }
+                c.setFusion(true);
+                auto lib = ev.multiply(a, b);
+                ev.rescaleInPlace(lib);
+                auto merged = ev.multiplyRescale(a, b);
+                EXPECT_EQ(merged.scale, lib.scale);
+                EXPECT_EQ(merged.noiseBits, lib.noiseBits);
+                EXPECT_EQ(merged.slots, lib.slots);
+                auto libSq = ev.square(a);
+                ev.rescaleInPlace(libSq);
+                auto mergedSq = ev.squareRescale(a);
+                EXPECT_EQ(mergedSq.scale, libSq.scale);
+                EXPECT_EQ(mergedSq.noiseBits, libSq.noiseBits);
+                c.devices().synchronize();
+            }
+        }
+    }
+}
+
 TEST_F(IntegrationTest, ModMulKindBitIdentical)
 {
     auto a = sample(2, 15);

@@ -15,7 +15,10 @@
  *    modular-reduction strategies, with fusion on and off;
  *  - modDown and rescale, whose epilogues finish in their output
  *    limbs: device counters pinned per (topology, fusion, level) and
- *    outputs identical across all four configurations.
+ *    outputs identical across all four configurations;
+ *  - modDownRescale, their merge into one exact division by P q_l:
+ *    counters pinned the same way, output equal to modDown then
+ *    rescale.
  */
 
 #include <gtest/gtest.h>
@@ -379,6 +382,67 @@ TEST(KeySwitchKernels, ModDownAndRescaleCountersArePinned)
             << what << " rescale";
         expectSameAsFirst("rescale" + std::to_string(r.level), plain,
                           what + " rescale");
+    }
+}
+
+TEST(KeySwitchKernels, MergedModDownRescaleCountersArePinned)
+{
+    // modDownRescale on testSmall, beside the pair it replaces above.
+    // Level l: one iNTT kernel over limb l and the K = 3 special limbs
+    // (4 limbs at nttLimbCost), the exact Conv of those 4 limbs into
+    // q_0..q_{l-1} (no logical kernel), and one epilogue kernel over
+    // the l results. At level 4 the merged epilogue reads 5 launches,
+    // 2 kernels, 262144 / 229376 bytes and 484352 integer ops fused on
+    // 1x1; ModDown then Rescale read 9 launches, 4 kernels, 335872 /
+    // 278528 bytes and 751616 ops. Its output equals ModDown then
+    // Rescale of the same raised polynomial (these seeds put no
+    // coefficient within K + 1 of a rounding boundary) and is the same
+    // in every configuration.
+    struct Row
+    {
+        u32 topology;
+        bool fusion;
+        u32 level;
+        OpCounters merged;
+    };
+    const Row rows[] = {
+        {0, true, 4, {5, 2, 262144, 229376, 484352}},
+        {0, true, 1, {4, 2, 212992, 180224, 281600}},
+        {0, false, 4, {7, 3, 327680, 294912, 484352}},
+        {0, false, 1, {5, 3, 229376, 196608, 281600}},
+        {1, true, 4, {5, 2, 262144, 229376, 484352}},
+        {1, true, 1, {5, 2, 212992, 180224, 281600}},
+        {1, false, 4, {7, 3, 327680, 294912, 484352}},
+        {1, false, 1, {6, 3, 229376, 196608, 281600}},
+    };
+    const Parameters base = Parameters::testSmall();
+    const Parameters topologies[] = {
+        withTopology(base, 1, 1, base.limbBatch),
+        withTopology(base, 2, 2, 3)};
+    for (const Row &r : rows) {
+        Context ctx(topologies[r.topology]);
+        ctx.setFusion(r.fusion);
+        DeviceSet &devs = ctx.devices();
+        const std::string what =
+            "topology " + std::to_string(r.topology) +
+            (r.fusion ? " fused" : " unfused") + " level " +
+            std::to_string(r.level);
+        RNSPoly raised = randomPoly(ctx, r.level, ctx.numSpecial(),
+                                    Format::Eval, 60 + r.level);
+        RNSPoly twoStep = raised.clone();
+        devs.synchronize();
+        devs.resetCounters();
+        modDownRescale(raised);
+        devs.synchronize();
+        const KernelCounters c = devs.aggregateCounters();
+        EXPECT_EQ((OpCounters{c.launches, devs.logicalKernels(),
+                              c.bytesRead, c.bytesWritten, c.intOps}),
+                  r.merged)
+            << what;
+        ASSERT_EQ(raised.level(), r.level - 1) << what;
+        modDown(twoStep);
+        rescale(twoStep);
+        expectSamePoly(raised, twoStep, what);
     }
 }
 

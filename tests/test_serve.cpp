@@ -251,7 +251,9 @@ TEST(Serve, HandleYieldsSettledCorrectResult)
 {
     // End-to-end through the front door: the result decrypts to the
     // right values and carries no pending device work (the server's
-    // per-request host join settled it).
+    // per-request host join settled it). The Multiply and the Rescale
+    // of its register run as one merged HMult + Rescale, which must
+    // equal the two ops run one after the other.
     Fixture f(topologyParams(2, 2));
     const u32 slots = static_cast<u32>(f.ctx.degree() / 2);
     std::vector<std::complex<double>> xs(slots), ys(slots);
@@ -261,6 +263,8 @@ TEST(Serve, HandleYieldsSettledCorrectResult)
     }
     auto ctX = f.encr.encrypt(f.enc.encode(xs, slots, f.ctx.maxLevel()));
     auto ctY = f.encr.encrypt(f.enc.encode(ys, slots, f.ctx.maxLevel()));
+    Ciphertext twoStep = f.eval.multiply(ctX, ctY);
+    f.eval.rescaleInPlace(twoStep);
 
     Request r;
     u32 a = r.input(std::move(ctX));
@@ -276,6 +280,8 @@ TEST(Serve, HandleYieldsSettledCorrectResult)
     EXPECT_FALSE(got.c0.hasPendingWork());
     EXPECT_FALSE(got.c1.hasPendingWork());
     EXPECT_GE(h.latencyMs(), 0.0);
+    expectCiphertextEqual(twoStep, got, "multiply then rescale");
+    EXPECT_EQ(got.noiseBits, twoStep.noiseBits);
 
     auto decoded = f.enc.decode(f.encr.decrypt(got, f.keygen.secretKey()));
     for (u32 i = 0; i < slots; i += 97) {
