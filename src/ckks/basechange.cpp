@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <memory>
 
 #include "ckks/kernels.hpp"
 #include "core/logging.hpp"
@@ -156,6 +155,30 @@ launchConv(const ConvTables &tables, const RNSPoly &from,
 }
 
 /**
+ * Inverse-NTTs limbs [first, numLimbs) of @p a in place, one kernel:
+ * the limbs a division drops, for its Conv or SwitchModulus to read.
+ * @p a keeps its Eval tag; the division's result replaces it.
+ */
+void
+inverseNttFrom(RNSPoly &a, std::size_t first)
+{
+    const Context &ctx = a.context();
+    LimbPartition &ap = a.partition();
+    const kernels::LimbCost intt = kernels::nttLimbCost(ctx);
+    kernels::forBatches(ctx, a.numLimbs() - first, intt.bytesRead,
+                        intt.bytesWritten, intt.intOps,
+                        [&ctx, &ap, first](std::size_t lo,
+                                           std::size_t hi) {
+        for (std::size_t k = lo; k < hi; ++k) {
+            Limb &l = ap[first + k];
+            kernels::inttLimb(ctx, l.write(), l.primeIdx());
+        }
+    }, [&ap, first](std::size_t k) {
+        return ap[first + k].primeIdx();
+    }, {kernels::wr(a, first)});
+}
+
+/**
  * The division shared by ModDown and the merged ModDown-and-Rescale:
  * iNTTs the Conv sources, limbs [first, numLimbs) of the raised
  * polynomial @p a, converts them into the q_0..q_{outLevel} limbs of
@@ -170,20 +193,7 @@ divideRaised(RNSPoly &a, std::size_t first, const ConvTables &tables,
              u32 outLevel, std::vector<u64> w, std::vector<u64> ws)
 {
     const Context &ctx = a.context();
-    LimbPartition &ap = a.partition();
-
-    const kernels::LimbCost intt = kernels::nttLimbCost(ctx);
-    kernels::forBatches(ctx, a.numLimbs() - first, intt.bytesRead,
-                        intt.bytesWritten, intt.intOps,
-                        [&ctx, &ap, first](std::size_t lo,
-                                           std::size_t hi) {
-        for (std::size_t k = lo; k < hi; ++k) {
-            Limb &l = ap[first + k];
-            kernels::inttLimb(ctx, l.write(), l.primeIdx());
-        }
-    }, [&ap, first](std::size_t k) {
-        return ap[first + k].primeIdx();
-    }, {kernels::wr(a, first)});
+    inverseNttFrom(a, first);
 
     // Conv writes the output limbs in coefficient form. The epilogue
     // runs in place on them (paper III-F5, ModDown fusion: per q-limb,
@@ -291,30 +301,17 @@ rescale(RNSPoly &a)
     FIDES_ASSERT(a.numSpecial() == 0);
     FIDES_ASSERT(a.level() > 0);
     const u32 l = a.level();
-    const std::size_t n = ctx.degree();
-    const u64 ql = ctx.qMod(l).value;
-    LimbPartition &ap = a.partition();
 
-    // iNTT the dropped limb into host scratch, stream-ordered (no
-    // host read: the buffer is only consumed by downstream kernels).
-    auto last = std::make_shared<std::vector<u64>>(n);
-    std::vector<Event> lastDone;
-    const kernels::LimbCost intt = kernels::nttLimbCost(ctx);
-    kernels::forBatches(ctx, 1, intt.bytesRead, intt.bytesWritten,
-                        intt.intOps,
-                        [&ctx, &ap, last, l, n](std::size_t,
-                                                std::size_t) {
-        std::memcpy(last->data(), ap[l].read(), n * sizeof(u64));
-        kernels::inttLimb(ctx, last->data(), ap[l].primeIdx());
-    }, [&ap, l](std::size_t) { return ap[l].primeIdx(); },
-       {kernels::rdFixed(a, l)}, {}, &lastDone);
+    // iNTT the dropped limb in place: it is read only by the
+    // SwitchModulus below, through its own Dep.
+    inverseNttFrom(a, l);
 
     // Rescale epilogue (paper Rescale fusion), in place on a FRESH
     // level-(l-1) polynomial (same join-free rationale as modDown):
-    // the SwitchModulus prologue writes it, then NTT and the combined
-    // q_l^{-1} (x - out) epilogue. One fused launch per batch with
-    // fusion on; the three-kernel pipeline of the no-fusion backend
-    // otherwise.
+    // the SwitchModulus prologue writes it from limb l, then NTT and
+    // the combined q_l^{-1} (x - out) epilogue. One fused launch per
+    // batch with fusion on; the three-kernel pipeline of the no-fusion
+    // backend otherwise.
     RNSPoly out(ctx, l - 1, Format::Coeff);
     std::vector<u64> w(l), ws(l);
     for (u32 i = 0; i < l; ++i) {
@@ -322,10 +319,10 @@ rescale(RNSPoly &a)
         ws[i] = ctx.qlInvModQShoup(l, i);
     }
     kernels::FusedChain chain(ctx);
-    chain.switchModulus(out, last, ql);
+    chain.switchModulus(out, a, l);
     chain.ntt(out);
     chain.rsubScalarMul(out, a, std::move(w), std::move(ws));
-    chain.run(lastDone);
+    chain.run();
 
     a = std::move(out);
 }

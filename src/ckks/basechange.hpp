@@ -69,9 +69,10 @@ void modDown(RNSPoly &a);
 
 /**
  * Rescale in place: drops the top limb l and scales the remaining
- * limbs by q_l^{-1} (eval format). SwitchModulus of the dropped limb
- * writes the fresh result, which the same fused kernel NTTs and
- * finishes in place.
+ * limbs by q_l^{-1} (eval format). Limb l is inverse-NTTed in place
+ * (a write, so it waits on that limb's readers still in flight);
+ * SwitchModulus of it, read through a Dep, writes the fresh result,
+ * which the same fused kernel NTTs and finishes in place.
  */
 void rescale(RNSPoly &a);
 

@@ -198,11 +198,13 @@ Bootstrapper::bootstrap(const Ciphertext &ct) const
     // scale Delta * q_l / s_in, then rescale, landing on Delta up to
     // the 2^-50-ish rounding of the encoded scalar. (The canonical
     // level-scale chain can drift percent-level from Delta at deep
-    // parameter sets, so this matters.)
-    Ciphertext in = ct.clone();
+    // parameter sets, so this matters.) Without the adjustment, only
+    // the limbs kept at level 0 are copied.
     const long double delta = ctx.defaultScale();
-    if (in.level() >= 1 &&
-        std::fabs(in.scale / delta - 1.0L) > 1e-9L) {
+    const bool adjust = ct.level() >= 1 &&
+                        std::fabs(ct.scale / delta - 1.0L) > 1e-9L;
+    Ciphertext in = ct.clone(adjust ? ct.level() : 0);
+    if (adjust) {
         const u64 ql = ctx.qMod(in.level()).value;
         eval_.multiplyScalarInPlace(
             in, 1.0L,

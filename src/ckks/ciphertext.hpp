@@ -50,10 +50,13 @@ struct Ciphertext
         c1.syncHost();
     }
 
+    Ciphertext clone() const { return clone(level()); }
+
+    /** Deep copy of limbs 0..@p level of both components. */
     Ciphertext
-    clone() const
+    clone(u32 level) const
     {
-        return Ciphertext{c0.clone(), c1.clone(), scale, slots,
+        return Ciphertext{c0.clone(level), c1.clone(level), scale, slots,
                           noiseBits};
     }
 };

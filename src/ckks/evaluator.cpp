@@ -300,10 +300,11 @@ void
 Evaluator::levelReduceInPlace(Ciphertext &a, u32 newLevel) const
 {
     FIDES_ASSERT(newLevel <= a.level());
-    while (a.level() > newLevel) {
-        a.c0.dropLimb();
-        a.c1.dropLimb();
-    }
+    // A fresh copy of the kept limbs (DESIGN.md 1.4): the old
+    // partitions retire through the keep-alives, so the host never
+    // joins on a kernel still writing a dropped limb.
+    if (newLevel < a.level())
+        a = a.clone(newLevel);
 }
 
 const EvalKey &

@@ -78,7 +78,8 @@ class Evaluator
 
     /** Rescale: drop the top limb, divide the scale by q_l. */
     void rescaleInPlace(Ciphertext &a) const;
-    /** Exact modulus reduction to a lower level (scale unchanged). */
+    /** Exact modulus reduction to a lower level (scale unchanged): a
+     *  fresh copy of the kept limbs, with no host join. */
     void levelReduceInPlace(Ciphertext &a, u32 newLevel) const;
 
     // --- rotations ------------------------------------------------------

@@ -1,7 +1,9 @@
 #include "ckks/kernels.hpp"
 
 #include <chrono>
+#include <cstring>
 #include <ctime>
+#include <memory>
 #include <span>
 
 #include "core/logging.hpp"
@@ -136,8 +138,7 @@ innerProductLimb(u64 *x0, u64 *x1, const u64 *const *s,
  * across operands are skipped.
  */
 void
-waitHazards(Stream &st, const std::vector<Dep> &deps,
-            const std::vector<Event> &extraWaits, std::size_t lo,
+waitHazards(Stream &st, const std::vector<Dep> &deps, std::size_t lo,
             std::size_t hi)
 {
     std::vector<Event> waits;
@@ -159,8 +160,6 @@ waitHazards(Stream &st, const std::vector<Dep> &deps,
                     consider(r);
         }
     }
-    for (const Event &e : extraWaits)
-        consider(e);
     for (const Event &e : waits)
         st.wait(e);
 }
@@ -206,9 +205,7 @@ forBatches(const Context &ctx, std::size_t numLimbs,
            u64 intOpsPerLimb,
            const std::function<void(std::size_t, std::size_t)> &fn,
            const std::function<u32(std::size_t)> &primeAt,
-           const std::vector<Dep> &deps,
-           const std::vector<Event> &extraWaits,
-           std::vector<Event> *recorded)
+           const std::vector<Dep> &deps)
 {
     // costAt is only consulted during the call: capturing by
     // reference keeps the std::function allocation-free.
@@ -216,7 +213,7 @@ forBatches(const Context &ctx, std::size_t numLimbs,
                            intOpsPerLimb};
     forBatches(ctx, numLimbs,
                [&perLimb](std::size_t) { return perLimb; }, fn, primeAt,
-               deps, extraWaits, recorded);
+               deps);
 }
 
 void
@@ -224,9 +221,7 @@ forBatches(const Context &ctx, std::size_t numLimbs,
            const std::function<LimbCost(std::size_t)> &costAt,
            const std::function<void(std::size_t, std::size_t)> &fn,
            const std::function<u32(std::size_t)> &primeAt,
-           const std::vector<Dep> &deps,
-           const std::vector<Event> &extraWaits,
-           std::vector<Event> *recorded)
+           const std::vector<Dep> &deps)
 {
     if (numLimbs == 0)
         return;
@@ -242,7 +237,7 @@ forBatches(const Context &ctx, std::size_t numLimbs,
             c.intOps += l.intOps;
         }
         return c;
-    }, fn, primeAt, deps, extraWaits, recorded);
+    }, fn, primeAt, deps);
 }
 
 void
@@ -251,9 +246,7 @@ launchBatches(const Context &ctx, std::size_t numLimbs,
               const std::function<LimbCost(std::size_t, std::size_t)> &costOf,
               const std::function<void(std::size_t, std::size_t)> &fn,
               const std::function<u32(std::size_t)> &primeAt,
-              const std::vector<Dep> &deps,
-              const std::vector<Event> &extraWaits,
-              std::vector<Event> *recorded)
+              const std::vector<Dep> &deps)
 {
     if (numLimbs == 0)
         return;
@@ -263,10 +256,7 @@ launchBatches(const Context &ctx, std::size_t numLimbs,
         // A single stream is in-order by construction: run the
         // batches eagerly on the submitting thread. No events are
         // recorded or waited (everything this kernel could depend on
-        // already ran inline too; extraWaits are signalled for the
-        // same reason).
-        for (const Event &e : extraWaits)
-            e.synchronize();
+        // already ran inline too).
         for (std::size_t lo = 0; lo < numLimbs; lo += batch) {
             const std::size_t hi = std::min(numLimbs, lo + batch);
             const LimbCost c = costOf(lo, hi);
@@ -305,7 +295,7 @@ launchBatches(const Context &ctx, std::size_t numLimbs,
     auto launchOn = [&](Stream &st, std::size_t lo, std::size_t hi) {
         const LimbCost c = costOf(lo, hi);
         st.device().launch(c.bytesRead, c.bytesWritten, c.intOps);
-        waitHazards(st, deps, extraWaits, lo, hi);
+        waitHazards(st, deps, lo, hi);
         if (check::enabled()) {
             // Registered after the hazard waits so the launch clock
             // includes the edges they established; the record rides
@@ -320,10 +310,7 @@ launchBatches(const Context &ctx, std::size_t numLimbs,
         } else {
             st.submit([body, keep, lo, hi] { (*body)(lo, hi); });
         }
-        Event ev = st.record();
-        noteBatch(deps, lo, hi, ev);
-        if (recorded)
-            recorded->push_back(std::move(ev));
+        noteBatch(deps, lo, hi, st.record());
     };
 
     // Stream picks go through the calling thread's lease (the whole
@@ -547,18 +534,39 @@ toEval(RNSPoly &a)
 void
 toCoeff(RNSPoly &a)
 {
+    toCoeff(a, a);
+}
+
+void
+toCoeff(RNSPoly &out, const RNSPoly &in)
+{
     check::ScopedLabel lbl("toCoeff");
-    FIDES_ASSERT(a.format() == Format::Eval);
-    const auto &ctx = a.context();
+    FIDES_ASSERT(in.format() == Format::Eval);
+    FIDES_ASSERT(out.level() == in.level() &&
+                 out.numSpecial() == in.numSpecial());
+    const auto &ctx = in.context();
+    const std::size_t n = ctx.degree();
     const LimbCost cost = nttLimbCost(ctx);
-    LimbPartition &ap = a.partition();
-    forBatches(ctx, a.numLimbs(), cost.bytesRead, cost.bytesWritten,
+    LimbPartition &op = out.partition();
+    const LimbPartition &ip = in.partition();
+    // Out of place, the transform's first pass reads the input limb:
+    // billed as one transform, with no copy kernel before it.
+    const bool inPlace = &op == &ip;
+    std::vector<Dep> deps = {wr(out)};
+    if (!inPlace)
+        deps.push_back(rd(in));
+    forBatches(ctx, out.numLimbs(), cost.bytesRead, cost.bytesWritten,
                cost.intOps,
-               [&ctx, &ap](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i)
-            nttInverse(ap[i].write(), *ctx.prime(ap[i].primeIdx()).ntt);
-    }, [&ap](std::size_t i) { return ap[i].primeIdx(); }, {wr(a)});
-    a.setFormat(Format::Coeff);
+               [&ctx, &op, &ip, inPlace, n](std::size_t lo,
+                                            std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i) {
+            u64 *x = op[i].write();
+            if (!inPlace)
+                std::memcpy(x, ip[i].read(), n * sizeof(u64));
+            nttInverse(x, *ctx.prime(op[i].primeIdx()).ntt);
+        }
+    }, [&op](std::size_t i) { return op[i].primeIdx(); }, deps);
+    out.setFormat(Format::Coeff);
 }
 
 void
@@ -664,8 +672,7 @@ struct FusedChain::Op
     const LimbPartition *b = nullptr;
     const u32 *perm = nullptr;         //!< automorphism gather
     std::vector<u64> s0, s1;           //!< per-limb scalar constants
-    ExtFixed fixed;                    //!< shared fixed source
-    u64 srcPrime = 0;                  //!< SwitchModulus
+    std::size_t srcLimb = 0;           //!< SwitchModulus's source limb
 
     /** The polynomial whose limbs the op spans: scaledAdd writes
      *  only x's leading limbs of a possibly wider accumulator. */
@@ -674,6 +681,9 @@ struct FusedChain::Op
     {
         return kind == Kind::ScaledAdd ? aPoly : outPoly;
     }
+
+    /** SwitchModulus reads one fixed limb of a, not a positionally. */
+    bool fixedSource() const { return kind == Kind::SwitchModulus; }
 
     bool readsOut() const
     {
@@ -785,10 +795,13 @@ runOpOnLimb(const Context &ctx, const FusedChain::Op &op, std::size_t i,
             dst[j] = src[op.perm[j]];
         break;
     }
-    case Kind::SwitchModulus:
-        switchModulusLimb(ctx, op.fixed->data(), op.srcPrime,
-                          (*op.out)[i].write(), (*op.out)[i].primeIdx());
+    case Kind::SwitchModulus: {
+        const Limb &src = (*op.a)[op.srcLimb];
+        const u64 q = ctx.prime(src.primeIdx()).value();
+        switchModulusLimb(ctx, src.read(), q, (*op.out)[i].write(),
+                          (*op.out)[i].primeIdx());
         break;
+    }
     case Kind::Ntt:
         nttLimb(ctx, (*op.out)[i].write(), (*op.out)[i].primeIdx());
         break;
@@ -827,10 +840,11 @@ unfusedTraffic(const FusedChain::Op &op)
 }
 
 /**
- * The Dep list of a run of chain ops: one Dep per distinct
+ * The Dep list of a run of chain ops: one positional Dep per distinct
  * polynomial, Write wherever the ops write it (Write hazards cover
- * read-modify-write), Read otherwise. Both submission paths use it,
- * so an unfused op declares what the same op declares fused.
+ * read-modify-write), Read otherwise; a fixed source limb gets an
+ * rdFixed Dep beside it. Both submission paths use it, so an unfused
+ * op declares what the same op declares fused.
  */
 std::vector<Dep>
 chainDeps(std::span<const FusedChain::Op> ops)
@@ -838,7 +852,7 @@ chainDeps(std::span<const FusedChain::Op> ops)
     std::vector<Dep> deps;
     auto depFor = [&deps](const RNSPoly *p) -> Dep * {
         for (Dep &d : deps)
-            if (d.poly == p)
+            if (d.poly == p && d.count == 0)
                 return &d;
         return nullptr;
     };
@@ -849,7 +863,9 @@ chainDeps(std::span<const FusedChain::Op> ops)
             else
                 deps.push_back(wr(*op.outPoly));
         }
-        if (op.aPoly && !depFor(op.aPoly))
+        if (op.fixedSource())
+            deps.push_back(rdFixed(*op.aPoly, op.srcLimb));
+        else if (op.aPoly && !depFor(op.aPoly))
             deps.push_back(rd(*op.aPoly));
         if (op.bPoly && !depFor(op.bPoly))
             deps.push_back(rd(*op.bPoly));
@@ -973,13 +989,15 @@ FusedChain::gather(RNSPoly &out, const RNSPoly &in,
 }
 
 FusedChain &
-FusedChain::switchModulus(RNSPoly &out, ExtFixed src, u64 srcPrime)
+FusedChain::switchModulus(RNSPoly &out, const RNSPoly &src,
+                          std::size_t srcLimb)
 {
+    FIDES_ASSERT(srcLimb < src.numLimbs());
     out.setFormat(Format::Coeff);
     Op op{Op::Kind::SwitchModulus};
     op.outPoly = &out;
-    op.fixed = std::move(src);
-    op.srcPrime = srcPrime;
+    op.aPoly = &src;
+    op.srcLimb = srcLimb;
     ops_.push_back(std::move(op));
     return *this;
 }
@@ -1013,7 +1031,7 @@ FusedChain::rsubScalarMul(RNSPoly &out, const RNSPoly &x,
 }
 
 void
-FusedChain::run(const std::vector<Event> &extraWaits)
+FusedChain::run()
 {
     if (ops_.empty())
         return;
@@ -1060,7 +1078,7 @@ FusedChain::run(const std::vector<Event> &extraWaits)
                        [&ctx, one, n](std::size_t lo, std::size_t hi) {
                 for (std::size_t i = lo; i < hi; ++i)
                     runOpOnLimb(ctx, *one, i, n);
-            }, primeAt, chainDeps({&op, 1}), extraWaits);
+            }, primeAt, chainDeps({&op, 1}));
         }
         ops_.clear();
         return;
@@ -1071,7 +1089,8 @@ FusedChain::run(const std::vector<Event> &extraWaits)
     // Counters: integer ops are summed over the chain; memory traffic
     // is single-pass -- each distinct operand is counted once (reads
     // only when first touched as a read: an operand produced earlier
-    // in the chain, or chain-internal scratch, stays on-chip).
+    // in the chain, or chain-internal scratch, stays on-chip). A fixed
+    // source limb is an operand of its own.
     u64 intOps = 0;
     u64 readsPerLimb = 0, writesPerLimb = 0;
     std::vector<const void *> written, readCounted;
@@ -1095,9 +1114,9 @@ FusedChain::run(const std::vector<Event> &extraWaits)
     };
     for (const Op &op : ops_) {
         intOps += op.intOpsPerLimb(n, logN);
-        countRead(op.a);
+        countRead(op.fixedSource() ? &(*op.a)[op.srcLimb]
+                                   : static_cast<const void *>(op.a));
         countRead(op.b);
-        countRead(op.fixed.get());
         if (op.readsOut())
             countRead(op.out);
         countWrite(op.out);
@@ -1112,7 +1131,7 @@ FusedChain::run(const std::vector<Event> &extraWaits)
         for (std::size_t i = lo; i < hi; ++i)
             for (const Op &op : *ops)
                 runOpOnLimb(ctx, op, i, n);
-    }, primeAt, deps, extraWaits);
+    }, primeAt, deps);
     ops_.clear();
 }
 

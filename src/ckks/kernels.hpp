@@ -21,7 +21,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -152,10 +151,8 @@ struct LimbCost
  * partitions by reference (heap-stable; kept alive via the Dep
  * keep-alives) or host temporaries by value / shared_ptr -- never
  * stack RNSPoly objects or caller-owned buffers by reference.
- * @p costOf is only called before this returns. @p extraWaits adds
- * events every batch must wait for (the producers of a host scratch
- * input); @p recorded, when non-null, receives the per-batch
- * completion events (empty after an inline run).
+ * @p costOf is only called before this returns. Every kernel input
+ * is a Limb named by @p deps: no host buffer passes between kernels.
  *
  * The engine counts no logical kernel; forBatches does. Base
  * conversion calls it directly and stays outside that count.
@@ -165,9 +162,7 @@ void launchBatches(
     const std::function<LimbCost(std::size_t, std::size_t)> &costOf,
     const std::function<void(std::size_t, std::size_t)> &fn,
     const std::function<u32(std::size_t)> &primeAt = {},
-    const std::vector<Dep> &deps = {},
-    const std::vector<Event> &extraWaits = {},
-    std::vector<Event> *recorded = nullptr);
+    const std::vector<Dep> &deps = {});
 
 /**
  * One logical kernel on the launch engine at the context's limb
@@ -178,9 +173,7 @@ void forBatches(const Context &ctx, std::size_t numLimbs,
                 u64 intOpsPerLimb,
                 const std::function<void(std::size_t, std::size_t)> &fn,
                 const std::function<u32(std::size_t)> &primeAt = {},
-                const std::vector<Dep> &deps = {},
-                const std::vector<Event> &extraWaits = {},
-                std::vector<Event> *recorded = nullptr);
+                const std::vector<Dep> &deps = {});
 
 /**
  * forBatches for kernels whose limbs do not all cost the same:
@@ -194,9 +187,7 @@ void forBatches(const Context &ctx, std::size_t numLimbs,
                 const std::function<LimbCost(std::size_t)> &costAt,
                 const std::function<void(std::size_t, std::size_t)> &fn,
                 const std::function<u32(std::size_t)> &primeAt = {},
-                const std::vector<Dep> &deps = {},
-                const std::vector<Event> &extraWaits = {},
-                std::vector<Event> *recorded = nullptr);
+                const std::vector<Dep> &deps = {});
 
 /**
  * Cumulative thread CPU the CALLING thread has spent submitting
@@ -224,11 +215,13 @@ u64 dispatchEngineNs();
  * traffic of the unfused backend -- the arithmetic per coefficient is
  * identical either way, so fused and unfused runs are bit-identical.
  *
- * All polynomial operands are positional (limb i of each poly pairs
- * with limb i of the others). The chain's limb count and prime layout
- * come from the first op's limb range: its written polynomial, or
- * scaledAdd's x. Operand polynomials must
- * stay alive until run() returns; after that the usual keep-alive
+ * Polynomial operands are positional (limb i of each poly pairs with
+ * limb i of the others), except switchModulus's source: every limb
+ * reads one fixed limb of it, through an rdFixed Dep kept beside any
+ * positional Dep on the same polynomial. The chain's limb count and
+ * prime layout come from the first op's limb range: its written
+ * polynomial, or scaledAdd's x. Operand polynomials must stay alive
+ * until run() returns; after that the usual keep-alive
  * machinery covers them. Permutations passed to gather() are
  * captured by pointer and are NOT kept alive: like kernels::automorph,
  * they must outlive the submitted kernels themselves -- pass the
@@ -237,16 +230,11 @@ u64 dispatchEngineNs();
  * The Rescale/ModDown epilogues run in place on their output
  * polynomial: base conversion (ModDown) or switchModulus (Rescale)
  * fills it in coefficient form, ntt() transforms it, and
- * rsubScalarMul() finishes it. The one host input is a fixed buffer
- * read by every limb (`ExtFixed`: Rescale's inverse-NTTed dropped
- * limb), held by shared_ptr; its producer events are passed to run()
- * and waited stream-side.
+ * rsubScalarMul() finishes it.
  */
 class FusedChain
 {
   public:
-    using ExtFixed = std::shared_ptr<std::vector<u64>>;
-
     explicit FusedChain(const Context &ctx);
     ~FusedChain();
 
@@ -275,9 +263,10 @@ class FusedChain
     FusedChain &gather(RNSPoly &out, const RNSPoly &in,
                        const std::vector<u32> &perm);
 
-    /** out[limb i] = SwitchModulus(src mod srcPrime -> limb i's
-     *  prime), coefficient form. */
-    FusedChain &switchModulus(RNSPoly &out, ExtFixed src, u64 srcPrime);
+    /** out[limb i] = SwitchModulus(limb @p srcLimb of @p src, in
+     *  coefficient form, -> limb i's prime), coefficient form. */
+    FusedChain &switchModulus(RNSPoly &out, const RNSPoly &src,
+                              std::size_t srcLimb);
     /** In-place forward NTT of every limb (Coeff -> Eval). */
     FusedChain &ntt(RNSPoly &a);
     /** out = (x - out) * w[i], Shoup-precomputed constants (the fused
@@ -287,11 +276,10 @@ class FusedChain
 
     /**
      * Submits the chain: one logical kernel when fusion is enabled,
-     * one per recorded op otherwise. @p extraWaits are producer events
-     * of the ExtFixed input. The chain is consumed; reuse requires a
-     * fresh builder.
+     * one per recorded op otherwise. The chain is consumed; reuse
+     * requires a fresh builder.
      */
-    void run(const std::vector<Event> &extraWaits = {});
+    void run();
 
     /** One recorded operation (public so the kernel-body helpers in
      *  kernels.cpp can execute it; not part of the API). */
@@ -352,6 +340,9 @@ void keySwitchInnerProduct(RNSPoly &out0, RNSPoly &out1,
 void toEval(RNSPoly &a);
 /** Eval -> Coeff: inverse NTT on every limb. */
 void toCoeff(RNSPoly &a);
+/** out = the inverse NTT of @p in, in one kernel (no separate copy).
+ *  @p out must have @p in's level and special limbs. */
+void toCoeff(RNSPoly &out, const RNSPoly &in);
 /** Forward NTT on a single raw limb buffer. */
 void nttLimb(const Context &ctx, u64 *data, u32 primeIdx);
 /** Inverse NTT on a single raw limb buffer. */

@@ -15,10 +15,11 @@ decomposeAndModUp(const RNSPoly &dEval)
     FIDES_ASSERT(dEval.numSpecial() == 0);
     const u32 level = dEval.level();
 
-    // Conv needs coefficient form; each digit's own limbs are copied
-    // straight from the eval-form input instead.
-    RNSPoly coeff = dEval.clone();
-    kernels::toCoeff(coeff);
+    // Conv needs coefficient form (one out-of-place iNTT kernel);
+    // each digit's own limbs are copied straight from the eval-form
+    // input instead.
+    RNSPoly coeff(ctx, level, Format::Coeff);
+    kernels::toCoeff(coeff, dEval);
 
     RaisedDigits out;
     out.level = level;

@@ -27,13 +27,20 @@ RNSPoly::RNSPoly(const Context &ctx, u32 level, Format fmt,
 RNSPoly
 RNSPoly::clone() const
 {
-    RNSPoly c(*ctx_, level_, format_, special_);
+    return clone(level_);
+}
+
+RNSPoly
+RNSPoly::clone(u32 level) const
+{
+    FIDES_ASSERT(level <= level_ && (level == level_ || special_ == 0));
+    RNSPoly c(*ctx_, level, format_, special_);
     // Device-to-device copy: batched, accounted and event-chained
-    // like any kernel.
+    // like any kernel. Positional, so it reads only the kept limbs.
     const std::size_t n = ctx_->degree();
     const LimbPartition &sp = *part_;
     LimbPartition &dp = *c.part_;
-    kernels::forBatches(*ctx_, part_->size(), n * sizeof(u64),
+    kernels::forBatches(*ctx_, dp.size(), n * sizeof(u64),
                         n * sizeof(u64), 0,
                         [&sp, &dp, n](std::size_t lo, std::size_t hi) {
         for (std::size_t i = lo; i < hi; ++i)

@@ -333,6 +333,12 @@ class RNSPoly
     /** Deep copy. */
     RNSPoly clone() const;
 
+    /** Deep copy of limbs 0..@p level (at most level()) into a fresh
+     *  polynomial: one copy kernel, no host join. Level reduction
+     *  lowers this way (DESIGN.md 1.4). A lower level drops top
+     *  q-limbs, so it takes a polynomial without special limbs. */
+    RNSPoly clone(u32 level) const;
+
     /** Fills every limb with zeros (host write: joins if pending). */
     void setZero();
 
@@ -347,10 +353,10 @@ class RNSPoly
     /** True if any kernel on this polynomial is still in flight. */
     bool hasPendingWork() const;
 
-    /** Drops the top q-limb (level-reduction bookkeeping). Joins on
-     *  the dropped limb's pending kernels first: in-flight bodies
-     *  index the live limb vector, so the slot cannot be destroyed
-     *  under them. */
+    /** Drops the top q-limb in place (the host-side reference
+     *  evaluator's level reduction). Joins on the dropped limb's
+     *  pending kernels first: in-flight bodies index the live limb
+     *  vector, so the slot cannot be destroyed under them. */
     void dropLimb();
 
     /** Removes the special limbs (post-ModDown). Joins like

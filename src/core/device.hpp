@@ -12,9 +12,10 @@
  *                 lists, allocation statistics, peak tracking). Guarded
  *                 by a mutex so buffers can be created and released
  *                 while kernels run on other streams.
- *  - DeviceVector RAII buffer on a device's pool; also supports the
- *                 paper's "unmanaged" views into a flattened 2-D
- *                 allocation.
+ *  - DeviceVector RAII buffer on a device's pool. It has no copy of
+ *                 its own: every device copy is a kernel on the
+ *                 launch engine (RNSPoly::clone), so it is billed,
+ *                 hazard-tracked and validated like any other.
  *  - Device       one simulated GPU: a pool, kernel counters, and the
  *                 launch-overhead configuration. Instantiable -- a
  *                 process may hold any number of devices; the library
@@ -57,7 +58,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdlib>
-#include <cstring>
 #include <deque>
 #include <functional>
 #include <map>
@@ -580,14 +580,9 @@ leaseForWorker(DeviceSet &devs, u32 worker, u32 totalWorkers)
 }
 
 /**
- * RAII device buffer, the stand-in for the paper's VectorGPU.
- *
- * Managed vectors own memory from one device's pool and remember the
- * device so destruction releases to the right pool and clone()
- * accounts its copy traffic as a device launch. Unmanaged vectors
- * wrap a caller-provided pointer (the paper's
- * flattened-2D-with-simulated-stack pattern for short-lived,
- * constant-sized RNS polynomials).
+ * RAII device buffer, the stand-in for the paper's VectorGPU: owns
+ * memory from one device's pool and remembers the device, so
+ * destruction releases to the right pool.
  */
 template <typename T>
 class DeviceVector
@@ -596,26 +591,20 @@ class DeviceVector
     DeviceVector() = default;
 
     DeviceVector(std::size_t n, Device &dev)
-        : dev_(&dev), size_(n), owned_(true)
-    {
-        data_ = static_cast<T *>(dev.pool().allocate(n * sizeof(T)));
-    }
-
-    /** Unmanaged view: memory owned by a higher-level class. */
-    DeviceVector(T *ptr, std::size_t n, Device *dev = nullptr)
-        : dev_(dev), data_(ptr), size_(n), owned_(false)
+        : dev_(&dev),
+          data_(static_cast<T *>(dev.pool().allocate(n * sizeof(T)))),
+          size_(n)
     {}
 
     DeviceVector(const DeviceVector &) = delete;
     DeviceVector &operator=(const DeviceVector &) = delete;
 
     DeviceVector(DeviceVector &&o) noexcept
-        : dev_(o.dev_), data_(o.data_), size_(o.size_), owned_(o.owned_)
+        : dev_(o.dev_), data_(o.data_), size_(o.size_)
     {
         o.dev_ = nullptr;
         o.data_ = nullptr;
         o.size_ = 0;
-        o.owned_ = false;
     }
 
     DeviceVector &
@@ -626,11 +615,9 @@ class DeviceVector
             dev_ = o.dev_;
             data_ = o.data_;
             size_ = o.size_;
-            owned_ = o.owned_;
             o.dev_ = nullptr;
             o.data_ = nullptr;
             o.size_ = 0;
-            o.owned_ = false;
         }
         return *this;
     }
@@ -641,41 +628,22 @@ class DeviceVector
     const T *data() const { return data_; }
     std::size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
-    bool managed() const { return owned_; }
+    /** Owns a pool buffer (false once moved from or detached). */
+    bool managed() const { return data_ != nullptr; }
     Device *device() const { return dev_; }
 
     T &operator[](std::size_t i) { return data_[i]; }
     const T &operator[](std::size_t i) const { return data_[i]; }
 
     /**
-     * Deep copy into a new managed vector on the same device. The
-     * copy is a device-to-device transfer, so its traffic goes
-     * through the launch counters like any other kernel.
-     */
-    DeviceVector
-    clone() const
-    {
-        FIDES_ASSERT(dev_ != nullptr);
-        DeviceVector c(size_, *dev_);
-        dev_->launch(size_ * sizeof(T), size_ * sizeof(T), 0);
-        std::memcpy(c.data_, data_, size_ * sizeof(T));
-        if (check::enabled())
-            check::markInitialized(c.data_);
-        return c;
-    }
-
-    /**
      * Relinquishes ownership of the buffer without releasing it to
      * the pool; the caller becomes responsible (used to hand a
      * still-pending buffer to MemPool::deferRelease). Returns nullptr
-     * for unmanaged or empty vectors.
+     * for a default-constructed, moved-from or detached vector.
      */
     T *
     detach()
     {
-        if (!owned_)
-            return nullptr;
-        owned_ = false;
         T *p = data_;
         data_ = nullptr;
         return p;
@@ -685,16 +653,14 @@ class DeviceVector
     void
     destroy()
     {
-        if (owned_ && data_) {
+        if (data_)
             dev_->pool().release(data_, size_ * sizeof(T));
-        }
         data_ = nullptr;
     }
 
     Device *dev_ = nullptr;
     T *data_ = nullptr;
     std::size_t size_ = 0;
-    bool owned_ = false;
 };
 
 } // namespace fideslib

@@ -9,8 +9,9 @@
  * that does not happen-before the guard (lifetime), and a stream
  * submission outside the thread's lease (leasecheck). The clean-path
  * tests then run real kernel pipelines -- including the concurrent
- * Server -- under Fatal mode, where any false positive aborts the
- * process.
+ * Server and Rescale's switchModulus, whose one non-positional read
+ * is checked against a host oracle -- under Fatal mode, where any
+ * false positive aborts the process.
  *
  * Violations cannot be seeded through the public kernel API alone
  * (forBatches derives its event chaining from the same Dep lists the
@@ -23,7 +24,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
+#include <random>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "check/check.hpp"
 #include "ckks/encryptor.hpp"
@@ -258,6 +263,72 @@ TEST(CheckClean, MultiStreamPipelineIsViolationFree)
     out.c0.syncHost();
     EXPECT_GT(check::stats().launches, 0u);
     EXPECT_EQ(check::stats().violations(), 0u);
+}
+
+TEST(ExecutionFusedChain, SwitchModulusReadsItsSourceLimbThroughADep)
+{
+    // FusedChain::switchModulus(out, src, L) reads limb L of src in
+    // every limb of out, under an rdFixed Dep: it waits on the kernel
+    // that last wrote that limb, and a later writer of the limb waits
+    // on it. Its output must be switchModulusLimb of a host copy of
+    // the limb, fused and unfused, inline and on 2 devices x 2 streams
+    // in batches of 3, with the validator finding nothing.
+    for (const Parameters &p :
+         {topologyParams(1, 1), topologyParams(2, 2, 3)}) {
+        for (bool fused : {true, false}) {
+            const std::string what =
+                "topology " + std::to_string(p.numDevices) + "x" +
+                std::to_string(p.streamsPerDevice) +
+                (fused ? " fused" : " unfused");
+            ScopedValidation v(check::Mode::Fatal);
+            Context ctx(p);
+            ctx.setFusion(fused);
+            const u32 L = ctx.maxLevel();
+            const std::size_t n = ctx.degree();
+
+            RNSPoly src(ctx, L, Format::Coeff);
+            std::mt19937_64 rng(77);
+            for (std::size_t i = 0; i < src.numLimbs(); ++i) {
+                const u64 q = ctx.prime(src.primeIdxAt(i)).value();
+                u64 *x = src.limb(i).data();
+                for (std::size_t j = 0; j < n; ++j)
+                    x[j] = rng() % q;
+            }
+            const std::vector<u64> last(src.limb(L).data(),
+                                        src.limb(L).data() + n);
+            // Two negations leave the values as they were, with the
+            // source limb written by a kernel that may be in flight.
+            kernels::negate(src);
+            kernels::negate(src);
+
+            DeviceSet &devs = ctx.devices();
+            devs.resetCounters();
+            RNSPoly out(ctx, L - 1, Format::Coeff);
+            kernels::FusedChain(ctx).switchModulus(out, src, L).run();
+            // One read slot (the source limb) and one write per limb,
+            // fused or not.
+            const u64 bytes = u64{L} * n * sizeof(u64);
+            EXPECT_EQ(devs.aggregateCounters().bytesRead, bytes) << what;
+            EXPECT_EQ(devs.aggregateCounters().bytesWritten, bytes)
+                << what;
+            // Write-after-read: this must not run under the chain.
+            kernels::negate(src);
+
+            out.syncHost();
+            const u64 ql = ctx.prime(src.primeIdxAt(L)).value();
+            std::vector<u64> want(n);
+            for (std::size_t i = 0; i < out.numLimbs(); ++i) {
+                kernels::switchModulusLimb(ctx, last.data(), ql,
+                                           want.data(),
+                                           out.primeIdxAt(i));
+                ASSERT_EQ(0, std::memcmp(out.limb(i).data(), want.data(),
+                                         n * sizeof(u64)))
+                    << what << " limb " << i;
+            }
+            src.syncHost();
+            EXPECT_EQ(check::stats().violations(), 0u) << what;
+        }
+    }
 }
 
 TEST(CheckClean, ConcurrentServerIsViolationFree)

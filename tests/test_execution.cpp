@@ -598,6 +598,74 @@ TEST(ExecutionAsync, HMultPipelineJoinsAtLeastTenfoldFewer)
         << "host joins " << joins << " vs logical kernels " << kernels;
 }
 
+TEST(ExecutionAsync, LevelReduceReturnsWhileAKernelStillWritesTheInput)
+{
+    // levelReduceInPlace copies the kept limbs into fresh polynomials,
+    // so it returns without a host join while a kernel is still
+    // writing the ciphertext, and the copy still sees what that kernel
+    // writes. The kernel is held by a gate that a helper thread opens
+    // once the call has returned, or after 2 s, so a level reduction
+    // that joins on the writer fails here instead of hanging.
+    Context ctx(topologyParams(2, 2));
+    KeyGen kg(ctx);
+    KeyBundle keys = kg.makeBundle({});
+    Evaluator eval(ctx, keys);
+    const u32 L = ctx.maxLevel();
+    const std::size_t n = ctx.degree();
+    Ciphertext ct{RNSPoly(ctx, L, Format::Eval),
+                  RNSPoly(ctx, L, Format::Eval), ctx.defaultScale(), 1};
+    auto value = [n](u32 c, std::size_t i, std::size_t j) {
+        return static_cast<u64>((2 * i + c) * n + j);
+    };
+
+    std::atomic<bool> open{false}, returned{false};
+    LimbPartition &p0 = ct.c0.partition();
+    LimbPartition &p1 = ct.c1.partition();
+    kernels::forBatches(ctx, ct.c0.numLimbs(), 0, 0, 0,
+                        [&open, &p0, &p1, &value, n](std::size_t lo,
+                                                     std::size_t hi) {
+        awaitFlag(open);
+        for (std::size_t i = lo; i < hi; ++i) {
+            u64 *x0 = p0[i].write();
+            u64 *x1 = p1[i].write();
+            for (std::size_t j = 0; j < n; ++j) {
+                x0[j] = value(0, i, j);
+                x1[j] = value(1, i, j);
+            }
+        }
+    }, [&p0](std::size_t i) { return p0[i].primeIdx(); },
+       {kernels::wr(ct.c0), kernels::wr(ct.c1)});
+    std::thread opener([&open, &returned] {
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(2);
+        while (!returned.load(std::memory_order_acquire) &&
+               std::chrono::steady_clock::now() < deadline)
+            std::this_thread::yield();
+        open.store(true, std::memory_order_release);
+    });
+
+    const u64 joinsBefore = ctx.devices().hostJoins();
+    eval.levelReduceInPlace(ct, 1);
+    returned.store(true, std::memory_order_release);
+    const u64 joins = ctx.devices().hostJoins() - joinsBefore;
+    opener.join();
+    EXPECT_EQ(joins, 0u);
+    // The copy waited only on the kept limbs' writers: drain the rest
+    // before the gate and the body's captures go out of scope.
+    ctx.devices().synchronize();
+
+    ASSERT_EQ(ct.level(), 1u);
+    ct.syncHost();
+    for (u32 c = 0; c < 2; ++c) {
+        const RNSPoly &poly = c == 0 ? ct.c0 : ct.c1;
+        ASSERT_EQ(poly.numLimbs(), 2u);
+        for (std::size_t i = 0; i < 2; ++i)
+            for (std::size_t j = 0; j < n; ++j)
+                ASSERT_EQ(poly.limb(i).data()[j], value(c, i, j))
+                    << "component " << c << " limb " << i;
+    }
+}
+
 TEST(ExecutionPool, PendingBuffersAreDeferredNotRecycled)
 {
     Context ctx(topologyParams(1, 2));
