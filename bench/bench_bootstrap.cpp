@@ -7,8 +7,9 @@
  * unoptimized CPU implementation on the same substrate).
  *
  * BM_BootstrapPerOp runs the FIDESlib configuration after one warmup
- * bootstrap (which builds the cached stage encodes, DESIGN.md §1.10)
- * and reports the host dispatch cost per bootstrap.
+ * bootstrap (pool growth and the context's lazy tables; the stage
+ * encodes are built at construction, DESIGN.md §1.10) and reports the
+ * host dispatch cost per bootstrap.
  * BM_BootstrapBaselineSim warms the same way after its knob changes.
  * Both report device_peak_mb, the device pools' high-water during the
  * timed bootstrap, which the per-stream queue cap bounds (DESIGN.md

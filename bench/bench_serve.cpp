@@ -238,7 +238,7 @@ writeBootstrapRow(std::FILE *f, u32 cores)
     opt.submitters = kBootSubmitters;
     opt.bootstrapper = &boot;
 
-    // Warm: the first bootstrap builds the cached stage encodes.
+    // Warm the pools and the context's lazy tables with one bootstrap.
     {
         Server warm(ctx, keys, opt);
         warm.submit(refreshProgram()).get();

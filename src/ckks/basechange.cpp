@@ -151,7 +151,7 @@ launchConv(const ConvTables &tables, const RNSPoly &from,
         for (std::size_t t = lo; t < hi; ++t)
             dst[t] = tp[t < srcFirst ? t : t + holeLen].write();
         convertTargets(ctx, tables, src, dst, lo, hi);
-    }, [&tables](std::size_t t) { return tables.targetIdx[t]; }, deps);
+    }, deps);
 }
 
 /**
@@ -173,8 +173,6 @@ inverseNttFrom(RNSPoly &a, std::size_t first)
             Limb &l = ap[first + k];
             kernels::inttLimb(ctx, l.write(), l.primeIdx());
         }
-    }, [&ap, first](std::size_t k) {
-        return ap[first + k].primeIdx();
     }, {kernels::wr(a, first)});
 }
 
@@ -267,9 +265,7 @@ modUpDigit(const RNSPoly &evalPoly, const RNSPoly &coeffPoly, u32 digit)
                 nttForward(op[i].write(), *ctx.prime(op[i].primeIdx()).ntt);
             }
         }
-    }, [&op](std::size_t i) { return op[i].primeIdx(); },
-       {kernels::wr(out),
-        kernels::rdSpan(evalPoly, srcLo, srcHi - srcLo)});
+    }, {kernels::wr(out), kernels::rdSpan(evalPoly, srcLo, srcHi - srcLo)});
     return out;
 }
 
@@ -377,8 +373,7 @@ modRaise(const RNSPoly &a, u32 newLevel)
                                            static_cast<u32>(i));
             }
         }
-    }, [](std::size_t i) { return static_cast<u32>(i); },
-       {kernels::wr(out), kernels::rdFixed(a, 0)});
+    }, {kernels::wr(out), kernels::rdFixed(a, 0)});
     return out;
 }
 

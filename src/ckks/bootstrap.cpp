@@ -24,6 +24,10 @@ constexpr double kChebyshevTarget = 1e-13;
 //! Double-angle range searched with the degree.
 constexpr u32 kMinDoubleAngles = 3;
 constexpr u32 kMaxDoubleAngles = 9;
+//! Bound on the ModRaise overflow |I| (t = m + q0 I) for sparse and
+//! for dense ternary secrets.
+constexpr double kBase = 28.0;
+constexpr double kUniform = 512.0;
 
 } // namespace
 
@@ -38,7 +42,7 @@ Bootstrapper::Bootstrapper(const Evaluator &eval,
     gap_ = static_cast<u32>((n / 2) / cfg_.slots);
 
     const bool sparse = ctx.params().secretHammingWeight > 0;
-    double base = sparse ? cfg_.kBase : cfg_.kUniform;
+    const double base = sparse ? kBase : kUniform;
     if (!sparse) {
         warn("bootstrapping with a dense ternary secret: range K=%g "
              "requires a large Chebyshev degree",
@@ -118,6 +122,16 @@ Bootstrapper::Bootstrapper(const Evaluator &eval,
               need, ctx.maxLevel());
     }
 
+    // Encode each stage once, at the one level it runs at (depth() is
+    // exact; applyEncoded asserts it): CoeffToSlot stage s at
+    // maxLevel - s, SlotToCoeff stage s at outputLevel() + |s2c| - s.
+    for (u32 s = 0; s < c2s_.size(); ++s)
+        c2sEnc_.push_back(encodeDiagMatrix(eval_, c2s_[s], c2s_[s].slots(),
+                                           ctx.maxLevel() - s));
+    const u32 s2cTop = outputLevel() + static_cast<u32>(s2c_.size());
+    for (u32 s = 0; s < s2c_.size(); ++s)
+        s2cEnc_.push_back(encodeDiagMatrix(eval_, s2c_[s], s2c_[s].slots(),
+                                           s2cTop - s));
 }
 
 bool
@@ -156,22 +170,6 @@ Bootstrapper::requiredRotations() const
         rots.insert(static_cast<i64>(cfg_.slots) << i);
     rots.erase(0);
     return {rots.begin(), rots.end()};
-}
-
-const EncodedDiagMatrix &
-Bootstrapper::encodedStage(bool s2c, u32 idx, u32 level) const
-{
-    std::lock_guard<std::mutex> lock(*cacheMutex_);
-    auto key = std::make_tuple(s2c, idx, level);
-    auto it = cache_.find(key);
-    if (it == cache_.end()) {
-        const DiagMatrix &m = s2c ? s2c_[idx] : c2s_[idx];
-        it = cache_
-                 .emplace(key, encodeDiagMatrix(eval_, m, m.slots(),
-                                                level))
-                 .first;
-    }
-    return it->second;
 }
 
 Ciphertext
@@ -252,17 +250,17 @@ Bootstrapper::bootstrap(const Ciphertext &ct) const
         eval_.addInPlace(raised, rot);
     }
 
-    // The stage encodes are cached across calls. A widened stage
-    // reads its s-periodic input at 2s slots.
-    auto applyStage = [&](Ciphertext &x, bool s2c, u32 idx) {
-        x.slots = (s2c ? s2c_ : c2s_)[idx].slots();
-        x = applyEncoded(eval_, x, encodedStage(s2c, idx, x.level()));
+    // A widened stage reads its s-periodic input at 2s slots.
+    auto applyStage = [&](Ciphertext &x, const DiagMatrix &m,
+                          const EncodedDiagMatrix &encoded) {
+        x.slots = m.slots();
+        x = applyEncoded(eval_, x, encoded);
     };
 
     // 3. CoeffToSlot stages.
     Ciphertext enc = std::move(raised);
     for (u32 s = 0; s < c2s_.size(); ++s)
-        applyStage(enc, false, s);
+        applyStage(enc, c2s_[s], c2sEnc_[s]);
 
     // 4-6. Conjugation split and ApproxModEval (scoped so the
     // intermediates die before SlotToCoeff). The 1/2 of the split was
@@ -290,7 +288,7 @@ Bootstrapper::bootstrap(const Ciphertext &ct) const
 
     // 7. SlotToCoeff stages.
     for (u32 s = 0; s < s2c_.size(); ++s)
-        applyStage(w, true, s);
+        applyStage(w, s2c_[s], s2cEnc_[s]);
 
     // The pipeline's constants assumed input scale Delta; the output
     // is canonical at its level and re-encrypts the original message.

@@ -39,26 +39,21 @@
 
 #pragma once
 
-#include <map>
-#include <memory>
-#include <mutex>
-
 #include "ckks/lintrans.hpp"
 
 namespace fideslib::ckks
 {
 
-/** Tuning knobs for the bootstrapping pipeline. */
+/** Slot count and linear-transform level budgets of a bootstrap. */
 struct BootstrapConfig
 {
-    u32 slots = 0;           //!< number of plaintext slots (<= N/2)
-    u32 levelBudgetC2S = 3;  //!< CoeffToSlot depth (stage groups)
-    u32 levelBudgetS2C = 3;  //!< SlotToCoeff depth
-    double kBase = 28.0;     //!< |I| bound for sparse secrets
-    double kUniform = 512.0; //!< |I| bound for dense ternary secrets
+    u32 slots = 0;          //!< number of plaintext slots (<= N/2)
+    u32 levelBudgetC2S = 3; //!< CoeffToSlot depth (stage groups)
+    u32 levelBudgetS2C = 3; //!< SlotToCoeff depth
 };
 
-/** Server-side bootstrapping engine. */
+/** Server-side bootstrapping engine. Every stage is encoded at
+ *  construction, so concurrent submitters share it read-only. */
 class Bootstrapper
 {
   public:
@@ -85,8 +80,6 @@ class Bootstrapper
   private:
     /** slots < N/2: Re and Im share one 2s-slot EvalMod. */
     bool sparsePacking() const;
-    const EncodedDiagMatrix &encodedStage(bool s2c, u32 idx,
-                                          u32 level) const;
     Ciphertext approxMod(const Ciphertext &y) const;
 
     const Evaluator &eval_;
@@ -97,15 +90,8 @@ class Bootstrapper
     u32 chebDegree_ = 0;
     std::vector<double> chebCoeffs_;
     std::vector<DiagMatrix> c2s_, s2c_;
-    //! cache key: (s2c flag, stage index, level). Mutex-guarded:
-    //! concurrent serve::Server submitters bootstrap through one
-    //! shared Bootstrapper (map nodes are stable, so returned
-    //! references survive later insertions). On the heap so the
-    //! engine stays movable (factories return it by value).
-    mutable std::unique_ptr<std::mutex> cacheMutex_ =
-        std::make_unique<std::mutex>();
-    mutable std::map<std::tuple<bool, u32, u32>, EncodedDiagMatrix>
-        cache_;
+    //! stage s of each ladder, encoded at the level it runs at
+    std::vector<EncodedDiagMatrix> c2sEnc_, s2cEnc_;
 };
 
 } // namespace fideslib::ckks

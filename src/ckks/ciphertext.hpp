@@ -42,13 +42,9 @@ struct Ciphertext
     u32 level() const { return c0.level(); }
 
     /** Host join on every pending kernel touching this ciphertext --
-     *  required before reading limb data on the host. */
-    void
-    syncHost() const
-    {
-        c0.syncHost();
-        c1.syncHost();
-    }
+     *  required before reading limb data on the host. One join for
+     *  both components. */
+    void syncHost() const { RNSPoly::syncHost({&c0, &c1}); }
 
     Ciphertext clone() const { return clone(level()); }
 

@@ -176,7 +176,8 @@ Evaluator::multiply(const Ciphertext &a, const Ciphertext &b) const
 
     // Relinearize d2 (under s^2) back to the canonical key; the two
     // accumulates fuse into one launch.
-    auto [u0, u1] = keySwitch(t.d2, keys_->relin);
+    auto [u0, u1] =
+        keySwitchAccumulate(decomposeAndModUp(t.d2), keys_->relin);
     kernels::FusedChain(*ctx_).add(t.d0, u0).add(t.d1, u1).run();
 
     double noise = a.noiseBits + b.noiseBits + 1.0;
@@ -189,7 +190,8 @@ Ciphertext
 Evaluator::square(const Ciphertext &a) const
 {
     Tensor t = tensorSquare(*ctx_, a);
-    auto [u0, u1] = keySwitch(t.d2, keys_->relin);
+    auto [u0, u1] =
+        keySwitchAccumulate(decomposeAndModUp(t.d2), keys_->relin);
     kernels::FusedChain(*ctx_).add(t.d0, u0).add(t.d1, u1).run();
 
     return Ciphertext{std::move(t.d0), std::move(t.d1),

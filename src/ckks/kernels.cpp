@@ -191,6 +191,18 @@ noteBatch(const std::vector<Dep> &deps, std::size_t lo,
     }
 }
 
+/** The device owning the limb that the first positional Write Dep
+ *  covering batch position @p i names; nullptr if none covers it. */
+const Device *
+writtenDevice(const std::vector<Dep> &deps, std::size_t i)
+{
+    for (const Dep &d : deps)
+        if (d.mode == Access::Write && d.count == 0 && i >= d.spanLo
+            && i < d.spanHi)
+            return &d.poly->limb(d.offset + i).device();
+    return nullptr;
+}
+
 } // namespace
 
 u64
@@ -204,7 +216,6 @@ forBatches(const Context &ctx, std::size_t numLimbs,
            u64 bytesReadPerLimb, u64 bytesWrittenPerLimb,
            u64 intOpsPerLimb,
            const std::function<void(std::size_t, std::size_t)> &fn,
-           const std::function<u32(std::size_t)> &primeAt,
            const std::vector<Dep> &deps)
 {
     // costAt is only consulted during the call: capturing by
@@ -212,15 +223,13 @@ forBatches(const Context &ctx, std::size_t numLimbs,
     const LimbCost perLimb{bytesReadPerLimb, bytesWrittenPerLimb,
                            intOpsPerLimb};
     forBatches(ctx, numLimbs,
-               [&perLimb](std::size_t) { return perLimb; }, fn, primeAt,
-               deps);
+               [&perLimb](std::size_t) { return perLimb; }, fn, deps);
 }
 
 void
 forBatches(const Context &ctx, std::size_t numLimbs,
            const std::function<LimbCost(std::size_t)> &costAt,
            const std::function<void(std::size_t, std::size_t)> &fn,
-           const std::function<u32(std::size_t)> &primeAt,
            const std::vector<Dep> &deps)
 {
     if (numLimbs == 0)
@@ -237,7 +246,7 @@ forBatches(const Context &ctx, std::size_t numLimbs,
             c.intOps += l.intOps;
         }
         return c;
-    }, fn, primeAt, deps);
+    }, fn, deps);
 }
 
 void
@@ -245,7 +254,6 @@ launchBatches(const Context &ctx, std::size_t numLimbs,
               std::size_t limbBatch,
               const std::function<LimbCost(std::size_t, std::size_t)> &costOf,
               const std::function<void(std::size_t, std::size_t)> &fn,
-              const std::function<u32(std::size_t)> &primeAt,
               const std::vector<Dep> &deps)
 {
     if (numLimbs == 0)
@@ -316,35 +324,26 @@ launchBatches(const Context &ctx, std::size_t numLimbs,
     // Stream picks go through the calling thread's lease (the whole
     // set outside serving): a request's kernels stay on its
     // submitter's streams, so concurrent requests never interleave on
-    // one stream.
+    // one stream. Each batch splits where the limbs it writes change
+    // device (rare, since placement is contiguous blocks of the RNS
+    // base), and every piece runs on a stream of the device owning
+    // them, so work is accounted where the data lives and kernels
+    // never touch a peer device's memory. Positions that no positional
+    // Write Dep covers (shape-free helpers) round-robin over the
+    // leased streams.
     const StreamLease &leased = ctx.streamLease();
-    if (primeAt && devs.numDevices() > 1) {
-        // Ownership-aware dispatch: split each batch at device
-        // boundaries (rare, since placement is contiguous blocks of
-        // the RNS base) and run every piece on a stream of the device
-        // that owns its limbs, so work is accounted where the data
-        // lives and kernels never touch a peer device's memory.
-        std::vector<u32> rr(devs.numDevices(), 0);
-        for (std::size_t lo = 0; lo < numLimbs; lo += batch) {
-            const std::size_t hi = std::min(numLimbs, lo + batch);
-            std::size_t sub = lo;
-            while (sub < hi) {
-                const u32 d = ctx.deviceFor(primeAt(sub)).id();
-                std::size_t end = sub + 1;
-                while (end < hi && ctx.deviceFor(primeAt(end)).id() == d)
-                    ++end;
-                launchOn(leased.streamOfDevice(d, rr[d]++), sub, end);
-                sub = end;
-            }
-        }
-    } else {
-        // Shape-free fallback: round-robin over the leased streams.
-        u32 next = 0;
-        for (std::size_t lo = 0; lo < numLimbs; lo += batch) {
-            const std::size_t hi = std::min(numLimbs, lo + batch);
-            Stream &st = leased.stream(next);
-            next = (next + 1) % leased.numStreams();
-            launchOn(st, lo, hi);
+    std::vector<u32> rr(devs.numDevices(), 0);
+    u32 next = 0;
+    for (std::size_t lo = 0; lo < numLimbs; lo += batch) {
+        const std::size_t hi = std::min(numLimbs, lo + batch);
+        for (std::size_t sub = lo, end; sub < hi; sub = end) {
+            const Device *dev = writtenDevice(deps, sub);
+            end = sub + 1;
+            while (end < hi && writtenDevice(deps, end) == dev)
+                ++end;
+            launchOn(dev ? leased.streamOfDevice(dev->id(), rr[dev->id()]++)
+                         : leased.stream(next++),
+                     sub, end);
         }
     }
 }
@@ -378,7 +377,7 @@ negate(RNSPoly &a)
             for (std::size_t j = 0; j < n; ++j)
                 x[j] = negMod(x[j], p);
         }
-    }, [&ap](std::size_t i) { return ap[i].primeIdx(); }, {wr(a)});
+    }, {wr(a)});
 }
 
 void
@@ -459,7 +458,7 @@ keySwitchInnerProduct(RNSPoly &out0, RNSPoly &out1,
                 innerProductLimb<false>(x0, x1, s.data(), k0.data(),
                                         k1.data(), d, pm, n, m);
         }
-    }, [&o0](std::size_t i) { return o0[i].primeIdx(); }, deps);
+    }, deps);
 }
 
 void
@@ -486,7 +485,7 @@ scalarAddInto(RNSPoly &a, const std::vector<u64> &scalar)
             for (std::size_t j = 0; j < n; ++j)
                 x[j] = addMod(x[j], c, p);
         }
-    }, [&ap](std::size_t i) { return ap[i].primeIdx(); }, {wr(a)});
+    }, {wr(a)});
 }
 
 void
@@ -527,7 +526,7 @@ toEval(RNSPoly &a)
                [&ctx, &ap](std::size_t lo, std::size_t hi) {
         for (std::size_t i = lo; i < hi; ++i)
             nttForward(ap[i].write(), *ctx.prime(ap[i].primeIdx()).ntt);
-    }, [&ap](std::size_t i) { return ap[i].primeIdx(); }, {wr(a)});
+    }, {wr(a)});
     a.setFormat(Format::Eval);
 }
 
@@ -565,7 +564,7 @@ toCoeff(RNSPoly &out, const RNSPoly &in)
                 std::memcpy(x, ip[i].read(), n * sizeof(u64));
             nttInverse(x, *ctx.prime(op[i].primeIdx()).ntt);
         }
-    }, [&op](std::size_t i) { return op[i].primeIdx(); }, deps);
+    }, deps);
     out.setFormat(Format::Coeff);
 }
 
@@ -603,7 +602,7 @@ mulByMonomial(RNSPoly &a, u64 k)
             }
             std::copy(tmp.begin(), tmp.end(), x);
         }
-    }, [&ap](std::size_t i) { return ap[i].primeIdx(); }, {wr(a)});
+    }, {wr(a)});
 }
 
 void
@@ -1051,18 +1050,14 @@ FusedChain::run()
             op.b = &op.bPoly->partition();
     }
 
-    // The chain's shape -- limb count and position -> prime mapping --
-    // comes from the first op's limb range (every op writes).
-    const LimbPartition *shape = &ops_.front().rangePoly()->partition();
-    const std::size_t numLimbs = shape->size();
+    // The chain's limb count comes from the first op's limb range
+    // (every op writes).
+    const std::size_t numLimbs = ops_.front().rangePoly()->numLimbs();
     // Every op's range must span the chain's shape exactly: a smaller
     // output would silently truncate the ops after it, a larger one
     // would be left partially unwritten.
     for (const Op &op : ops_)
         FIDES_ASSERT(op.rangePoly()->numLimbs() == numLimbs);
-    auto primeAt = [shape](std::size_t i) {
-        return (*shape)[i].primeIdx();
-    };
 
     if (!ctx.fusionEnabled()) {
         // Unfused backend: one logical kernel per recorded op, each
@@ -1078,7 +1073,7 @@ FusedChain::run()
                        [&ctx, one, n](std::size_t lo, std::size_t hi) {
                 for (std::size_t i = lo; i < hi; ++i)
                     runOpOnLimb(ctx, *one, i, n);
-            }, primeAt, chainDeps({&op, 1}));
+            }, chainDeps({&op, 1}));
         }
         ops_.clear();
         return;
@@ -1131,7 +1126,7 @@ FusedChain::run()
         for (std::size_t i = lo; i < hi; ++i)
             for (const Op &op : *ops)
                 runOpOnLimb(ctx, op, i, n);
-    }, primeAt, deps);
+    }, deps);
     ops_.clear();
 }
 

@@ -128,7 +128,7 @@ struct LimbCost
 /**
  * The kernel layer's one launch engine. Runs @p fn(limbLo, limbHi)
  * over [0, numLimbs) in batches of @p limbBatch limbs (0 = one batch,
- * split only at device boundaries), billing each launch
+ * split only where its limbs change device), billing each launch
  * @p costOf(limbLo, limbHi). Batches run concurrently on the
  * context's streams (they must touch disjoint state). The call does
  * NOT join the host: each batch waits stream-side on the events of
@@ -139,12 +139,13 @@ struct LimbCost
  * access set, against which the body's Limb::read()/write() calls are
  * checked (declcheck).
  *
- * @p primeAt maps a limb position to its global prime index. When
- * provided (every kernel that iterates a polynomial's limbs does),
- * batches are split at device boundaries and each piece is launched
- * on a stream of the device that owns its limbs. Without it
- * (shape-free helpers, microbenches) batches round-robin over all
- * streams.
+ * Placement comes from @p deps: on two or more devices, batch
+ * position i runs on the device owning the limb that the first
+ * positional Write Dep covering i names (Conv's two write spans
+ * around its hole cover every position), so batches split where
+ * those limbs change device and each piece is launched on a stream
+ * of that device. A launch with no positional Write Dep (shape-free
+ * helpers, microbenches) round-robins over all streams.
  *
  * Lifetime contract: @p fn is copied once (shared by all batches) and
  * may run after this call returns, so it must capture operand
@@ -161,7 +162,6 @@ void launchBatches(
     const Context &ctx, std::size_t numLimbs, std::size_t limbBatch,
     const std::function<LimbCost(std::size_t, std::size_t)> &costOf,
     const std::function<void(std::size_t, std::size_t)> &fn,
-    const std::function<u32(std::size_t)> &primeAt = {},
     const std::vector<Dep> &deps = {});
 
 /**
@@ -172,7 +172,6 @@ void forBatches(const Context &ctx, std::size_t numLimbs,
                 u64 bytesReadPerLimb, u64 bytesWrittenPerLimb,
                 u64 intOpsPerLimb,
                 const std::function<void(std::size_t, std::size_t)> &fn,
-                const std::function<u32(std::size_t)> &primeAt = {},
                 const std::vector<Dep> &deps = {});
 
 /**
@@ -186,7 +185,6 @@ void forBatches(const Context &ctx, std::size_t numLimbs,
 void forBatches(const Context &ctx, std::size_t numLimbs,
                 const std::function<LimbCost(std::size_t)> &costAt,
                 const std::function<void(std::size_t, std::size_t)> &fn,
-                const std::function<u32(std::size_t)> &primeAt = {},
                 const std::vector<Dep> &deps = {});
 
 /**

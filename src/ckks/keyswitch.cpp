@@ -62,10 +62,4 @@ keySwitchAccumulate(const RaisedDigits &raised, const EvalKey &key,
     return acc;
 }
 
-std::pair<RNSPoly, RNSPoly>
-keySwitch(const RNSPoly &dEval, const EvalKey &key)
-{
-    return keySwitchAccumulate(decomposeAndModUp(dEval), key);
-}
-
 } // namespace fideslib::ckks

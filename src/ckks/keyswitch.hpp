@@ -60,9 +60,4 @@ std::pair<RNSPoly, RNSPoly>
 keySwitchAccumulate(const RaisedDigits &raised, const EvalKey &key,
                     const std::vector<u32> *perm = nullptr);
 
-/** Full key switch of one polynomial component: convenience around
- *  decomposeAndModUp + keySwitchAccumulate. */
-std::pair<RNSPoly, RNSPoly>
-keySwitch(const RNSPoly &dEval, const EvalKey &key);
-
 } // namespace fideslib::ckks

@@ -116,7 +116,8 @@ BsgsPlan planBsgs(const DiagMatrix &m);
  * Homomorphically applies @p m to a canonical ciphertext via BSGS
  * and rescales; the result is canonical one level down. Plaintext
  * diagonals are encoded at the ciphertext's level on the fly (the
- * Bootstrapper caches the encodings across calls).
+ * Bootstrapper encodes its stages once, at construction, and calls
+ * applyEncoded).
  */
 Ciphertext applyDiagMatrix(const Evaluator &eval, const Ciphertext &ct,
                            const DiagMatrix &m);

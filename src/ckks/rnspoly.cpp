@@ -1,5 +1,6 @@
 #include "ckks/rnspoly.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "ckks/kernels.hpp"
@@ -45,8 +46,7 @@ RNSPoly::clone(u32 level) const
                         [&sp, &dp, n](std::size_t lo, std::size_t hi) {
         for (std::size_t i = lo; i < hi; ++i)
             std::memcpy(dp[i].write(), sp[i].read(), n * sizeof(u64));
-    }, [&sp](std::size_t i) { return sp[i].primeIdx(); },
-       {kernels::rd(*this), kernels::wr(c)});
+    }, {kernels::rd(*this), kernels::wr(c)});
     return c;
 }
 
@@ -61,13 +61,16 @@ RNSPoly::setZero()
 }
 
 void
-RNSPoly::syncHost() const
+RNSPoly::syncHost(std::initializer_list<const RNSPoly *> polys)
 {
-    if (!hasPendingWork())
+    if (std::none_of(polys.begin(), polys.end(), [](const RNSPoly *p) {
+            return p->hasPendingWork();
+        }))
         return;
-    ctx_->devices().noteHostJoin();
-    for (std::size_t i = 0; i < part_->size(); ++i)
-        (*part_)[i].syncHost();
+    (*polys.begin())->ctx_->devices().noteHostJoin();
+    for (const RNSPoly *p : polys)
+        for (std::size_t i = 0; i < p->part_->size(); ++i)
+            (*p->part_)[i].syncHost();
 }
 
 bool

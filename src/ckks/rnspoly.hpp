@@ -37,6 +37,7 @@
 
 #pragma once
 
+#include <initializer_list>
 #include <memory>
 #include <vector>
 
@@ -348,7 +349,11 @@ class RNSPoly
      * limb data (decode, serialization, adapters). No-op -- and not
      * counted as a join -- when nothing is pending.
      */
-    void syncHost() const;
+    void syncHost() const { syncHost({this}); }
+
+    /** One host join on several polynomials (of one Context): counted
+     *  once, when any of them has work pending. */
+    static void syncHost(std::initializer_list<const RNSPoly *> polys);
 
     /** True if any kernel on this polynomial is still in flight. */
     bool hasPendingWork() const;

@@ -123,18 +123,6 @@ write(std::ostream &os, const HostPlaintext &pt)
 }
 
 Ciphertext
-rebind(const Context &dst, const HostCiphertext &ct)
-{
-    // The adapter validates the ring degree; limb counts are checked
-    // structurally when the destination RNSPoly is built. Wire
-    // payloads carry global prime INDICES implicitly (limb order), so
-    // equal Parameters -- identical prime chains -- are required for
-    // the rebind to be meaningful; a degree mismatch is the cheap
-    // proxy fatal() guards here.
-    return adapter::toDevice(dst, ct);
-}
-
-Ciphertext
 moveToContext(const Context &src, const Context &dst,
               const Ciphertext &ct)
 {
@@ -143,7 +131,7 @@ moveToContext(const Context &src, const Context &dst,
     // network hop would carry.
     std::stringstream wire;
     write(wire, adapter::toHost(src, ct));
-    return rebind(dst, readCiphertext(wire));
+    return adapter::toDevice(dst, readCiphertext(wire));
 }
 
 HostPlaintext

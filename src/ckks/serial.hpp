@@ -21,24 +21,11 @@ void write(std::ostream &os, const HostPlaintext &pt);
 HostPlaintext readPlaintext(std::istream &is);
 
 /**
- * The Context-rebind deserialize path: materializes a wire-format
- * ciphertext under @p dst, which need not be the Context it was
- * serialized under -- only the parameter set must match (the limb
- * data is keyed by global prime index, and equal Parameters generate
- * identical prime chains). This is the cross-shard move primitive of
- * serve::Router: the shard boundary IS the wire format, so a
- * ciphertext leaving shard A's DeviceSet and landing on shard B's is
- * bit-exactly the ciphertext a client would get by downloading from A
- * and uploading to B.
- */
-Ciphertext rebind(const Context &dst, const HostCiphertext &ct);
-
-/**
  * Convenience round trip for in-process shard moves: serialize @p ct
  * (joining its pending device work) through the wire format and
  * deserialize under @p dst. Equivalent to write() into a buffer on
- * the source shard followed by readCiphertext() + rebind() on the
- * destination.
+ * the source shard followed by readCiphertext() + adapter::toDevice()
+ * on the destination.
  */
 Ciphertext moveToContext(const Context &src, const Context &dst,
                          const Ciphertext &ct);

@@ -6,7 +6,6 @@
 
 #include "ckks/context.hpp"
 #include "ckks/keys.hpp"
-#include "ckks/serial.hpp"
 #include "core/logging.hpp"
 
 namespace fideslib::serve
@@ -125,7 +124,7 @@ std::size_t Router::tenants() const
 
 // Placement never changes once made, so submit() and upload() look
 // the shard up under the router lock and do the work outside it: a
-// long rebind holds up only its own caller.
+// long upload holds up only its own caller.
 Handle Router::submit(u64 tenant, Request req)
 {
     return shards_[shardOf(tenant)].server->submit(tenant,
@@ -135,7 +134,7 @@ Handle Router::submit(u64 tenant, Request req)
 ckks::Ciphertext Router::upload(u64 tenant,
                                 const ckks::HostCiphertext &ct) const
 {
-    return ckks::serial::rebind(*shards_[shardOf(tenant)].ctx, ct);
+    return ckks::adapter::toDevice(*shards_[shardOf(tenant)].ctx, ct);
 }
 
 void Router::drain()

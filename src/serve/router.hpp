@@ -18,7 +18,7 @@
  * different shards proceed with zero shared state.
  *
  * The shard boundary IS the wire format: ciphertexts enter a shard
- * through upload() (serial::rebind) and cross shards only through
+ * through upload() (adapter::toDevice) and cross shards only through
  * serial::moveToContext, which is bit-exact.
  */
 
@@ -95,8 +95,14 @@ class Router
      */
     Handle submit(u64 tenant, Request req);
 
-    /** Materializes a wire-format ciphertext on @p tenant's shard
-     *  (the client upload path). */
+    /**
+     * Materializes a wire-format ciphertext on @p tenant's shard (the
+     * client upload path). The ciphertext need not come from that
+     * shard's Context, but its Parameters must be equal: limb data is
+     * keyed by global prime index, and equal Parameters generate
+     * identical prime chains (adapter::toDevice checks only the ring
+     * degree and the limb counts).
+     */
     ckks::Ciphertext upload(u64 tenant,
                             const ckks::HostCiphertext &ct) const;
 

@@ -1,9 +1,10 @@
 /**
  * @file
  * Bootstrap dispatch tests: how much work a warm sparse bootstrap
- * dispatches on a multi-device topology (one shared EvalMod), and a
- * Bootstrap op flowing through the serve::Server from concurrent
- * submitters with sequential-identical results. The
+ * dispatches on a multi-device topology (one shared EvalMod), that
+ * the first bootstrap after construction dispatches as much as a warm
+ * one, and a Bootstrap op flowing through the serve::Server from
+ * concurrent submitters with sequential-identical results. The
  * ServeBootstrapTest suite runs under TSan in CI via the Serve*
  * filter; BootstrapDispatchTest deliberately does not -- it adds no
  * concurrency coverage.
@@ -13,6 +14,7 @@
 
 #include <complex>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "ckks/bootstrap.hpp"
@@ -69,11 +71,7 @@ class BootstrapDispatchTest : public ::testing::Test
         keygen = new KeyGen(*ctx);
         keys = new KeyBundle(keygen->makeBundle({}, true));
         eval = new Evaluator(*ctx, *keys);
-        BootstrapConfig cfg;
-        cfg.slots = kSlots;
-        cfg.levelBudgetC2S = 2;
-        cfg.levelBudgetS2C = 2;
-        boot = new Bootstrapper(*eval, cfg);
+        boot = new Bootstrapper(*eval, config());
         keygen->addRotationKeys(*keys, boot->requiredRotations());
     }
     static void
@@ -85,6 +83,16 @@ class BootstrapDispatchTest : public ::testing::Test
         delete keygen;
         delete ctx;
         ctx = nullptr;
+    }
+
+    static BootstrapConfig
+    config()
+    {
+        BootstrapConfig cfg;
+        cfg.slots = kSlots;
+        cfg.levelBudgetC2S = 2;
+        cfg.levelBudgetS2C = 2;
+        return cfg;
     }
 
     static Ciphertext
@@ -124,12 +132,33 @@ TEST_F(BootstrapDispatchTest, WarmSparseBootstrapRunsOneEvalMod)
     constexpr u64 kOneEvalMod = 851;
     constexpr u64 kTwoEvalMods = 1398;
     Ciphertext ct = encryptAtBottom(0.61);
-    boot->bootstrap(ct).syncHost(); // warms the stage encodes
+    boot->bootstrap(ct).syncHost();
     DeviceSet &devs = ctx->devices();
     const u64 before = devs.logicalKernels();
     boot->bootstrap(ct).syncHost();
     const u64 kernels = devs.logicalKernels() - before;
     EXPECT_LE(2 * kernels, kOneEvalMod + kTwoEvalMods);
+}
+
+TEST_F(BootstrapDispatchTest, FirstBootstrapDispatchesLikeTheSecond)
+{
+    // The constructor encodes every stage, so the first bootstrap
+    // after it dispatches exactly the logical kernels and launches of
+    // a warm one.
+    const Bootstrapper fresh(*eval, config());
+    Ciphertext ct = encryptAtBottom(0.37);
+    DeviceSet &devs = ctx->devices();
+    auto dispatched = [&] {
+        const u64 kernels = devs.logicalKernels();
+        const u64 launches = devs.aggregateCounters().launches;
+        fresh.bootstrap(ct).syncHost();
+        return std::pair{devs.logicalKernels() - kernels,
+                         devs.aggregateCounters().launches - launches};
+    };
+    const auto first = dispatched();
+    const auto second = dispatched();
+    EXPECT_EQ(first.first, second.first) << "logical kernels";
+    EXPECT_EQ(first.second, second.second) << "launches";
 }
 
 } // namespace

@@ -92,7 +92,6 @@ TEST(CheckDeathTest, UndeclaredWriteTripsDeclcheck)
                     for (std::size_t i = lo; i < hi; ++i)
                         b.partition()[i].write()[0] = 1;
                 },
-                [&](std::size_t i) { return a.primeIdxAt(i); },
                 {kernels::rd(a)});
             ctx.devices().synchronize();
         },
@@ -211,7 +210,6 @@ TEST(CheckReport, WriteThroughReadDepIsCountedAndLabeled)
             for (std::size_t i = lo; i < hi; ++i)
                 a.partition()[i].write()[0] = 1;
         },
-        [&](std::size_t i) { return a.primeIdxAt(i); },
         {kernels::rd(a)});
     ctx.devices().synchronize();
     EXPECT_GE(check::stats().undeclared, 1u);

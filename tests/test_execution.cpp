@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -226,8 +227,8 @@ TEST(ExecutionLaunches, ShapeFreeFallbackRoundRobinsAcrossDevices)
     const std::size_t n = ctx.degree();
     ctx.setLimbBatch(2);
     ctx.devices().resetCounters();
-    // No primeAt mapping: 7 limbs / batch 2 -> 4 batches round-robin
-    // over streams 0,1,0,1.
+    // No positional Write Dep: 7 limbs / batch 2 -> 4 batches
+    // round-robin over streams 0,1,0,1.
     kernels::forBatches(ctx, 7, n, n, 0,
                         [](std::size_t, std::size_t) {});
     EXPECT_EQ(ctx.devices().device(0).counters().launches, 2u);
@@ -265,6 +266,58 @@ TEST(ExecutionLaunches, OwnershipDispatchAccountsWhereLimbsLive)
               onDev0 * n * sizeof(u64));
     EXPECT_EQ(ctx.devices().device(1).counters().bytesWritten,
               onDev1 * n * sizeof(u64));
+}
+
+TEST(ExecutionLaunches, ConvBillsTheDevicesOwningItsTargets)
+{
+    // Conv writes its targets through write spans around ModUp's
+    // digit; at limb batch 0 it launches once per device owning
+    // targets, and each launch, like every kernel around it, is billed
+    // to the device owning the limbs it writes. testSmall at dnum 3:
+    // digits {q0, q1}, {q2, q3}, {q4}, K = 2, and q0..q3 live on
+    // device 0, q4, p0, p1 on device 1 -- so the middle digit's Conv
+    // targets after its hole sit on the other device than the hole.
+    Parameters p = topologyParams(2, 2);
+    p.dnum = 3;
+    Context ctx(p);
+    ctx.setLimbBatch(0);
+    const u32 L = ctx.maxLevel();
+    ASSERT_EQ(L, 4u);
+    ASSERT_EQ(ctx.numSpecial(), 2u);
+    for (u32 gi = 0; gi < ctx.numPrimes(); ++gi)
+        ASSERT_EQ(ctx.deviceFor(gi).id(), gi < 4 ? 0u : 1u) << gi;
+    const u64 limb = ctx.degree() * sizeof(u64); // copy, Conv target
+    const u64 ntt = kernels::nttLimbCost(ctx).bytesWritten;
+    DeviceSet &devs = ctx.devices();
+    auto expectBilled = [&devs](const char *what, u64 launches0,
+                                u64 bytes0, u64 launches1, u64 bytes1) {
+        devs.synchronize();
+        const KernelCounters d0 = devs.device(0).counters();
+        const KernelCounters d1 = devs.device(1).counters();
+        EXPECT_EQ(d0.launches, launches0) << what;
+        EXPECT_EQ(d0.bytesWritten, bytes0) << what;
+        EXPECT_EQ(d1.launches, launches1) << what;
+        EXPECT_EQ(d1.bytesWritten, bytes1) << what;
+    };
+
+    // Middle digit: Conv writes q0, q1 on device 0 and q4, p0, p1 on
+    // device 1; the finishing kernel NTTs the same targets and copies
+    // q2, q3 (device 0).
+    RNSPoly e(ctx, L, Format::Eval), c(ctx, L, Format::Coeff);
+    e.setZero();
+    c.setZero();
+    devs.resetCounters();
+    RNSPoly raised = modUpDigit(e, c, 1);
+    expectBilled("modUp digit 1", 2, 2 * limb + 2 * ntt + 2 * limb, 2,
+                 3 * limb + 3 * ntt);
+
+    // modDown: iNTT of p0, p1 (device 1), Conv into q0..q4, and the
+    // fused NTT + scale epilogue on q0..q4.
+    raised.setZero();
+    devs.resetCounters();
+    modDown(raised);
+    expectBilled("modDown", 2, 4 * limb + 4 * limb, 3,
+                 2 * ntt + limb + limb);
 }
 
 TEST(ExecutionAccounting, PolyCloneGoesThroughLaunchCounters)
@@ -591,11 +644,57 @@ TEST(ExecutionAsync, HMultPipelineJoinsAtLeastTenfoldFewer)
     // product and the epilogues, so each op runs fewer logical
     // kernels than the barrier era -- the pipeline here is HMult +
     // rescale + rotate to keep the workload above the 10x bar (the
-    // final ciphertext read may legitimately join once per
-    // component).
+    // final ciphertext read joins the host at most once).
     EXPECT_GE(kernels, 20u);
     EXPECT_LE(joins * 10, kernels)
         << "host joins " << joins << " vs logical kernels " << kernels;
+}
+
+TEST(ExecutionAsync, CiphertextSyncHostCountsOneJoin)
+{
+    // One host read of a ciphertext is one host join, even when its
+    // two components finish at different times. Two gated kernels
+    // write c0 and c1; a helper thread opens c0's gate once a join is
+    // counted, and c1's once a second one is or 200 ms later, so a sync
+    // that joins c0 and then c1 on its own counts two.
+    Context ctx(topologyParams(2, 2));
+    const u32 L = ctx.maxLevel();
+    const std::size_t n = ctx.degree();
+    Ciphertext ct{RNSPoly(ctx, L, Format::Eval),
+                  RNSPoly(ctx, L, Format::Eval), ctx.defaultScale(), 1};
+    std::atomic<bool> open0{false}, open1{false};
+    auto gatedFill = [&ctx, n](RNSPoly &poly, std::atomic<bool> &open) {
+        LimbPartition &p = poly.partition();
+        kernels::forBatches(ctx, poly.numLimbs(), 0, 0, 0,
+                            [&open, &p, n](std::size_t lo, std::size_t hi) {
+            awaitFlag(open);
+            for (std::size_t i = lo; i < hi; ++i)
+                std::fill_n(p[i].write(), n, static_cast<u64>(i));
+        }, {kernels::wr(poly)});
+    };
+    gatedFill(ct.c0, open0);
+    gatedFill(ct.c1, open1);
+
+    DeviceSet &devs = ctx.devices();
+    const u64 before = devs.hostJoins();
+    std::thread opener([&devs, &open0, &open1, before] {
+        auto awaitJoins = [&](u64 count, std::chrono::milliseconds ms) {
+            const auto deadline = std::chrono::steady_clock::now() + ms;
+            while (devs.hostJoins() - before < count &&
+                   std::chrono::steady_clock::now() < deadline)
+                std::this_thread::yield();
+        };
+        awaitJoins(1, std::chrono::milliseconds(2000));
+        open0.store(true, std::memory_order_release);
+        awaitJoins(2, std::chrono::milliseconds(200));
+        open1.store(true, std::memory_order_release);
+    });
+    ct.syncHost();
+    const u64 joins = devs.hostJoins() - before;
+    opener.join();
+    devs.synchronize();
+    EXPECT_EQ(joins, 1u);
+    EXPECT_EQ(ct.c1.limb(L).data()[n - 1], static_cast<u64>(L));
 }
 
 TEST(ExecutionAsync, LevelReduceReturnsWhileAKernelStillWritesTheInput)
@@ -633,8 +732,7 @@ TEST(ExecutionAsync, LevelReduceReturnsWhileAKernelStillWritesTheInput)
                 x1[j] = value(1, i, j);
             }
         }
-    }, [&p0](std::size_t i) { return p0[i].primeIdx(); },
-       {kernels::wr(ct.c0), kernels::wr(ct.c1)});
+    }, {kernels::wr(ct.c0), kernels::wr(ct.c1)});
     std::thread opener([&open, &returned] {
         const auto deadline =
             std::chrono::steady_clock::now() + std::chrono::seconds(2);

@@ -65,6 +65,7 @@ TEST_F(KernelTest, AddSubNegAgainstScalarLoops)
     auto aRef = a.clone();
 
     kernels::addInto(a, b);
+    RNSPoly::syncHost({&a, &aRef, &b});
     for (std::size_t i = 0; i < a.numLimbs(); ++i) {
         u64 q = ctx->prime(a.primeIdxAt(i)).value();
         for (std::size_t j = 0; j < ctx->degree(); ++j) {
@@ -74,12 +75,14 @@ TEST_F(KernelTest, AddSubNegAgainstScalarLoops)
         }
     }
     kernels::subInto(a, b); // undo
+    a.syncHost();
     for (std::size_t i = 0; i < a.numLimbs(); ++i) {
         for (std::size_t j = 0; j < ctx->degree(); ++j)
             ASSERT_EQ(a.limb(i).data()[j], aRef.limb(i).data()[j]);
     }
     kernels::negate(a);
     kernels::negate(a);
+    a.syncHost();
     for (std::size_t i = 0; i < a.numLimbs(); ++i) {
         for (std::size_t j = 0; j < ctx->degree(); ++j)
             ASSERT_EQ(a.limb(i).data()[j], aRef.limb(i).data()[j]);
@@ -99,6 +102,7 @@ TEST_F(KernelTest, MulAddIntoEqualsMulThenAdd)
     kernels::mul(prod, a, b);
     kernels::addInto(acc2, prod);
 
+    RNSPoly::syncHost({&acc1, &acc2});
     for (std::size_t i = 0; i < acc1.numLimbs(); ++i) {
         for (std::size_t j = 0; j < ctx->degree(); ++j)
             ASSERT_EQ(acc1.limb(i).data()[j], acc2.limb(i).data()[j]);
@@ -114,6 +118,7 @@ TEST_F(KernelTest, ScalarKernelsBroadcast)
         scalars.push_back(1000 + 17 * i);
 
     kernels::scalarMulInto(a, scalars);
+    RNSPoly::syncHost({&a, &aRef});
     for (std::size_t i = 0; i < a.numLimbs(); ++i) {
         const Modulus &m = ctx->qMod(i);
         for (std::size_t j = 0; j < ctx->degree(); ++j) {
@@ -125,6 +130,7 @@ TEST_F(KernelTest, ScalarKernelsBroadcast)
 
     auto b = aRef.clone();
     kernels::scalarAddInto(b, scalars);
+    b.syncHost();
     for (std::size_t i = 0; i < b.numLimbs(); ++i) {
         const u64 q = ctx->qMod(i).value;
         for (std::size_t j = 0; j < ctx->degree(); ++j) {
@@ -134,6 +140,7 @@ TEST_F(KernelTest, ScalarKernelsBroadcast)
     }
     auto c = aRef.clone();
     kernels::negate(c);
+    c.syncHost();
     for (std::size_t i = 0; i < c.numLimbs(); ++i) {
         const u64 q = ctx->qMod(i).value;
         for (std::size_t j = 0; j < ctx->degree(); ++j)
@@ -185,6 +192,7 @@ TEST_F(KernelTest, MonomialMultWrapsNegacyclically)
     p.setZero();
     p.limb(0).data()[n - 1] = 5; // 5 X^(n-1)
     kernels::mulByMonomial(p, 2); // * X^2 -> -5 X^1
+    p.syncHost();
     u64 q = ctx->qMod(0).value;
     EXPECT_EQ(p.limb(0).data()[1], q - 5);
     for (std::size_t j = 0; j < n; ++j) {
@@ -195,12 +203,14 @@ TEST_F(KernelTest, MonomialMultWrapsNegacyclically)
     auto r = randomPoly(1, 8, Format::Coeff);
     auto ref = r.clone();
     kernels::mulByMonomial(r, 2 * n);
+    RNSPoly::syncHost({&r, &ref});
     for (std::size_t i = 0; i < r.numLimbs(); ++i) {
         for (std::size_t j = 0; j < n; ++j)
             ASSERT_EQ(r.limb(i).data()[j], ref.limb(i).data()[j]);
     }
     // X^n negates everything.
     kernels::mulByMonomial(r, n);
+    r.syncHost();
     for (std::size_t i = 0; i < r.numLimbs(); ++i) {
         u64 qq = ctx->prime(r.primeIdxAt(i)).value();
         for (std::size_t j = 0; j < n; ++j) {
@@ -216,6 +226,7 @@ TEST_F(KernelTest, AutomorphAppliesPermutationPerLimb)
     const auto &perm = ctx->automorphPerm(ctx->rotationGaloisElt(3));
     RNSPoly out(*ctx, 2, Format::Eval);
     kernels::automorph(out, a, perm);
+    RNSPoly::syncHost({&out, &a});
     for (std::size_t i = 0; i < a.numLimbs(); ++i) {
         for (std::size_t j = 0; j < ctx->degree(); ++j) {
             ASSERT_EQ(out.limb(i).data()[j],

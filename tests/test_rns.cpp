@@ -125,6 +125,7 @@ TEST_F(RnsTest, ModUpPreservesSourceResidues)
     EXPECT_EQ(raised.format(), Format::Eval);
 
     kernels::toCoeff(raised);
+    RNSPoly::syncHost({&poly, &raised});
     const auto &tables = ctx->modUpTables(level, 0);
     for (u32 gi : tables.sourceIdx) {
         const u64 *a = poly.limb(gi).data();
@@ -156,6 +157,7 @@ TEST_F(RnsTest, ModDownDividesByP)
     modDown(y);
     EXPECT_EQ(y.numSpecial(), 0u);
     kernels::toCoeff(y);
+    y.syncHost();
     for (u32 i = 0; i <= level; ++i) {
         const u64 *a = x.limb(i).data();
         const u64 *b = y.limb(i).data();
@@ -168,6 +170,7 @@ TEST_F(RnsTest, ModRaiseAgreesModQ0)
 {
     auto x = smallPoly(*ctx, 0, 11, 1ULL << 20);
     auto raised = modRaise(x, ctx->maxLevel());
+    RNSPoly::syncHost({&x, &raised});
     EXPECT_EQ(raised.level(), ctx->maxLevel());
     // Residues mod q0 unchanged; other limbs must equal the centered
     // lift of the q0 value.
@@ -201,6 +204,7 @@ TEST_F(RnsTest, RescaleFusedAndUnfusedAgree)
     ctx->setFusion(true);
 
     EXPECT_EQ(a.level(), ctx->maxLevel() - 1);
+    RNSPoly::syncHost({&a, &b});
     for (std::size_t i = 0; i < a.numLimbs(); ++i) {
         const u64 *x = a.limb(i).data();
         const u64 *y = b.limb(i).data();
@@ -221,6 +225,7 @@ TEST_F(RnsTest, LimbBatchDoesNotChangeResults)
     rescale(b);
     ctx->setLimbBatch(2);
 
+    RNSPoly::syncHost({&a, &b});
     for (std::size_t i = 0; i < a.numLimbs(); ++i) {
         const u64 *x = a.limb(i).data();
         const u64 *y = b.limb(i).data();

@@ -11,8 +11,11 @@ The rules:
 
   - band       fresh <= baseline x TOLERANCE, per row present in both
                files. Structural counters (logical kernels, physical
-               launches and host joins per op) are machine-independent,
-               so the 5% only absorbs iteration-count rounding. A
+               launches and host joins per op, and the limb-batch rows'
+               per-device launches and MB) are machine-independent,
+               so the 5% only absorbs iteration-count rounding; the
+               per-device rows catch placement moving work onto one
+               device, which leaves the totals unchanged. A
                bootstrap's device pool high-water is bounded by the
                per-stream queue cap, and it reads within 1.2% on 1 to 4
                cores. Its rotation-key count is exact: one more key
@@ -155,6 +158,8 @@ def per_row_bands(path):
 # (file, row selector, metric, rule, min-cores)
 GATES = (
     per_row_bands(LIMB)
+    + [(LIMB, every_row, f"dev{d}_{metric}", band(TOLERANCE), 0)
+       for d in (0, 1) for metric in ("launches", "MB")]
     + per_row_bands(BOOT)
     + [
         (BOOT, every_row, "syncs_per_op", equal_by("slots"), 0),
